@@ -22,21 +22,17 @@ from .core import (
     mpr_from_pv,
     read_pcm,
     round_pcm,
-    round_to_scale,
     write_pcm,
 )
 from .indices import (
     IndexReport,
-    Triad,
     compute_ati,
     compute_cr,
     compute_gi,
     compute_ki,
     compute_report,
     compute_si,
-    enumerate_triads,
     estimate_asi,
-    triad_inconsistency,
 )
 from .loss import avg_absolute_error, avg_relative_error
 from .prioritize import ConvergenceError, RevResult, gm_estimate, rev_estimate

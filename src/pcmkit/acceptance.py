@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -164,8 +165,8 @@ def assess_pcm(
     """
     if quantile_choice not in QUANTILE_CHOICES:
         raise ValueError(f"quantile_choice must be one of {QUANTILE_CHOICES}")
-    if threshold <= 0 and threshold != 0:
-        raise ValueError("threshold must be nonnegative")
+    if not (math.isfinite(threshold) and threshold >= 0):
+        raise ValueError("threshold must be finite and nonnegative")
     if table is None:
         table = builtin_table(pcm.n, method)
     if table.n != pcm.n:

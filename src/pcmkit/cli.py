@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import secrets
 import sys
 from pathlib import Path
@@ -14,11 +15,11 @@ import numpy as np
 
 from . import acceptance as acc
 from . import simulate as sim
-from .core import Pcm, PcmFormatError, PriorityVector, is_reciprocal, read_pcm
-from .indices import compute_report, estimate_asi
+from .core import Pcm, PcmFormatError, PriorityVector, read_pcm
+from .indices import estimate_asi, report_from_estimates
 from .loss import avg_absolute_error, avg_relative_error
 from .prioritize import ConvergenceError, gm_estimate, rev_estimate
-from .stats import pearson, spearman, summarize_classes
+from .stats import PartitionError, pearson, spearman, summarize_classes
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -121,7 +122,7 @@ def cmd_analyze(args) -> int:
     except ConvergenceError as exc:
         raise DataError(str(exc)) from exc
     gm = gm_estimate(pcm)
-    report = compute_report(pcm, asi=asi)
+    report = report_from_estimates(pcm, rev, gm, asi=asi)
     payload = {
         "n": pcm.n,
         "asi_seed": seed,
@@ -211,23 +212,31 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _format_cell(value, width=10):
-    return (" " * width if value is None else f"{value:{width}.4f}")
-
-
 def cmd_report(args) -> int:
+    if args.classes < 3:
+        raise UsageError("--classes must be at least 3")
     try:
-        records = sim.read_records_csv(args.database_path)
+        with open(args.database_path) as fh:  # JSONL rows start with "{"
+            first = next((line.lstrip() for line in fh if line.strip()), "")
+        reader = sim.read_records_jsonl if first.startswith("{") else sim.read_records_csv
+        records = reader(args.database_path)
     except (OSError, ValueError) as exc:
         raise DataError(str(exc)) from exc
+    except (KeyError, TypeError) as exc:
+        raise DataError(f"{args.database_path}: not a simulation database ({exc!r})") from exc
     if len(records) < args.classes:
         raise DataError("fewer records than classes")
-    summaries = summarize_classes(records, args.index, args.error, args.classes)
-    populated = [s for s in summaries if s.count > 0]
-    mean_idx = [s.mean_index_value for s in populated]
+    try:
+        summaries = summarize_classes(records, args.index, args.error, args.classes)
+    except PartitionError as exc:
+        raise DataError(f"cannot split the {args.index} values into classes: {exc}") from exc
+    empty = [s.class_index for s in summaries if s.count == 0]
+    if empty:
+        raise DataError(f"degenerate partition: class(es) {empty} of {args.classes} are empty")
+    mean_idx = [s.mean_index_value for s in summaries]
     corr = {}
     for stat in ("q10", "median", "q90", "mean_error"):
-        vals = [getattr(s, stat) for s in populated]
+        vals = [getattr(s, stat) for s in summaries]
         try:
             corr[stat] = {"spearman": spearman(mean_idx, vals), "pearson": pearson(mean_idx, vals)}
         except ValueError:
@@ -238,7 +247,7 @@ def cmd_report(args) -> int:
             cells = [str(s.class_index), f"{s.lower:.8g}",
                      "inf" if s.upper == float("inf") else f"{s.upper:.8g}", str(s.count)]
             for v in (s.mean_index_value, s.q10, s.median, s.q90, s.mean_error):
-                cells.append("" if v is None else f"{v:.8g}")
+                cells.append(f"{v:.8g}")
             lines.append(",".join(cells))
         lines.append("")
         lines.append("statistic,spearman,pearson")
@@ -258,8 +267,7 @@ def cmd_report(args) -> int:
         hi = "inf" if s.upper == float("inf") else f"{s.upper:.4f}"
         lines.append(
             f"{s.class_index:>3} {f'{s.lower:.4f} - {hi}':>21} {s.count:>7}"
-            f"{_format_cell(s.mean_index_value, 11)}{_format_cell(s.q10, 11)}"
-            f"{_format_cell(s.median, 11)}{_format_cell(s.q90, 11)}{_format_cell(s.mean_error, 11)}"
+            f"{s.mean_index_value:11.4f}{s.q10:11.4f}{s.median:11.4f}{s.q90:11.4f}{s.mean_error:11.4f}"
         )
     lines.append("")
     lines.append("correlation of class-mean index values with error statistics:")
@@ -275,8 +283,8 @@ def cmd_accept(args) -> int:
     pcm = _load_pcm(args.pcm_path)
     _require_reciprocal(pcm)
     method = args.method.upper()
-    if args.threshold < 0:
-        raise UsageError("--threshold must be nonnegative")
+    if not (math.isfinite(args.threshold) and args.threshold >= 0):
+        raise UsageError("--threshold must be finite and nonnegative")
     try:
         if args.table:
             table = acc.read_table(args.table)

@@ -16,7 +16,7 @@ __all__ = [
     "is_reciprocal",
     "is_consistent",
     "mpr_from_pv",
-    "round_to_scale",
+    "round_matrix_to_scale",
     "round_pcm",
     "read_pcm",
     "write_pcm",
@@ -149,20 +149,14 @@ def mpr_from_pv(v: PriorityVector) -> Pcm:
     return Pcm(w[:, None] / w[None, :])
 
 
-def round_to_scale(x: float, scale: SaatyScale = SAATY_SCALE) -> float:
-    """Nearest scale value by absolute difference, ties broken upward."""
-    if x <= 0:
+def round_matrix_to_scale(values: np.ndarray, scale: SaatyScale = SAATY_SCALE) -> np.ndarray:
+    """Nearest scale value to each of an array of positive values, ties broken upward."""
+    arr = np.asarray(values, dtype=float)
+    if np.any(arr <= 0):
         raise ValueError("can only round positive values")
     vals = scale.as_array()
-    d = np.abs(vals - x)
+    d = np.abs(arr[..., None] - vals)
     # argmin on the reversed distances picks the largest value among ties
-    return float(vals[len(vals) - 1 - int(np.argmin(d[::-1]))])
-
-
-def round_matrix_to_scale(values: np.ndarray, scale: SaatyScale = SAATY_SCALE) -> np.ndarray:
-    """Vectorized round_to_scale over an arbitrary array of positive values."""
-    vals = scale.as_array()
-    d = np.abs(np.asarray(values, dtype=float)[..., None] - vals)
     idx = (len(vals) - 1) - np.argmin(d[..., ::-1], axis=-1)
     return vals[idx]
 

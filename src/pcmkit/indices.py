@@ -2,42 +2,29 @@
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .core import SAATY_SCALE, SaatyScale, _as_matrix
-from .prioritize import gm_estimate, rev_estimate
+from .core import SAATY_SCALE, PriorityVector, SaatyScale, _as_matrix
+from .prioritize import ConvergenceError, RevResult, batch_gm, batch_rev, gm_estimate, rev_estimate
 
 __all__ = [
-    "Triad",
     "IndexReport",
+    "batch_si",
+    "batch_gi",
+    "triad_values",
+    "batch_ki_ati",
     "compute_si",
     "estimate_asi",
     "compute_cr",
     "compute_gi",
-    "triad_inconsistency",
-    "enumerate_triads",
     "compute_ki",
     "compute_ati",
+    "report_from_estimates",
     "compute_report",
 ]
-
-
-@dataclass(frozen=True)
-class Triad:
-    """Upper-triangle entry triple (a_ik, a_ij, a_kj) for i < k < j."""
-
-    alpha: float
-    beta: float
-    chi: float
-    positions: tuple  # (i, k, j), zero-based
-
-    def __post_init__(self):
-        if min(self.alpha, self.beta, self.chi) <= 0:
-            raise ValueError("triad components must be positive")
 
 
 @dataclass(frozen=True)
@@ -53,15 +40,56 @@ class IndexReport:
     def as_dict(self) -> dict:
         return {"si": self.si, "cr": self.cr, "gi": self.gi, "ki": self.ki, "ati": self.ati}
 
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict())
+
+def batch_si(lambda_max, n: int):
+    """Saaty's index (lambda_max - n) / (n - 1), elementwise."""
+    return (lambda_max - n) / (n - 1)
+
+
+def _sum_in_order(x: np.ndarray):
+    """Left-to-right sum over the last axis, so a record's value does not depend on its stack.
+
+    (numpy's own order follows the memory layout, which fancy indexing of a stack changes.)
+    """
+    return np.cumsum(x, axis=-1)[..., -1]
+
+
+def batch_gi(a: np.ndarray, w: np.ndarray):
+    """Geometric consistency index over the last two axes of a, given its GM weights w.
+
+    2 / ((n-1)(n-2)) * sum_{i<j} ln^2(a_ij w_j / w_i), natural logarithm.
+    """
+    n = a.shape[-1]
+    iu, ju = np.triu_indices(n, k=1)
+    terms = np.log(a[..., iu, ju] * w[..., ju] / w[..., iu]) ** 2
+    return 2.0 / ((n - 1) * (n - 2)) * _sum_in_order(terms)
+
+
+def triad_values(pcm) -> np.ndarray:
+    """Triad inconsistency over all C(n,3) upper-triangle triads, over the last two axes.
+
+    For i < k < j with alpha = a_ik, beta = a_ij, chi = a_kj the value is
+    min(|1 - beta/(alpha chi)|, |1 - alpha chi/beta|), zero iff beta == alpha chi.
+    """
+    a = _as_matrix(pcm)
+    i, k, j = np.array(list(itertools.combinations(range(a.shape[-1]), 3))).T
+    alpha = a[..., i, k]
+    beta = a[..., i, j]
+    chi = a[..., k, j]
+    prod = alpha * chi
+    return np.minimum(np.abs(1.0 - beta / prod), np.abs(1.0 - prod / beta))
+
+
+def batch_ki_ati(pcm):
+    """Koczkodaj's index (maximum) and ATI (mean) of the triad values, over the last two axes."""
+    ti = triad_values(pcm)
+    return ti.max(axis=-1), _sum_in_order(ti) / ti.shape[-1]
 
 
 def compute_si(pcm) -> float:
     """Saaty's index (lambda_max - n) / (n - 1)."""
     a = _as_matrix(pcm)
-    n = a.shape[0]
-    return (rev_estimate(a).lambda_max - n) / (n - 1)
+    return float(batch_si(rev_estimate(a).lambda_max, a.shape[0]))
 
 
 def estimate_asi(
@@ -76,15 +104,15 @@ def estimate_asi(
     if sample_size < 1:
         raise ValueError("need sample_size >= 1")
     rng = np.random.default_rng(seed)
-    vals = scale.as_array()
     iu, ju = np.triu_indices(n, k=1)
-    total = 0.0
-    for _ in range(sample_size):
-        a = np.ones((n, n))
-        a[iu, ju] = rng.choice(vals, size=iu.size)
-        a[ju, iu] = 1.0 / a[iu, ju]
-        total += compute_si(a)
-    return total / sample_size
+    a = np.ones((sample_size, n, n))
+    a[:, iu, ju] = rng.choice(scale.as_array(), size=(sample_size, iu.size))
+    a[:, ju, iu] = 1.0 / a[:, iu, ju]
+    w, lam, iterations, residual, converged = batch_rev(a)
+    if not converged.all():
+        k = int(np.argmin(converged))
+        raise ConvergenceError(w[k], float(residual[k]), int(iterations[k]))
+    return float(np.mean(batch_si(lam, n)))
 
 
 def compute_cr(pcm, asi: float) -> float:
@@ -97,63 +125,37 @@ def compute_cr(pcm, asi: float) -> float:
 def compute_gi(pcm) -> float:
     """Geometric consistency index from the GM weights, natural logarithm."""
     a = _as_matrix(pcm)
-    n = a.shape[0]
-    if n < 3:
+    if a.shape[0] < 3:
         raise ValueError("need n >= 3")
-    w = gm_estimate(a).weights
-    iu, ju = np.triu_indices(n, k=1)
-    terms = np.log(a[iu, ju] * w[ju] / w[iu]) ** 2
-    return 2.0 / ((n - 1) * (n - 2)) * float(terms.sum())
-
-
-def triad_inconsistency(t: Triad) -> float:
-    """min(|1 - beta/(alpha*chi)|, |1 - alpha*chi/beta|); zero iff beta == alpha*chi."""
-    prod = t.alpha * t.chi
-    return min(abs(1.0 - t.beta / prod), abs(1.0 - prod / t.beta))
-
-
-def enumerate_triads(pcm) -> list:
-    """All C(n,3) upper-triangle triads, one per index triple i < k < j."""
-    a = _as_matrix(pcm)
-    n = a.shape[0]
-    if n < 3:
-        raise ValueError("need n >= 3")
-    return [
-        Triad(a[i, k], a[i, j], a[k, j], (i, k, j))
-        for i, k, j in itertools.combinations(range(n), 3)
-    ]
-
-
-def triad_values(pcm) -> np.ndarray:
-    """Vector of TI values over all upper-triangle triads."""
-    a = _as_matrix(pcm)
-    n = a.shape[0]
-    triples = np.array(list(itertools.combinations(range(n), 3)))
-    alpha = a[triples[:, 0], triples[:, 1]]
-    beta = a[triples[:, 0], triples[:, 2]]
-    chi = a[triples[:, 1], triples[:, 2]]
-    prod = alpha * chi
-    return np.minimum(np.abs(1.0 - beta / prod), np.abs(1.0 - prod / beta))
+    return float(batch_gi(a, batch_gm(a)))
 
 
 def compute_ki(pcm) -> float:
     """Koczkodaj's index: maximum triad inconsistency."""
-    return float(np.max(triad_values(pcm)))
+    return float(batch_ki_ati(pcm)[0])
 
 
 def compute_ati(pcm) -> float:
     """Average triad inconsistency over all upper-triangle triads."""
-    return float(np.mean(triad_values(pcm)))
+    return float(batch_ki_ati(pcm)[1])
+
+
+def report_from_estimates(
+    pcm, rev: RevResult, gm: PriorityVector, asi: Optional[float] = None
+) -> IndexReport:
+    """All five indices from the REV and GM estimates already made for the same PCM."""
+    a = _as_matrix(pcm)
+    ki, ati = batch_ki_ati(a)
+    si = float(batch_si(rev.lambda_max, a.shape[0]))
+    return IndexReport(
+        si=si,
+        cr=(si / asi) if asi is not None else None,
+        gi=float(batch_gi(a, gm.weights)),
+        ki=float(ki),
+        ati=float(ati),
+    )
 
 
 def compute_report(pcm, asi: Optional[float] = None) -> IndexReport:
     """All five indices at once; cr only when an ASI estimate is supplied."""
-    ti = triad_values(pcm)
-    si = compute_si(pcm)
-    return IndexReport(
-        si=si,
-        cr=(si / asi) if asi is not None else None,
-        gi=compute_gi(pcm),
-        ki=float(np.max(ti)),
-        ati=float(np.mean(ti)),
-    )
+    return report_from_estimates(pcm, rev_estimate(pcm), gm_estimate(pcm), asi)

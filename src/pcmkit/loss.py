@@ -5,21 +5,29 @@ import numpy as np
 
 from .core import PriorityVector
 
-__all__ = ["avg_absolute_error", "avg_relative_error"]
+__all__ = ["batch_absolute_error", "batch_relative_error", "avg_absolute_error", "avg_relative_error"]
 
 
-def _as_vector(v) -> np.ndarray:
-    if isinstance(v, PriorityVector):
-        return v.weights
-    return np.asarray(v, dtype=float)
+def batch_absolute_error(v, w):
+    """Mean componentwise absolute difference (1/N) sum |v_i - w_i| over the last axis."""
+    return np.mean(np.abs(v - w), axis=-1)
+
+
+def batch_relative_error(v, w):
+    """Mean |v_i - w_i| / v_i over the last axis, the TRUE vector v in the denominator."""
+    return np.mean(np.abs(v - w) / v, axis=-1)
+
+
+def _checked_pair(v, w):
+    tv, est = (x.weights if isinstance(x, PriorityVector) else np.asarray(x, float) for x in (v, w))
+    if tv.shape != est.shape:
+        raise ValueError("vectors must have equal dimension")
+    return tv, est
 
 
 def avg_absolute_error(v, w) -> float:
     """Mean componentwise absolute difference (1/N) sum |v_i - w_i|."""
-    tv, est = _as_vector(v), _as_vector(w)
-    if tv.shape != est.shape:
-        raise ValueError("vectors must have equal dimension")
-    return float(np.mean(np.abs(tv - est)))
+    return float(batch_absolute_error(*_checked_pair(v, w)))
 
 
 def avg_relative_error(v, w) -> float:
@@ -27,9 +35,7 @@ def avg_relative_error(v, w) -> float:
 
     Returned as a fraction; percent formatting belongs to the reporting layer.
     """
-    tv, est = _as_vector(v), _as_vector(w)
-    if tv.shape != est.shape:
-        raise ValueError("vectors must have equal dimension")
+    tv, est = _checked_pair(v, w)
     if np.any(tv <= 0):
         raise ValueError("true vector components must be positive")
-    return float(np.mean(np.abs(tv - est) / tv))
+    return float(batch_relative_error(tv, est))

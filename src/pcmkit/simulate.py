@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -17,7 +18,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import SAATY_SCALE, Pcm, PriorityVector, SaatyScale, round_matrix_to_scale, _as_matrix
-from .stats import pearson, spearman_or_nan
+from .indices import batch_gi, batch_ki_ati, batch_si
+from .loss import batch_absolute_error, batch_relative_error
+from .prioritize import batch_gm, batch_rev
+from .stats import average_ranks, batch_pearson
 
 __all__ = [
     "ErrorModel",
@@ -39,6 +43,7 @@ __all__ = [
 ]
 
 SMALL_ERROR_SUPPORT = (0.5, 1.5)  # D_S
+ERROR_DISTRIBUTIONS = ("gamma", "log-normal", "truncated-normal", "uniform")
 
 
 @dataclass(frozen=True)
@@ -54,6 +59,10 @@ class ErrorModel:
 
     distribution: str
     params: tuple
+
+    def __post_init__(self):
+        if self.distribution not in ERROR_DISTRIBUTIONS:
+            raise ValueError(f"unknown error distribution {self.distribution!r}")
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.distribution == "gamma":
@@ -71,10 +80,8 @@ class ErrorModel:
                 out[bad] = rng.normal(mean, sd, int(bad.sum()))
                 bad = (out < lo) | (out > hi)
             return out
-        if self.distribution == "uniform":
-            lo, hi = self.params
-            return rng.uniform(lo, hi, size)
-        raise ValueError(f"unknown error distribution {self.distribution!r}")
+        lo, hi = self.params  # uniform
+        return rng.uniform(lo, hi, size)
 
     def verify(self) -> None:
         """Check the unit-mean and support-mass contracts; raise on violation."""
@@ -96,12 +103,10 @@ class ErrorModel:
             dist = sps.truncnorm((lo - m) / sd, (hi - m) / sd, loc=m, scale=sd)
             mean = float(dist.mean())
             mass = 1.0
-        elif self.distribution == "uniform":
+        else:  # uniform
             a, b = self.params
             mean = (a + b) / 2
             mass = 1.0 if a >= lo and b <= hi else 0.0
-        else:
-            raise ValueError(f"unknown error distribution {self.distribution!r}")
         if abs(mean - 1.0) > 1e-3:
             raise ValueError(f"{self.distribution}: expected value {mean} is not 1")
         if mass < 0.98:
@@ -130,6 +135,10 @@ class BigErrorModel:
     lo: float = 2.0
     hi: float = 4.0
     apply_probability: float = 0.75
+
+    def __post_init__(self):
+        if not (0 < self.lo < self.hi < math.inf and 0 <= self.apply_probability <= 1):
+            raise ValueError(f"need finite 0 < lo < hi and probability in [0, 1]: {self}")
 
 
 RECORD_FIELDS = (
@@ -207,53 +216,7 @@ class CorrelationSummary:
 
 
 # ---------------------------------------------------------------------------
-# batched kernels
-
-
-def _batch_rev(a: np.ndarray, tol: float = 1e-12, max_iter: int = 10_000):
-    """Power iteration over a stack of matrices with per-record freezing.
-
-    A record stops updating the moment its own iterate converges, so its
-    result never depends on the other records in the batch.
-    """
-    b, n, _ = a.shape
-    w = np.full((b, n), 1.0 / n)
-    active = np.ones(b, dtype=bool)
-    it = 0
-    while active.any() and it < max_iter:
-        idx = np.flatnonzero(active)
-        y = np.einsum("bij,bj->bi", a[idx], w[idx])
-        y /= y.sum(axis=1, keepdims=True)
-        diff = np.max(np.abs(y - w[idx]), axis=1)
-        w[idx] = y
-        active[idx[diff <= tol]] = False
-        it += 1
-    lam = np.mean(np.einsum("bij,bj->bi", a, w) / w, axis=1)
-    failed = active.copy()
-    return w, lam, failed
-
-
-def _batch_gm(a: np.ndarray) -> np.ndarray:
-    g = np.exp(np.mean(np.log(a), axis=2))
-    return g / g.sum(axis=1, keepdims=True)
-
-
-def _triple_indices(n: int) -> np.ndarray:
-    return np.array(list(itertools.combinations(range(n), 3)))
-
-
-def _batch_ti(a: np.ndarray, triples: np.ndarray) -> np.ndarray:
-    alpha = a[:, triples[:, 0], triples[:, 1]]
-    beta = a[:, triples[:, 0], triples[:, 2]]
-    chi = a[:, triples[:, 1], triples[:, 2]]
-    prod = alpha * chi
-    return np.minimum(np.abs(1.0 - beta / prod), np.abs(1.0 - prod / beta))
-
-
-def _batch_gi(a: np.ndarray, w: np.ndarray, iu, ju) -> np.ndarray:
-    n = a.shape[1]
-    terms = np.log(a[:, iu, ju] * w[:, ju] / w[:, iu]) ** 2
-    return 2.0 / ((n - 1) * (n - 2)) * terms.sum(axis=1)
+# every quantity of a stack, from the kernels of prioritize, indices and loss
 
 
 def _batch_metrics(a: np.ndarray, v: np.ndarray):
@@ -261,23 +224,21 @@ def _batch_metrics(a: np.ndarray, v: np.ndarray):
 
     Returns a dict of per-record vectors plus the non-convergence mask.
     """
-    b, n, _ = a.shape
-    iu, ju = np.triu_indices(n, k=1)
-    triples = _triple_indices(n)
-    w_rev, lam, failed = _batch_rev(a)
-    w_gm = _batch_gm(a)
-    ti = _batch_ti(a, triples)
+    n = a.shape[1]
+    w_rev, lam, _, _, converged = batch_rev(a)
+    w_gm = batch_gm(a)
+    ki, ati = batch_ki_ati(a)
     out = {
-        "si": (lam - n) / (n - 1),
-        "gi": _batch_gi(a, w_gm, iu, ju),
-        "ki": ti.max(axis=1),
-        "ati": ti.mean(axis=1),
-        "ae_rev": np.mean(np.abs(v - w_rev), axis=1),
-        "re_rev": np.mean(np.abs(v - w_rev) / v, axis=1),
-        "ae_gm": np.mean(np.abs(v - w_gm), axis=1),
-        "re_gm": np.mean(np.abs(v - w_gm) / v, axis=1),
+        "si": batch_si(lam, n),
+        "gi": batch_gi(a, w_gm),
+        "ki": ki,
+        "ati": ati,
+        "ae_rev": batch_absolute_error(v, w_rev),
+        "re_rev": batch_relative_error(v, w_rev),
+        "ae_gm": batch_absolute_error(v, w_gm),
+        "re_gm": batch_relative_error(v, w_gm),
     }
-    return out, failed
+    return out, ~converged
 
 
 # ---------------------------------------------------------------------------
@@ -324,47 +285,52 @@ ERROR_NAMES = ("ae_rev", "re_rev", "ae_gm", "re_gm")
 TRACKED_NAMES = INDEX_NAMES + ERROR_NAMES
 
 
-def _correlation_keys() -> list:
-    keys = list(TRACKED_NAMES)
-    keys += [f"{i}:{e}" for i in INDEX_NAMES for e in ERROR_NAMES]
-    return keys
+# Correlated pairs as rows of the stacked TRACKED_NAMES vectors plus the
+# driving variable (last row): each tracked quantity against the driving
+# variable, then every index against every estimation error.
+_CORRELATION_KEYS = TRACKED_NAMES + tuple(f"{i}:{e}" for i in INDEX_NAMES for e in ERROR_NAMES)
+_TARGET_ROW = len(TRACKED_NAMES)
+_PAIR_ROWS = np.array(
+    [(TRACKED_NAMES.index(t), _TARGET_ROW) for t in TRACKED_NAMES]
+    + [(TRACKED_NAMES.index(i), TRACKED_NAMES.index(e)) for i in INDEX_NAMES for e in ERROR_NAMES]
+).T
 
 
 class _CorrelationTally:
     """Running sums of per-run correlation coefficients, NaN-tolerant."""
 
     def __init__(self):
-        keys = _correlation_keys()
-        self.sum_s = dict.fromkeys(keys, 0.0)
-        self.cnt_s = dict.fromkeys(keys, 0)
-        self.min_s = dict.fromkeys(keys, np.inf)
-        self.sum_p = dict.fromkeys(keys, 0.0)
-        self.cnt_p = dict.fromkeys(keys, 0)
+        k = len(_CORRELATION_KEYS)
+        self.sum_s = np.zeros(k)
+        self.cnt_s = np.zeros(k, dtype=int)
+        self.min_s = np.full(k, np.inf)
+        self.sum_p = np.zeros(k)
+        self.cnt_p = np.zeros(k, dtype=int)
 
     def add(self, vectors, target):
-        pairs = {name: (vec, target) for name, vec in vectors.items()}
-        for i in INDEX_NAMES:
-            for e in ERROR_NAMES:
-                pairs[f"{i}:{e}"] = (vectors[i], vectors[e])
-        for key, (x, y) in pairs.items():
-            s = spearman_or_nan(x, y)
-            if not np.isnan(s):
-                self.sum_s[key] += s
-                self.cnt_s[key] += 1
-                self.min_s[key] = min(self.min_s[key], s)
-            try:
-                p = pearson(x, y)
-            except ValueError:
-                p = float("nan")
-            if not np.isnan(p):
-                self.sum_p[key] += p
-                self.cnt_p[key] += 1
+        rows = np.stack([vectors[name] for name in TRACKED_NAMES] + [target])
+        ranks = average_ranks(rows)
+        x, y = _PAIR_ROWS
+        s = batch_pearson(ranks[x], ranks[y])
+        p = batch_pearson(rows[x], rows[y])
+        ok_s, ok_p = ~np.isnan(s), ~np.isnan(p)
+        self.sum_s[ok_s] += s[ok_s]
+        self.cnt_s += ok_s
+        self.min_s = np.fmin(self.min_s, s)
+        self.sum_p[ok_p] += p[ok_p]
+        self.cnt_p += ok_p
 
     def summary(self, framework, n, runs, skipped) -> CorrelationSummary:
-        spear = {k: self.sum_s[k] / c for k, c in self.cnt_s.items() if c}
-        pear = {k: self.sum_p[k] / c for k, c in self.cnt_p.items() if c}
-        mins = {k: self.min_s[k] for k, c in self.cnt_s.items() if c}
-        return CorrelationSummary(framework, n, runs, spear, pear, mins, skipped)
+        def mapping(values, counts):
+            return {k: float(v) for k, v, c in zip(_CORRELATION_KEYS, values, counts) if c}
+
+        return CorrelationSummary(
+            framework, n, runs,
+            mapping(self.sum_s / np.maximum(self.cnt_s, 1), self.cnt_s),
+            mapping(self.sum_p / np.maximum(self.cnt_p, 1), self.cnt_p),
+            mapping(self.min_s, self.cnt_s),
+            skipped,
+        )
 
 
 def run_mse_sf(n: int, n_runs: int = 1000, n_e: int = 25, seed: int = 0) -> CorrelationSummary:

@@ -11,6 +11,7 @@ __all__ = [
     "PartitionError",
     "ClassPartition",
     "ClassSummary",
+    "batch_pearson",
     "pearson",
     "spearman",
     "quantile",
@@ -22,11 +23,21 @@ __all__ = [
 
 
 class DegenerateDataError(ValueError):
-    """Correlation is undefined because one of the sequences has zero variance."""
+    """Correlation is undefined: a sequence has zero variance or a non-finite value."""
 
 
 class PartitionError(ValueError):
     """The sample cannot be split into the requested quantile classes."""
+
+
+def batch_pearson(x, y) -> np.ndarray:
+    """Pearson coefficients of paired rows (last axis); NaN where a row has zero variance."""
+    xd = x - x.mean(axis=-1, keepdims=True)
+    yd = y - y.mean(axis=-1, keepdims=True)
+    denom = np.sqrt((xd * xd).sum(axis=-1) * (yd * yd).sum(axis=-1))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        r = np.where(denom == 0, np.nan, (xd * yd).sum(axis=-1) / denom)
+    return np.clip(r, -1.0, 1.0)
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
@@ -35,27 +46,29 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     ya = np.asarray(y, dtype=float)
     if xa.shape != ya.shape or xa.ndim != 1 or xa.size < 2:
         raise ValueError("need two equally long sequences of length >= 2")
-    xd = xa - xa.mean()
-    yd = ya - ya.mean()
-    denom = np.sqrt((xd @ xd) * (yd @ yd))
-    if denom == 0:
-        raise DegenerateDataError("zero variance in pearson input")
-    return float(np.clip((xd @ yd) / denom, -1.0, 1.0))
+    r = batch_pearson(xa, ya)
+    if np.isnan(r):
+        raise DegenerateDataError("pearson input has zero variance or is not finite")
+    return float(r)
 
 
-def average_ranks(x: Sequence[float]) -> np.ndarray:
-    """1-based ranks with ties receiving the average of their rank range."""
+def average_ranks(x) -> np.ndarray:
+    """1-based ranks over the last axis, ties receiving the average of their rank range."""
     xa = np.asarray(x, dtype=float)
-    order = np.argsort(xa, kind="stable")
-    sorted_x = xa[order]
-    ranks = np.empty(xa.size)
-    i = 0
-    while i < xa.size:
-        j = i
-        while j + 1 < xa.size and sorted_x[j + 1] == sorted_x[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    n = xa.shape[-1]
+    order = np.argsort(xa, axis=-1, kind="stable")
+    sorted_x = np.take_along_axis(xa, order, axis=-1)
+    # A tie run spans sorted positions first..last; NaN never equals itself,
+    # so each NaN is a run of its own.
+    starts = np.ones(xa.shape, dtype=bool)
+    starts[..., 1:] = sorted_x[..., 1:] != sorted_x[..., :-1]
+    ends = np.ones(xa.shape, dtype=bool)
+    ends[..., :-1] = starts[..., 1:]
+    pos = np.arange(n)
+    first = np.maximum.accumulate(np.where(starts, pos, 0), axis=-1)
+    last = np.minimum.accumulate(np.where(ends, pos, n)[..., ::-1], axis=-1)[..., ::-1]
+    ranks = np.empty(xa.shape)
+    np.put_along_axis(ranks, order, (first + last) / 2.0 + 1.0, axis=-1)
     return ranks
 
 
@@ -102,10 +115,6 @@ class ClassPartition:
             raise ValueError("boundaries must be strictly increasing")
         object.__setattr__(self, "boundaries", b)
 
-    def class_of(self, x: float) -> int:
-        """1-based index of the interval [b_i, b_{i+1}) containing x."""
-        return int(np.searchsorted(self.boundaries[1:-1], x, side="right")) + 1
-
 
 def make_partition(index_values: Sequence[float], n_classes: int) -> ClassPartition:
     """Split observed index values into quantile-anchored classes."""
@@ -123,7 +132,7 @@ def make_partition(index_values: Sequence[float], n_classes: int) -> ClassPartit
 
 
 def assign_classes(partition: ClassPartition, values: Sequence[float]) -> np.ndarray:
-    """Vectorized ClassPartition.class_of; returns 1-based class indices."""
+    """1-based index of the interval [b_i, b_{i+1}) containing each value."""
     arr = np.asarray(values, dtype=float)
     return np.searchsorted(partition.boundaries[1:-1], arr, side="right") + 1
 

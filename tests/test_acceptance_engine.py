@@ -172,6 +172,11 @@ class TestAssessPcm:
         with pytest.raises(ValueError):
             assess_pcm(rb, "REV", threshold=0.5, quantile_choice="q95")
 
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -1.0])
+    def test_threshold_must_be_finite_and_nonnegative(self, rb, threshold):
+        with pytest.raises(ValueError):
+            assess_pcm(rb, "REV", threshold=threshold)
+
     def test_order_mismatch_with_explicit_table(self, rb):
         with pytest.raises(ValueError):
             assess_pcm(rb, "REV", threshold=0.5, table=builtin_table(5, "REV"))

@@ -1,13 +1,14 @@
 """Command-line interface: exit codes, outputs, manifests."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from pcmkit.cli import EXIT_DATA, EXIT_OK, EXIT_REJECT, EXIT_USAGE, main
 from pcmkit.core import write_pcm
-from pcmkit.simulate import read_records_csv, read_records_jsonl
+from pcmkit.simulate import SimRecord, read_records_csv, read_records_jsonl, write_records_csv
 
 from conftest import RA, RB
 
@@ -23,6 +24,21 @@ def ra_file(tmp_path, ra):
 def rb_file(tmp_path, rb):
     path = tmp_path / "rb.csv"
     write_pcm(rb, path)
+    return str(path)
+
+
+def assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("pcmkit: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+def write_database(path, ati_values):
+    """A CSV database whose records differ only in their ATI values."""
+    template = SimRecord(4, 0, 0, "gamma", False, 0.1, 0.1, 0.5, 0.1, 0.01, 0.05, 0.01, 0.05, 1)
+    write_records_csv(
+        [replace(template, vector_id=k, ati=float(x)) for k, x in enumerate(ati_values)], path
+    )
     return str(path)
 
 
@@ -47,6 +63,21 @@ class TestUsageErrors:
         out = str(tmp_path / "db.csv")
         assert main(["simulate", "mse", "--n", "4", "--runs", "0", "--out", out]) == EXIT_USAGE
         capsys.readouterr()
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-1"])
+    def test_accept_rejects_bad_threshold(self, rb_file, capsys, threshold):
+        assert main(["accept", rb_file, "--threshold", threshold]) == EXIT_USAGE
+        assert_one_line_error(capsys)
+
+    def test_big_error_probability_out_of_range(self, tmp_path, capsys):
+        out = str(tmp_path / "db.csv")
+        argv = ["simulate", "msobe", "--n", "4", "--total", "8", "--big-prob", "7", "--out", out]
+        assert main(argv) == EXIT_USAGE
+        assert_one_line_error(capsys)
+
+    def test_report_too_few_classes(self, database, capsys):
+        assert main(["report", database, "--classes", "2"]) == EXIT_USAGE
+        assert_one_line_error(capsys)
 
     def test_bad_true_pv(self, ra_file, capsys):
         assert main(["analyze", ra_file, "--true-pv", "0.5,x,0.2,0.1"]) == EXIT_USAGE
@@ -85,6 +116,23 @@ class TestDataErrors:
         path.write_text("not,a,database\n")
         assert main(["report", str(path)]) == EXIT_DATA
         capsys.readouterr()
+
+    def test_report_on_json_lines_that_are_not_records(self, tmp_path, capsys):
+        path = tmp_path / "other.jsonl"
+        path.write_text('{"a": 1}\n')
+        assert main(["report", str(path)]) == EXIT_DATA
+        assert_one_line_error(capsys)
+
+    def test_report_degenerate_partition(self, tmp_path, capsys):
+        path = write_database(tmp_path / "flat.csv", [0.3] * 20)
+        assert main(["report", path, "--classes", "3"]) == EXIT_DATA
+        assert_one_line_error(capsys)
+
+    def test_report_empty_class(self, tmp_path, capsys):
+        # quartile-anchored bounds 0.1, 0.55, 1.0: classes 1 and 3 stay empty
+        path = write_database(tmp_path / "gap.csv", [0.1] * 4 + [1.0] * 4)
+        assert main(["report", path, "--classes", "4"]) == EXIT_DATA
+        assert_one_line_error(capsys)
 
 
 class TestAnalyze:
@@ -202,6 +250,17 @@ class TestReportAndAccept:
         out = capsys.readouterr().out
         assert "ati" in out and "ae_rev" in out
         assert "spearman" in out
+
+    def test_report_reads_jsonl(self, database, tmp_path, capsys):
+        jsonl = tmp_path / "db.jsonl"
+        argv = ["simulate", "msobe", "--n", "4", "--total", "2000", "--seed", "4"]
+        assert main(argv + ["--format", "jsonl", "--out", str(jsonl)]) == EXIT_OK
+        capsys.readouterr()
+        for fmt in ("table", "csv"):
+            assert main(["report", database, "--format", fmt]) == EXIT_OK
+            from_csv = capsys.readouterr().out
+            assert main(["report", str(jsonl), "--format", fmt]) == EXIT_OK
+            assert capsys.readouterr().out == from_csv
 
     def test_report_csv_to_file(self, database, tmp_path, capsys):
         out = tmp_path / "rep.csv"

@@ -16,7 +16,7 @@ from pcmkit.core import (
     mpr_from_pv,
     read_pcm,
     round_pcm,
-    round_to_scale,
+    round_matrix_to_scale,
     write_pcm,
 )
 
@@ -115,11 +115,13 @@ class TestScaleRounding:
         ],
     )
     def test_round_to_scale(self, x, expected):
-        assert round_to_scale(x) == pytest.approx(expected, abs=1e-12)
+        assert round_matrix_to_scale(x) == pytest.approx(expected, abs=1e-12)
 
     def test_round_to_scale_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            round_to_scale(0.0)
+            round_matrix_to_scale(0.0)
+        with pytest.raises(ValueError):
+            round_matrix_to_scale([[2.0, 3.0], [-1.0, 4.0]])
 
     def test_round_pcm_matches_handworked_example(self, mpr_v1, rmpr_v1):
         assert round_pcm(mpr_v1).entries == pytest.approx(rmpr_v1.entries, abs=1e-12)
@@ -138,8 +140,8 @@ class TestScaleRounding:
 
     def test_custom_scale(self):
         scale = SaatyScale((0.25, 0.5, 1.0, 2.0, 4.0))
-        assert round_to_scale(3.0, scale) == 4.0  # tie upward
-        assert round_to_scale(100.0, scale) == 4.0
+        assert round_matrix_to_scale(3.0, scale) == 4.0  # tie upward
+        assert round_matrix_to_scale(100.0, scale) == 4.0
         with pytest.raises(ValueError):
             SaatyScale((0.5, 1.0, 4.0))  # 4 lacks its reciprocal
 
@@ -191,7 +193,7 @@ class TestPcmIO:
 @settings(max_examples=200, deadline=None)
 def test_round_to_scale_is_nearest(x):
     vals = SAATY_SCALE.as_array()
-    r = round_to_scale(x)
+    r = round_matrix_to_scale(x)
     best = np.min(np.abs(vals - x))
     assert abs(r - x) == pytest.approx(best, abs=1e-12)
     # among equally close values the larger one is chosen

@@ -13,11 +13,8 @@ from pcmkit.indices import (
     compute_ki,
     compute_report,
     compute_si,
-    enumerate_triads,
     estimate_asi,
-    triad_inconsistency,
     triad_values,
-    Triad,
 )
 
 from conftest import random_reciprocal_pcm
@@ -40,22 +37,28 @@ class TestGoldenValues:
             assert compute_ati(m) == pytest.approx(0.0, abs=1e-12)
 
 
+def triad_matrix(alpha, beta, chi):
+    """The 3x3 reciprocal matrix whose one triad is (a_12, a_13, a_23) = (alpha, beta, chi)."""
+    return np.array(
+        [[1.0, alpha, beta], [1 / alpha, 1.0, chi], [1 / beta, 1 / chi, 1.0]]
+    )
+
+
 class TestTriads:
     def test_triad_count(self):
         for n in range(3, 9):
             rng = np.random.default_rng(n)
             m = random_reciprocal_pcm(rng, n, SAATY_SCALE.as_array())
-            assert len(enumerate_triads(m)) == math.comb(n, 3)
             assert triad_values(m).size == math.comb(n, 3)
 
     def test_triad_inconsistency_examples(self):
         # consistent triad: beta = alpha * chi
-        assert triad_inconsistency(Triad(2.0, 6.0, 3.0, (0, 1, 2))) == 0.0
+        assert triad_values(triad_matrix(2.0, 6.0, 3.0)).tolist() == [0.0]
         # beta twice too large: min(|1-2|, |1-1/2|) = 1/2
-        assert triad_inconsistency(Triad(2.0, 12.0, 3.0, (0, 1, 2))) == pytest.approx(0.5)
+        assert triad_values(triad_matrix(2.0, 12.0, 3.0))[0] == pytest.approx(0.5)
         # symmetric in the ratio and its reciprocal
-        assert triad_inconsistency(Triad(2.0, 3.0, 3.0, (0, 1, 2))) == pytest.approx(
-            triad_inconsistency(Triad(2.0, 12.0, 3.0, (0, 1, 2)))
+        assert triad_values(triad_matrix(2.0, 3.0, 3.0))[0] == pytest.approx(
+            triad_values(triad_matrix(2.0, 12.0, 3.0))[0]
         )
 
     def test_ki_is_max_and_ati_is_mean(self, rb):

@@ -61,7 +61,16 @@ class TestErrorModels:
 
     def test_unknown_distribution(self):
         with pytest.raises(ValueError):
-            ErrorModel("cauchy", (0.0, 1.0)).draw(np.random.default_rng(0), 10)
+            ErrorModel("cauchy", (0.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "lo,hi,p",
+        [(2.0, 4.0, 7.0), (2.0, 4.0, -0.1), (2.0, 4.0, float("nan")), (4.0, 2.0, 0.5),
+         (0.0, 4.0, 0.5), (2.0, float("inf"), 0.5)],
+    )
+    def test_big_error_model_validation(self, lo, hi, p):
+        with pytest.raises(ValueError):
+            BigErrorModel(lo, hi, p)
 
 
 class TestRandomPv:

@@ -19,6 +19,22 @@ from pcmkit.stats import (
 )
 
 
+def loop_average_ranks(x):
+    """The one-dimensional tie loop that average_ranks replaced."""
+    xa = np.asarray(x, dtype=float)
+    order = np.argsort(xa, kind="stable")
+    sorted_x = xa[order]
+    ranks = np.empty(xa.size)
+    i = 0
+    while i < xa.size:
+        j = i
+        while j + 1 < xa.size and sorted_x[j + 1] == sorted_x[i]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
 class TestCorrelations:
     @pytest.mark.parametrize("seed", range(10))
     def test_pearson_matches_scipy(self, seed):
@@ -38,6 +54,14 @@ class TestCorrelations:
 
     def test_average_ranks_with_ties(self):
         assert average_ranks([10.0, 20.0, 20.0, 30.0]) == pytest.approx([1.0, 2.5, 2.5, 4.0])
+
+    def test_average_ranks_rows_match_tie_loop(self):
+        rng = np.random.default_rng(8)
+        x = rng.integers(0, 5, size=(40, 17)).astype(float)
+        x[rng.random(x.shape) < 0.05] = np.nan
+        ranks = average_ranks(x)
+        for row, got in zip(x, ranks):
+            assert np.array_equal(got, loop_average_ranks(row))
 
     def test_perfect_monotone(self):
         x = [1.0, 2.0, 3.0, 4.0]
@@ -94,12 +118,12 @@ class TestPartition:
         p = make_partition(x, n_classes=4)
         cls = assign_classes(p, [0.1, 0.3, 0.6, 0.9, 0.25])
         assert list(cls) == [1, 2, 3, 4, 2]
-        assert p.class_of(0.6) == 3
+        assert assign_classes(p, [0.6])[0] == 3
 
     def test_boundary_values_fall_in_upper_class(self):
         x = np.linspace(0.0, 1.0, 101)
         p = make_partition(x, n_classes=4)
-        assert p.class_of(0.5) == 3  # intervals are [lo, hi)
+        assert assign_classes(p, [0.5])[0] == 3  # intervals are [lo, hi)
 
     def test_degenerate_partition(self):
         with pytest.raises((PartitionError, DegenerateDataError)):
