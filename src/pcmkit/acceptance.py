@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -92,34 +92,29 @@ class AcceptanceVerdict:
     accepted: bool
 
 
+def _parse_tables(lines) -> dict:
+    """QuantileRows of `_TABLE_HEADER` lines, grouped by (n, method) and numbered from 1 in each group."""
+    tables: dict = {}
+    for line in lines:
+        if not line.strip():
+            continue
+        n_s, method, lo, hi, mean_ati, q10, med, q90, mean_err = line.split(",")
+        rows = tables.setdefault((int(n_s), method), [])
+        rows.append(QuantileRow(len(rows) + 1, float(lo), float(hi), float(mean_ati),
+                                float(q10), float(med), float(q90), float(mean_err)))
+    return tables
+
+
 def _load_builtin() -> dict:
     data = resources.files("pcmkit.data").joinpath("appendix_tables.csv").read_bytes()
     digest = hashlib.sha256(data).hexdigest()
     if digest != BUILTIN_DATA_SHA256:
         raise RuntimeError(f"builtin table data corrupted (sha256 {digest})")
-    tables: dict = {}
-    lines = data.decode().splitlines()
-    for line in lines[1:]:
-        n_s, method, lo, hi, mean_ati, q10, med, q90, mean_err = line.split(",")
-        key = (int(n_s), method)
-        rows = tables.setdefault(key, [])
-        idx = len(rows) + 1
-        rows.append(
-            QuantileRow(
-                class_index=idx,
-                class_lo=float(lo),
-                class_hi=float(hi),
-                mean_ati=float(mean_ati),
-                q10=float(q10),
-                median=float(med),
-                q90=float(q90),
-                mean_err=float(mean_err),
-                suspect_mean=(key[0], key[1], idx) in _SUSPECT_MEANS,
-            )
-        )
     return {
-        key: QuantileTable(n=key[0], method=key[1], loss="RE", rows=tuple(rows))
-        for key, rows in tables.items()
+        (n, method): QuantileTable(n=n, method=method, loss="RE", rows=tuple(
+            replace(row, suspect_mean=(n, method, row.class_index) in _SUSPECT_MEANS) for row in rows
+        ))
+        for (n, method), rows in _parse_tables(data.decode().splitlines()[1:]).items()
     }
 
 
@@ -227,25 +222,10 @@ def read_table(path, loss: str = "RE") -> QuantileTable:
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != _TABLE_HEADER:
         raise ValueError(f"{path}: not a quantile table (bad header)")
-    rows = []
-    n = method = None
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        n_s, meth, lo, hi, mean_ati, q10, med, q90, mean_err = line.split(",")
-        n, method = int(n_s), meth
-        rows.append(
-            QuantileRow(
-                class_index=len(rows) + 1,
-                class_lo=float(lo),
-                class_hi=float(hi),
-                mean_ati=float(mean_ati),
-                q10=float(q10),
-                median=float(med),
-                q90=float(q90),
-                mean_err=float(mean_err),
-            )
-        )
-    if n is None:
+    tables = _parse_tables(lines[1:])
+    if not tables:
         raise ValueError(f"{path}: empty quantile table")
+    if len(tables) > 1:
+        raise ValueError(f"{path}: rows of more than one (n, method) table")
+    ((n, method), rows), = tables.items()
     return QuantileTable(n=n, method=method, loss=loss, rows=tuple(rows))

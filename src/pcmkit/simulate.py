@@ -1,9 +1,10 @@
 """Random judgment-error models and the three Monte Carlo simulation frameworks.
 
-The frameworks are deterministic functions of a master seed: every record
-derives its own generator from ``SeedSequence(seed, spawn_key=...)`` and all
-per-record arithmetic is independent of batch composition, so results do not
-depend on chunk sizes or worker counts.
+The frameworks are deterministic functions of a master seed: every MSOBE
+record, and every MSE or NEE run, derives its own generator from
+``SeedSequence(seed, spawn_key=...)``, and all per-record arithmetic is
+independent of batch composition, so results do not depend on chunk or block
+sizes or worker counts.
 """
 from __future__ import annotations
 
@@ -11,9 +12,10 @@ import itertools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
+from operator import attrgetter
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, get_type_hints
 
 import numpy as np
 
@@ -141,27 +143,12 @@ class BigErrorModel:
             raise ValueError(f"need finite 0 < lo < hi and probability in [0, 1]: {self}")
 
 
-RECORD_FIELDS = (
-    "n",
-    "vector_id",
-    "perturbation_id",
-    "distribution",
-    "big_error",
-    "si",
-    "gi",
-    "ki",
-    "ati",
-    "ae_rev",
-    "re_rev",
-    "ae_gm",
-    "re_gm",
-    "seed",
-)
-
-
 @dataclass(frozen=True)
 class SimRecord:
-    """One simulated PCM: provenance, index values and estimation errors."""
+    """One simulated PCM: provenance, index values and estimation errors.
+
+    The field order is the column order of the database files.
+    """
 
     n: int
     vector_id: int
@@ -177,6 +164,10 @@ class SimRecord:
     ae_gm: float
     re_gm: float
     seed: int
+
+
+RECORD_FIELDS = tuple(f.name for f in fields(SimRecord))
+_FIELD_TYPES = tuple(get_type_hints(SimRecord).values())  # int, str, bool or float
 
 
 @dataclass(frozen=True)
@@ -296,41 +287,76 @@ _PAIR_ROWS = np.array(
 ).T
 
 
-class _CorrelationTally:
-    """Running sums of per-run correlation coefficients, NaN-tolerant."""
+# Every stack the frameworks evaluate at once (an MSOBE chunk, an MSE or NEE
+# block of runs) holds at most this many matrices.
+_CHUNK = 4096
 
-    def __init__(self):
-        k = len(_CORRELATION_KEYS)
-        self.sum_s = np.zeros(k)
-        self.cnt_s = np.zeros(k, dtype=int)
-        self.min_s = np.full(k, np.inf)
-        self.sum_p = np.zeros(k)
-        self.cnt_p = np.zeros(k, dtype=int)
 
-    def add(self, vectors, target):
-        rows = np.stack([vectors[name] for name in TRACKED_NAMES] + [target])
+def _run_blocks(n_runs: int, steps: int):
+    """Consecutive ranges of run indices, each holding at most _CHUNK matrices (one run at least)."""
+    size = max(1, _CHUNK // steps)
+    return (range(lo, min(lo + size, n_runs)) for lo in range(0, n_runs, size))
+
+
+def _disturbed_stack(v: np.ndarray, hit: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """Each run's perfect ratio matrix once per step, some entries disturbed.
+
+    v holds the runs' true vectors (runs, n).  hit and factors broadcast to
+    (runs, steps, pairs): hit flags the upper-triangle entries, in
+    np.triu_indices order, that are multiplied by their factor and
+    reciprocated below the diagonal.  Every other entry keeps its exact ratio
+    v_i / v_j, in the lower triangle too.
+    """
+    iu, ju = np.triu_indices(v.shape[1], k=1)
+    m = v[:, :, None] / v[:, None, :]
+    a = np.repeat(m[:, None], np.broadcast_shapes(hit.shape, factors.shape)[1], axis=1)
+    upper = m[:, None, iu, ju] * factors
+    a[..., iu, ju] = np.where(hit, upper, a[..., iu, ju])
+    a[..., ju, iu] = np.where(hit, 1.0 / upper, a[..., ju, iu])
+    return a
+
+
+def _correlate_blocks(framework: str, n: int, blocks) -> CorrelationSummary:
+    """Mean and minimum per-run correlations of a framework's blocks of runs.
+
+    Each block is a (runs, steps, n, n) stack with the runs' true vectors
+    (runs, n) and driving variable (runs, steps).  A run with any
+    non-converged record is skipped whole.  Per-run coefficients are folded
+    into running sums, counts and minima, so memory does not grow with the
+    number of runs.  NaN coefficients (a constant row) are left out.
+    """
+    k = len(_CORRELATION_KEYS)
+    sums = np.zeros((2, k))  # row 0 Spearman, row 1 Pearson
+    counts = np.zeros((2, k), dtype=int)
+    min_s = np.full(k, np.inf)
+    runs = skipped = 0
+    x, y = _PAIR_ROWS
+    for a, v, target in blocks:
+        b, steps = target.shape
+        metrics, failed = _batch_metrics(a.reshape(-1, n, n), np.repeat(v, steps, axis=0))
+        ok = ~failed.reshape(b, steps).any(axis=1)
+        rows = np.stack([metrics[name].reshape(b, steps) for name in TRACKED_NAMES] + [target], axis=1)[ok]
         ranks = average_ranks(rows)
-        x, y = _PAIR_ROWS
-        s = batch_pearson(ranks[x], ranks[y])
-        p = batch_pearson(rows[x], rows[y])
-        ok_s, ok_p = ~np.isnan(s), ~np.isnan(p)
-        self.sum_s[ok_s] += s[ok_s]
-        self.cnt_s += ok_s
-        self.min_s = np.fmin(self.min_s, s)
-        self.sum_p[ok_p] += p[ok_p]
-        self.cnt_p += ok_p
+        coeffs = np.stack([batch_pearson(ranks[:, x], ranks[:, y]), batch_pearson(rows[:, x], rows[:, y])])
+        valid = ~np.isnan(coeffs)
+        # Added left to right, one run after another, so the means do not depend on the block size.
+        terms = np.concatenate([sums[:, None], np.where(valid, coeffs, 0.0)], axis=1)
+        sums = np.cumsum(terms, axis=1)[:, -1]
+        counts += valid.sum(axis=1)
+        min_s = np.fmin(min_s, np.fmin.reduce(coeffs[0], axis=0, initial=np.inf))
+        kept = int(ok.sum())
+        runs += kept
+        skipped += b - kept
 
-    def summary(self, framework, n, runs, skipped) -> CorrelationSummary:
-        def mapping(values, counts):
-            return {k: float(v) for k, v, c in zip(_CORRELATION_KEYS, values, counts) if c}
+    def mapping(values, valid_counts):
+        return {key: float(val) for key, val, c in zip(_CORRELATION_KEYS, values, valid_counts) if c}
 
-        return CorrelationSummary(
-            framework, n, runs,
-            mapping(self.sum_s / np.maximum(self.cnt_s, 1), self.cnt_s),
-            mapping(self.sum_p / np.maximum(self.cnt_p, 1), self.cnt_p),
-            mapping(self.min_s, self.cnt_s),
-            skipped,
-        )
+    mean = sums / np.maximum(counts, 1)
+    return CorrelationSummary(
+        framework, n, runs,
+        mapping(mean[0], counts[0]), mapping(mean[1], counts[1]), mapping(min_s, counts[0]),
+        skipped,
+    )
 
 
 def run_mse_sf(n: int, n_runs: int = 1000, n_e: int = 25, seed: int = 0) -> CorrelationSummary:
@@ -345,25 +371,24 @@ def run_mse_sf(n: int, n_runs: int = 1000, n_e: int = 25, seed: int = 0) -> Corr
         raise ValueError("need n >= 4")
     if n_e < 2:
         raise ValueError("need n_e >= 2")
-    pairs = list(itertools.combinations(range(n), 2))
-    tally = _CorrelationTally()
-    skipped = 0
-    for r in range(n_runs):
-        rng = _rng_for(seed, r)
-        v = _random_pv_array(n, rng)
-        i, j = pairs[int(rng.integers(len(pairs)))]
-        eps = rng.uniform(*MSE_EPS_RANGE)
-        m = v[:, None] / v[None, :]
-        factors = eps ** np.arange(1, n_e + 1)
-        a = np.broadcast_to(m, (n_e, n, n)).copy()
-        a[:, i, j] = m[i, j] * factors
-        a[:, j, i] = 1.0 / a[:, i, j]
-        vectors, failed = _batch_metrics(a, np.broadcast_to(v, (n_e, n)))
-        if failed.any():
-            skipped += 1
-            continue
-        tally.add(vectors, factors)
-    return tally.summary("mse", n, n_runs - skipped, skipped)
+    n_pairs = n * (n - 1) // 2
+    exponents = np.arange(1, n_e + 1)
+
+    def blocks():
+        for block in _run_blocks(n_runs, n_e):
+            v = np.empty((len(block), n))
+            position = np.empty(len(block), dtype=int)
+            eps = np.empty(len(block))
+            for k, r in enumerate(block):
+                rng = _rng_for(seed, r)
+                v[k] = _random_pv_array(n, rng)
+                position[k] = rng.integers(n_pairs)
+                eps[k] = rng.uniform(*MSE_EPS_RANGE)
+            factors = eps[:, None] ** exponents
+            hit = np.arange(n_pairs) == position[:, None, None]
+            yield _disturbed_stack(v, hit, factors[..., None]), v, factors
+
+    return _correlate_blocks("mse", n, blocks())
 
 
 # ---------------------------------------------------------------------------
@@ -382,39 +407,31 @@ def run_nee_sf(n: int, n_r: int = 200, n_p: int = 5, seed: int = 0) -> Correlati
     """
     if n < 4:
         raise ValueError("need n >= 4")
-    pairs = list(itertools.combinations(range(n), 2))
-    k_steps = len(pairs)
-    counts_vec = np.arange(1, k_steps + 1, dtype=float)
-    tally = _CorrelationTally()
-    skipped = 0
-    total = n_r * n_p
-    for r in range(n_r):
-        rng_v = _rng_for(seed, 0, r)
-        v = _random_pv_array(n, rng_v)
-        m = v[:, None] / v[None, :]
-        for p in range(n_p):
-            rng = _rng_for(seed, 1, r, p)
-            perm = rng.permutation(k_steps)
-            eps = rng.uniform(*NEE_EPS_RANGE)
-            a = np.empty((k_steps, n, n))
-            cur = m.copy()
-            for step, t in enumerate(perm):
-                i, j = pairs[int(t)]
-                cur[i, j] = m[i, j] * eps
-                cur[j, i] = 1.0 / cur[i, j]
-                a[step] = cur
-            vectors, failed = _batch_metrics(a, np.broadcast_to(v, (k_steps, n)))
-            if failed.any():
-                skipped += 1
-                continue
-            tally.add(vectors, counts_vec)
-    return tally.summary("nee", n, total - skipped, skipped)
+    k_steps = n * (n - 1) // 2
+    steps = np.arange(k_steps)
+    counts = np.arange(1, k_steps + 1, dtype=float)
+
+    def blocks():
+        # Run q examines vector q // n_p under its (q % n_p)-th order.
+        for block in _run_blocks(n_r * n_p, k_steps):
+            vector_ids = np.array(block) // n_p
+            first = int(vector_ids[0])
+            vectors = [_random_pv_array(n, _rng_for(seed, 0, r)) for r in range(first, int(vector_ids[-1]) + 1)]
+            v = np.array(vectors)[vector_ids - first]
+            disturbed_at = np.empty((len(block), k_steps), dtype=int)  # step that disturbs each entry
+            eps = np.empty(len(block))
+            for k, q in enumerate(block):
+                rng = _rng_for(seed, 1, *divmod(q, n_p))
+                disturbed_at[k] = np.argsort(rng.permutation(k_steps))
+                eps[k] = rng.uniform(*NEE_EPS_RANGE)
+            hit = disturbed_at[:, None, :] <= steps[:, None]
+            yield _disturbed_stack(v, hit, eps[:, None, None]), v, np.broadcast_to(counts, hit.shape[:2])
+
+    return _correlate_blocks("nee", n, blocks())
 
 
 # ---------------------------------------------------------------------------
 # MSOBE-SF: many small errors, possibly one big error, scale rounding
-
-_CHUNK = 4096
 
 
 def _record_seed(seed: int, idx: int) -> int:
@@ -459,31 +476,18 @@ def _msobe_chunk(args):
     a[:, iu, ju] = rounded
     a[:, ju, iu] = 1.0 / rounded
     metrics, failed = _batch_metrics(a, v)
-    records = []
-    skipped = 0
-    for k in range(count):
-        if failed[k]:
-            skipped += 1
-            continue
-        records.append(
-            SimRecord(
-                n=n,
-                vector_id=int(vec_ids[k]),
-                perturbation_id=int(pert_ids[k]),
-                distribution=dist_tags[k],
-                big_error=bool(big_flags[k]),
-                si=float(metrics["si"][k]),
-                gi=float(metrics["gi"][k]),
-                ki=float(metrics["ki"][k]),
-                ati=float(metrics["ati"][k]),
-                ae_rev=float(metrics["ae_rev"][k]),
-                re_rev=float(metrics["re_rev"][k]),
-                ae_gm=float(metrics["ae_gm"][k]),
-                re_gm=float(metrics["re_gm"][k]),
-                seed=int(seeds[k]),
-            )
-        )
-    return records, skipped
+    columns = dict(
+        n=itertools.repeat(n),
+        vector_id=vec_ids.tolist(),
+        perturbation_id=pert_ids.tolist(),
+        distribution=dist_tags,
+        big_error=big_flags.tolist(),
+        seed=seeds.tolist(),
+        **{name: metrics[name].tolist() for name in TRACKED_NAMES},
+    )
+    rows = zip(*(columns[name] for name in RECORD_FIELDS))
+    records = [SimRecord(*row) for row, bad in zip(rows, failed.tolist()) if not bad]
+    return records, int(failed.sum())
 
 
 _VERIFIED_MODELS = set()
@@ -542,51 +546,20 @@ def run_msobe_sf(
 # database serialization
 
 
-def _format_real(x: float) -> str:
-    return f"{x:.8g}"
+def _bool_from_text(text) -> bool:
+    return text in (True, "1", 1)
 
 
-def _record_to_row(rec: SimRecord) -> list:
-    return [
-        str(rec.n),
-        str(rec.vector_id),
-        str(rec.perturbation_id),
-        rec.distribution,
-        "1" if rec.big_error else "0",
-        _format_real(rec.si),
-        _format_real(rec.gi),
-        _format_real(rec.ki),
-        _format_real(rec.ati),
-        _format_real(rec.ae_rev),
-        _format_real(rec.re_rev),
-        _format_real(rec.ae_gm),
-        _format_real(rec.re_gm),
-        str(rec.seed),
-    ]
-
-
-def _record_from_parts(parts: dict) -> SimRecord:
-    return SimRecord(
-        n=int(parts["n"]),
-        vector_id=int(parts["vector_id"]),
-        perturbation_id=int(parts["perturbation_id"]),
-        distribution=str(parts["distribution"]),
-        big_error=parts["big_error"] in (True, "1", 1),
-        si=float(parts["si"]),
-        gi=float(parts["gi"]),
-        ki=float(parts["ki"]),
-        ati=float(parts["ati"]),
-        ae_rev=float(parts["ae_rev"]),
-        re_rev=float(parts["re_rev"]),
-        ae_gm=float(parts["ae_gm"]),
-        re_gm=float(parts["re_gm"]),
-        seed=int(parts["seed"]),
-    )
+# Text formats and parsers per field, from SimRecord's field types.  A bool
+# is written as 1 or 0; JSONL keeps the non-float fields native.
+_CSV_ROW = ",".join({float: "{:.8g}", str: "{}"}.get(typ, "{:d}") for typ in _FIELD_TYPES)
+_FROM_TEXT = tuple(_bool_from_text if typ is bool else typ for typ in _FIELD_TYPES)
+_record_values = attrgetter(*RECORD_FIELDS)
 
 
 def write_records_csv(records, path) -> None:
     lines = [",".join(RECORD_FIELDS)]
-    lines += [",".join(_record_to_row(r)) for r in records]
+    lines += [_CSV_ROW.format(*_record_values(rec)) for rec in records]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -598,16 +571,18 @@ def read_records_csv(path) -> list:
     for line in lines[1:]:
         if not line.strip():
             continue
-        out.append(_record_from_parts(dict(zip(RECORD_FIELDS, line.split(",")))))
+        out.append(SimRecord(*[parse(x) for parse, x in zip(_FROM_TEXT, line.split(","))]))
     return out
 
 
 def write_records_jsonl(records, path) -> None:
+    """One JSON object per record; floats as their %.8g text, like the CSV columns."""
     with open(path, "w") as fh:
         for rec in records:
-            row = dict(zip(RECORD_FIELDS, _record_to_row(rec)))
-            row.update(n=rec.n, vector_id=rec.vector_id, perturbation_id=rec.perturbation_id,
-                       big_error=rec.big_error, seed=rec.seed)
+            row = {
+                name: format(x, ".8g") if typ is float else x
+                for name, typ, x in zip(RECORD_FIELDS, _FIELD_TYPES, _record_values(rec))
+            }
             fh.write(json.dumps(row) + "\n")
 
 
@@ -615,5 +590,6 @@ def read_records_jsonl(path) -> list:
     out = []
     for line in Path(path).read_text().splitlines():
         if line.strip():
-            out.append(_record_from_parts(json.loads(line)))
+            row = json.loads(line)
+            out.append(SimRecord(*[parse(row[name]) for parse, name in zip(_FROM_TEXT, RECORD_FIELDS)]))
     return out

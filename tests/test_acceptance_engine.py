@@ -211,10 +211,15 @@ class TestCustomTables:
             assert b.class_hi == a.class_hi or b.class_hi == pytest.approx(a.class_hi, rel=1e-6)
 
     def test_read_table_rejects_garbage(self, tmp_path):
+        header = "n,method,class_lo,class_hi,mean_ati,q10,median,q90,mean_err\n"
+        row = "{},REV,0,inf,0.5,0.1,0.2,0.3,0.2\n"
         path = tmp_path / "bad.csv"
-        path.write_text("nope\n1,2,3\n")
-        with pytest.raises(ValueError):
-            read_table(path)
+        short_row = "4,REV,0,inf,0.5,0.1,0.2,0.3\n"
+        two_tables = row.format(4) + row.format(5)
+        for text in ("nope\n1,2,3\n", header, header + short_row, header + two_tables):
+            path.write_text(text)
+            with pytest.raises(ValueError):
+                read_table(path)
 
     def test_assess_with_custom_table(self, records, rb):
         table = table_from_records(records, 4, "REV", loss="AE")

@@ -2,12 +2,17 @@
 
 The scalar API calls the same kernels on one matrix, so these tests also pin
 the scalar and the Monte Carlo paths to each other.  A plain per-matrix power
-iteration loop and a per-sample ASI loop serve as references.
+iteration loop, a per-sample ASI loop and per-run MSE-SF / NEE-SF loops serve
+as references.
 """
+
+import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from pcmkit import simulate
 from pcmkit.core import SAATY_SCALE
 from pcmkit.indices import batch_gi, batch_ki_ati, batch_si, estimate_asi, triad_values
 from pcmkit.loss import batch_absolute_error, batch_relative_error
@@ -114,3 +119,166 @@ def test_correlation_rows_equal_each_row_alone():
     for k in range(x.shape[0]):
         assert np.array_equal(r[k], batch_pearson(x[k], y[k]), equal_nan=True)
         assert np.array_equal(ranks[k], average_ranks(x[k]))
+
+
+# ---------------------------------------------------------------------------
+# MSE-SF and NEE-SF: block by block against one run at a time
+
+CORRELATED_PAIRS = [(t, "target") for t in simulate.TRACKED_NAMES] + [
+    (i, e) for i in simulate.INDEX_NAMES for e in simulate.ERROR_NAMES
+]
+CORRELATION_KEYS = simulate.TRACKED_NAMES + tuple(f"{i}:{e}" for i, e in CORRELATED_PAIRS[8:])
+
+
+class ReferenceTally:
+    """Per-run coefficients of each pair alone, summed one run after another."""
+
+    def __init__(self):
+        self.sums = {kind: dict.fromkeys(CORRELATION_KEYS, 0.0) for kind in ("spearman", "pearson")}
+        self.counts = {kind: dict.fromkeys(CORRELATION_KEYS, 0) for kind in ("spearman", "pearson")}
+        self.minima = dict.fromkeys(CORRELATION_KEYS, np.inf)
+
+    def add(self, vectors, target):
+        rows = {**vectors, "target": target}
+        for key, (x, y) in zip(CORRELATION_KEYS, CORRELATED_PAIRS):
+            s = float(batch_pearson(average_ranks(rows[x]), average_ranks(rows[y])))
+            p = float(batch_pearson(rows[x], rows[y]))
+            for kind, value in (("spearman", s), ("pearson", p)):
+                if not np.isnan(value):
+                    self.sums[kind][key] += value
+                    self.counts[kind][key] += 1
+            if not np.isnan(s):
+                self.minima[key] = min(self.minima[key], s)
+
+    def summary(self, runs, skipped):
+        means = {
+            kind: {k: self.sums[kind][k] / c for k, c in self.counts[kind].items() if c}
+            for kind in ("spearman", "pearson")
+        }
+        minima = {k: self.minima[k] for k, c in self.counts["spearman"].items() if c}
+        return dict(runs=runs, skipped=skipped, min_spearman=minima, **means)
+
+
+def reference_mse(n, n_runs, n_e, seed=0, skip_run=None):
+    """run_mse_sf as one _batch_metrics call per run; skip_run is dropped as if it failed."""
+    pairs = list(itertools.combinations(range(n), 2))
+    tally, skipped = ReferenceTally(), 0
+    for r in range(n_runs):
+        rng = simulate._rng_for(seed, r)
+        v = simulate._random_pv_array(n, rng)
+        i, j = pairs[int(rng.integers(len(pairs)))]
+        eps = rng.uniform(*simulate.MSE_EPS_RANGE)
+        m = v[:, None] / v[None, :]
+        factors = eps ** np.arange(1, n_e + 1)
+        a = np.broadcast_to(m, (n_e, n, n)).copy()
+        a[:, i, j] = m[i, j] * factors
+        a[:, j, i] = 1.0 / a[:, i, j]
+        vectors, failed = simulate._batch_metrics(a, np.broadcast_to(v, (n_e, n)))
+        if failed.any() or r == skip_run:
+            skipped += 1
+            continue
+        tally.add(vectors, factors)
+    return tally.summary(n_runs - skipped, skipped)
+
+
+def reference_nee(n, n_r, n_p, seed=0, skip_run=None):
+    """run_nee_sf disturbing one entry per step in a loop; run r * n_p + p is order p of vector r."""
+    pairs = list(itertools.combinations(range(n), 2))
+    k_steps = len(pairs)
+    tally, skipped = ReferenceTally(), 0
+    for r in range(n_r):
+        v = simulate._random_pv_array(n, simulate._rng_for(seed, 0, r))
+        m = v[:, None] / v[None, :]
+        for p in range(n_p):
+            rng = simulate._rng_for(seed, 1, r, p)
+            perm = rng.permutation(k_steps)
+            eps = rng.uniform(*simulate.NEE_EPS_RANGE)
+            a = np.empty((k_steps, n, n))
+            cur = m.copy()
+            for step, t in enumerate(perm):
+                i, j = pairs[int(t)]
+                cur[i, j] = m[i, j] * eps
+                cur[j, i] = 1.0 / cur[i, j]
+                a[step] = cur
+            vectors, failed = simulate._batch_metrics(a, np.broadcast_to(v, (k_steps, n)))
+            if failed.any() or r * n_p + p == skip_run:
+                skipped += 1
+                continue
+            tally.add(vectors, np.arange(1.0, k_steps + 1))
+    return tally.summary(n_r * n_p - skipped, skipped)
+
+
+def assert_same_summary(summary, reference):
+    """Equal bit for bit: the blocks keep each run's arithmetic and add the runs in order."""
+    got = summary.as_dict()
+    assert (got["runs"], got["skipped"]) == (reference["runs"], reference["skipped"])
+    for kind in ("spearman", "pearson", "min_spearman"):
+        assert got[kind] == reference[kind], kind
+
+
+# (framework, n, sizes, runs, steps per run): each spans more than one block.
+FRAMEWORKS = [
+    ("mse", 5, dict(n_runs=400, n_e=25), 400, 25),
+    ("nee", 7, dict(n_r=60, n_p=5), 300, 21),
+]
+RUN_FUNCTIONS = {"mse": (simulate.run_mse_sf, reference_mse), "nee": (simulate.run_nee_sf, reference_nee)}
+
+
+@pytest.mark.parametrize("framework, n, sizes, runs, steps", FRAMEWORKS)
+def test_correlation_frameworks_match_per_run_loop(framework, n, sizes, runs, steps):
+    run, reference = RUN_FUNCTIONS[framework]
+    assert runs * steps > simulate._CHUNK
+    assert_same_summary(run(n, **sizes, seed=4), reference(n, **sizes, seed=4))
+
+
+@pytest.mark.parametrize("framework, n, sizes, runs, steps", FRAMEWORKS)
+def test_non_converged_record_skips_its_whole_run(monkeypatch, framework, n, sizes, runs, steps):
+    run, reference = RUN_FUNCTIONS[framework]
+    batch_metrics, stack_sizes = simulate._batch_metrics, []
+    flagged_run = 11
+
+    def one_failure(a, v):
+        metrics, failed = batch_metrics(a, v)
+        if not stack_sizes:
+            failed[flagged_run * steps + 3] = True
+        stack_sizes.append(len(a))
+        return metrics, failed
+
+    calls = {"average_ranks": 0, "batch_pearson": 0}
+
+    def counted(name):
+        function = getattr(simulate, name)
+
+        def call(*args):
+            calls[name] += 1
+            return function(*args)
+
+        return call
+
+    monkeypatch.setattr(simulate, "_batch_metrics", one_failure)
+    for name in calls:
+        monkeypatch.setattr(simulate, name, counted(name))
+    summary = run(n, **sizes, seed=5)
+    monkeypatch.undo()
+    assert (summary.runs, summary.skipped) == (runs - 1, 1)
+    # Per block of whole runs (at most _CHUNK matrices): one metrics call,
+    # one ranking call and two correlation calls.
+    blocks = len(stack_sizes)
+    assert sum(stack_sizes) == runs * steps and blocks >= 2
+    assert all(size % steps == 0 for size in stack_sizes)
+    assert max(stack_sizes) <= simulate._CHUNK
+    assert calls == {"average_ranks": blocks, "batch_pearson": 2 * blocks}
+    assert_same_summary(summary, reference(n, **sizes, seed=5, skip_run=flagged_run))
+
+
+def test_correlation_memory_does_not_grow_with_runs():
+    def peak(n_runs):
+        assert n_runs * 25 > simulate._CHUNK
+        tracemalloc.start()
+        try:
+            simulate.run_mse_sf(5, n_runs=n_runs, n_e=25)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(2000) <= 1.5 * peak(400)
