@@ -62,7 +62,7 @@ def _build_parser() -> _Parser:
     p_sim.add_argument("--total", type=int, default=240_000, help="MSOBE record count")
     p_sim.add_argument("--big-prob", type=float, default=0.75)
     p_sim.add_argument("--workers", type=int, default=1)
-    p_sim.add_argument("--format", choices=("csv", "jsonl"), default="csv")
+    p_sim.add_argument("--format", choices=("csv", "jsonl"), default=None, help="MSOBE database format (csv)")
     p_sim.add_argument("--out", required=True)
 
     p_rep = sub.add_parser("report", help="class-summary table and correlation grid")
@@ -166,22 +166,18 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _write_manifest(out_path, config: dict, skipped: int):
-    manifest = {"config": config, "skipped": skipped}
+def _write_manifest(out_path, config: dict, skipped: int, **extra):
+    manifest = {"config": config, "skipped": skipped, **extra}
     Path(str(out_path) + ".manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
 def cmd_simulate(args) -> int:
     if min(args.runs, args.ne, args.nr, args.n_p, args.total, args.workers) <= 0:
         raise UsageError("all counts must be positive")
+    if args.format is not None and args.framework != "msobe":
+        raise UsageError(f"--format applies to simulate msobe only; {args.framework} writes one JSON summary")
     seed = _resolve_seed(args.seed)
-    config = {
-        "subcommand": f"simulate {args.framework}",
-        "n": args.n,
-        "seed": seed,
-        "format": args.format,
-        "out": str(args.out),
-    }
+    config = {"subcommand": f"simulate {args.framework}", "n": args.n, "seed": seed, "out": str(args.out)}
     try:
         if args.framework == "mse":
             config.update(runs=args.runs, ne=args.ne)
@@ -194,7 +190,8 @@ def cmd_simulate(args) -> int:
             _emit(json.dumps(summary.as_dict(), indent=2), args.out)
             _write_manifest(args.out, config, summary.skipped)
         else:
-            config.update(total=args.total, big_prob=args.big_prob, workers=args.workers)
+            fmt = args.format or "csv"
+            config.update(format=fmt, total=args.total, big_prob=args.big_prob, workers=args.workers)
             result = sim.run_msobe_sf(
                 args.n,
                 args.total,
@@ -202,9 +199,9 @@ def cmd_simulate(args) -> int:
                 seed=seed,
                 workers=args.workers,
             )
-            writer = sim.write_records_csv if args.format == "csv" else sim.write_records_jsonl
+            writer = sim.write_records_csv if fmt == "csv" else sim.write_records_jsonl
             writer(result.records, args.out)
-            _write_manifest(args.out, config, result.skipped)
+            _write_manifest(args.out, config, result.skipped, rng=sim.MSOBE_RNG)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     except OSError as exc:

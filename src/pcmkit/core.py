@@ -152,13 +152,13 @@ def mpr_from_pv(v: PriorityVector) -> Pcm:
 def round_matrix_to_scale(values: np.ndarray, scale: SaatyScale = SAATY_SCALE) -> np.ndarray:
     """Nearest scale value to each of an array of positive values, ties broken upward."""
     arr = np.asarray(values, dtype=float)
-    if np.any(arr <= 0):
+    if not np.all(arr > 0):
         raise ValueError("can only round positive values")
     vals = scale.as_array()
-    d = np.abs(arr[..., None] - vals)
-    # argmin on the reversed distances picks the largest value among ties
-    idx = (len(vals) - 1) - np.argmin(d[..., ::-1], axis=-1)
-    return vals[idx]
+    # Only the two scale values around x can be nearest (the end pair outside
+    # the scale's range); "<=" breaks a tie toward the upper one.
+    k = np.clip(np.searchsorted(vals, arr, side="right") - 1, 0, len(vals) - 2)
+    return vals[k + (np.abs(vals[k + 1] - arr) <= np.abs(arr - vals[k]))]
 
 
 def round_pcm(pcm, scale: SaatyScale = SAATY_SCALE) -> Pcm:

@@ -1,10 +1,12 @@
 """Random judgment-error models and the three Monte Carlo simulation frameworks.
 
-The frameworks are deterministic functions of a master seed: every MSOBE
-record, and every MSE or NEE run, derives its own generator from
-``SeedSequence(seed, spawn_key=...)``, and all per-record arithmetic is
-independent of batch composition, so results do not depend on chunk or block
-sizes or worker counts.
+The frameworks are deterministic functions of a master seed.  Every MSE or
+NEE run derives its own generator from ``SeedSequence(seed, spawn_key=...)``;
+MSOBE seeds per block of ``_BLOCK`` records (and of ``_BLOCK`` vectors), not
+per record, and draws the whole block at once.  MSOBE chunks are unions of
+whole blocks and all per-record arithmetic is independent of batch
+composition, so results do not depend on chunk or block-of-runs sizes or
+worker counts.
 """
 from __future__ import annotations
 
@@ -42,6 +44,7 @@ __all__ = [
     "write_records_jsonl",
     "read_records_jsonl",
     "RECORD_FIELDS",
+    "MSOBE_RNG",
 ]
 
 SMALL_ERROR_SUPPORT = (0.5, 1.5)  # D_S
@@ -66,7 +69,7 @@ class ErrorModel:
         if self.distribution not in ERROR_DISTRIBUTIONS:
             raise ValueError(f"unknown error distribution {self.distribution!r}")
 
-    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
+    def draw(self, rng: np.random.Generator, size) -> np.ndarray:
         if self.distribution == "gamma":
             shape, scale = self.params
             return rng.gamma(shape, scale, size)
@@ -85,30 +88,37 @@ class ErrorModel:
         lo, hi = self.params  # uniform
         return rng.uniform(lo, hi, size)
 
-    def verify(self) -> None:
-        """Check the unit-mean and support-mass contracts; raise on violation."""
-        from scipy import stats as sps
+    def _mean_and_mass(self) -> tuple:
+        """The distribution's expected value and its probability mass on SMALL_ERROR_SUPPORT."""
+        # Imported here: only MSOBE runs check their models, other callers skip the import.
+        from statistics import NormalDist
 
         lo, hi = SMALL_ERROR_SUPPORT
         if self.distribution == "gamma":
+            from scipy.special import gammainc
+
             shape, scale = self.params
             mean = shape * scale
-            dist = sps.gamma(shape, scale=scale)
-            mass = dist.cdf(hi) - dist.cdf(lo)
+            mass = float(gammainc(shape, hi / scale) - gammainc(shape, lo / scale))
         elif self.distribution == "log-normal":
             mu, sigma = self.params
-            mean = float(np.exp(mu + sigma**2 / 2))
-            dist = sps.lognorm(sigma, scale=np.exp(mu))
-            mass = dist.cdf(hi) - dist.cdf(lo)
+            mean = math.exp(mu + sigma**2 / 2)
+            log_error = NormalDist(mu, sigma)
+            mass = log_error.cdf(math.log(hi)) - log_error.cdf(math.log(lo))
         elif self.distribution == "truncated-normal":
             m, sd = self.params
-            dist = sps.truncnorm((lo - m) / sd, (hi - m) / sd, loc=m, scale=sd)
-            mean = float(dist.mean())
+            parent = NormalDist(m, sd)
+            mean = m + sd**2 * (parent.pdf(lo) - parent.pdf(hi)) / (parent.cdf(hi) - parent.cdf(lo))
             mass = 1.0
         else:  # uniform
             a, b = self.params
             mean = (a + b) / 2
             mass = 1.0 if a >= lo and b <= hi else 0.0
+        return mean, mass
+
+    def verify(self) -> None:
+        """Check the unit-mean and support-mass contracts; raise on violation."""
+        mean, mass = self._mean_and_mass()
         if abs(mean - 1.0) > 1e-3:
             raise ValueError(f"{self.distribution}: expected value {mean} is not 1")
         if mass < 0.98:
@@ -147,7 +157,10 @@ class BigErrorModel:
 class SimRecord:
     """One simulated PCM: provenance, index values and estimation errors.
 
-    The field order is the column order of the database files.
+    The field order is the column order of the database files.  ``seed`` is
+    the run's master seed: with the record index (``vector_id`` and
+    ``perturbation_id``) and the block size ``_BLOCK`` it is the key that
+    replays the record from its block's stream.
     """
 
     n: int
@@ -288,7 +301,8 @@ _PAIR_ROWS = np.array(
 
 
 # Every stack the frameworks evaluate at once (an MSOBE chunk, an MSE or NEE
-# block of runs) holds at most this many matrices.
+# block of runs) holds at most this many matrices.  A multiple of the MSOBE
+# record block _BLOCK, so that an MSOBE chunk is a union of whole blocks.
 _CHUNK = 4096
 
 
@@ -433,61 +447,84 @@ def run_nee_sf(n: int, n_r: int = 200, n_p: int = 5, seed: int = 0) -> Correlati
 # ---------------------------------------------------------------------------
 # MSOBE-SF: many small errors, possibly one big error, scale rounding
 
+# The MSOBE random stream.  Record block b (records b*_BLOCK up to the next
+# block or the total) draws from _rng_for(seed, _RECORD_KEY, b): at each
+# error-model boundary inside the block it starts a segment of k records and
+# draws, in this order, k big-error flags, k big-error positions, k big-error
+# factors and the (k, pairs) small-error factors.  Vector block vb draws the
+# (_BLOCK, n) exponentials behind vectors vb*_BLOCK onwards from
+# _rng_for(seed, _VECTOR_KEY, vb).  Given the run's configuration, a record
+# is replayed from the master seed, its index and _BLOCK.
+_BLOCK = 1024
+_VECTOR_KEY, _RECORD_KEY = 0, 1
+MSOBE_RNG = {"stream": "msobe-block", "block": _BLOCK}
 
-def _record_seed(seed: int, idx: int) -> int:
-    ss = np.random.SeedSequence(seed, spawn_key=(1, idx))
-    return int(ss.generate_state(1, np.uint64)[0])
+
+def _vector_rows(n: int, seed: int, vector_ids: np.ndarray) -> np.ndarray:
+    """The simplex-uniform true vectors of ascending vector ids, read from their vector blocks."""
+    first, last = int(vector_ids[0]) // _BLOCK, int(vector_ids[-1]) // _BLOCK
+    e = np.concatenate(
+        [_rng_for(seed, _VECTOR_KEY, vb).standard_exponential((_BLOCK, n)) for vb in range(first, last + 1)]
+    )
+    return (e / e.sum(axis=1, keepdims=True))[vector_ids - first * _BLOCK]
+
+
+def _segments(lo: int, hi: int, quarter: int, n_models: int):
+    """Split records [lo, hi) where the error model changes: (start, stop, model index)."""
+    while lo < hi:
+        model = min(lo // quarter, n_models - 1)
+        stop = hi if model == n_models - 1 else min(hi, (model + 1) * quarter)
+        yield lo, stop, model
+        lo = stop
 
 
 def _msobe_chunk(args):
+    """Columns of records [lo, hi), a union of whole record blocks, and their non-convergence mask."""
     (n, lo, hi, total, scale_values, models, big, seed, dpv) = args
+    assert lo % _BLOCK == 0, "chunks start on a record block"
     n_pairs = n * (n - 1) // 2
     iu, ju = np.triu_indices(n, k=1)
-    count = hi - lo
-    v = np.empty((count, n))
-    factors = np.empty((count, n_pairs))
-    big_flags = np.empty(count, dtype=bool)
-    seeds = np.empty(count, dtype=np.uint64)
-    dist_tags = []
-    vec_ids = np.empty(count, dtype=np.int64)
-    pert_ids = np.empty(count, dtype=np.int64)
+    idx = np.arange(lo, hi)
+    vector_ids = idx // dpv
+    factors = np.empty((hi - lo, n_pairs))
+    big_flags = np.empty(hi - lo, dtype=bool)
+    model_ids = np.empty(hi - lo, dtype=np.intp)
     quarter = total // len(models)
-    for k, idx in enumerate(range(lo, hi)):
-        vector_id = idx // dpv
-        vec_ids[k] = vector_id
-        pert_ids[k] = idx % dpv
-        v[k] = _random_pv_array(n, _rng_for(seed, 0, vector_id))
-        rng = _rng_for(seed, 1, idx)
-        seeds[k] = _record_seed(seed, idx)
-        model = models[min(idx // quarter, len(models) - 1)]
-        dist_tags.append(model.distribution)
-        applied = rng.random() < big.apply_probability
-        big_pos = int(rng.integers(n_pairs))
-        eps_b = rng.uniform(big.lo, big.hi)
-        f = model.draw(rng, n_pairs)
-        if applied:
-            f[big_pos] = eps_b
-        big_flags[k] = applied
-        factors[k] = f
-    m_upper = v[:, iu] / v[:, ju] * factors
-    scale = SaatyScale(tuple(scale_values))
-    rounded = round_matrix_to_scale(m_upper, scale)
-    a = np.ones((count, n, n))
+    for b_lo in range(lo, hi, _BLOCK):
+        rng = _rng_for(seed, _RECORD_KEY, b_lo // _BLOCK)
+        for s_lo, s_hi, model in _segments(b_lo, min(b_lo + _BLOCK, hi), quarter, len(models)):
+            k, rows = s_hi - s_lo, slice(s_lo - lo, s_hi - lo)
+            applied = rng.random(k) < big.apply_probability
+            big_pos = rng.integers(n_pairs, size=k)
+            eps_b = rng.uniform(big.lo, big.hi, k)
+            f = models[model].draw(rng, (k, n_pairs))
+            f[applied, big_pos[applied]] = eps_b[applied]
+            factors[rows] = f
+            big_flags[rows] = applied
+            model_ids[rows] = model
+    v = _vector_rows(n, seed, vector_ids)
+    rounded = round_matrix_to_scale(v[:, iu] / v[:, ju] * factors, SaatyScale(tuple(scale_values)))
+    a = np.ones((hi - lo, n, n))
     a[:, iu, ju] = rounded
     a[:, ju, iu] = 1.0 / rounded
     metrics, failed = _batch_metrics(a, v)
+    names = np.array([m.distribution for m in models], dtype=object)
     columns = dict(
-        n=itertools.repeat(n),
-        vector_id=vec_ids.tolist(),
-        perturbation_id=pert_ids.tolist(),
-        distribution=dist_tags,
-        big_error=big_flags.tolist(),
-        seed=seeds.tolist(),
-        **{name: metrics[name].tolist() for name in TRACKED_NAMES},
+        vector_id=vector_ids,
+        perturbation_id=idx % dpv,
+        distribution=names[model_ids],
+        big_error=big_flags,
+        **metrics,
     )
-    rows = zip(*(columns[name] for name in RECORD_FIELDS))
-    records = [SimRecord(*row) for row, bad in zip(rows, failed.tolist()) if not bad]
-    return records, int(failed.sum())
+    return columns, failed
+
+
+def _records_from_columns(n: int, seed: int, columns: dict, failed: np.ndarray) -> list:
+    """SimRecords of one chunk's columns, leaving out the non-converged records."""
+    values = dict(n=itertools.repeat(n), seed=itertools.repeat(seed))
+    values.update((name, col.tolist()) for name, col in columns.items())
+    rows = zip(*(values[name] for name in RECORD_FIELDS))
+    return [SimRecord(*row) for row, bad in zip(rows, failed.tolist()) if not bad]
 
 
 _VERIFIED_MODELS = set()
@@ -536,9 +573,9 @@ def run_msobe_sf(
             results = list(pool.map(_msobe_chunk, chunks))
     else:
         results = [_msobe_chunk(c) for c in chunks]
-    for recs, skip in results:
-        records.extend(recs)
-        skipped += skip
+    for columns, failed in results:
+        records += _records_from_columns(n, seed, columns, failed)
+        skipped += int(failed.sum())
     return MsobeResult(records, skipped)
 
 

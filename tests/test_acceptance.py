@@ -265,21 +265,21 @@ MSOBE_N4_CLASS_MEAN_AE = [
 def test_big_error_database_order_four():
     """EXPECTED TO FAIL in part: n=4 atomicity and a generator mismatch.
 
-    Measured: ATI class-mean rank agreement with q10 is 0.9821 and with the
-    median 0.9893 (both want 1.0); SI against q10 is 0.9643 (smoke 0.9857,
-    both want <= 0.85); class mean AE misses by 32.8%, 13.9%, 11.4% and
-    31.6% in classes 1, 4, 14 and 15.
+    Measured (block-keyed MSOBE stream): ATI class-mean rank agreement with
+    q10 is 0.9821 and with the median 0.9929 (both want 1.0); SI against q10
+    is 0.9893 (smoke 0.9714, both want <= 0.85); class mean AE misses by
+    30.7%, 14.8%, 10.9% and 31.8% in classes 1, 4, 14 and 15.
 
     Part of this is intrinsic to n=4: rounded 4x4 matrices have only 4
-    triads, so ATI takes 4,847 distinct values over 240,000 records, class 4
-    holds 26,310 records, and the error quantiles jump there.  The reference
+    triads, so ATI takes 4,804 distinct values over 240,000 records, class 4
+    holds 26,554 records, and the error quantiles jump there.  The reference
     n=4 table shows the same bump (q90 0.2762 in class 4, 0.2647 in class 5).
 
     That is not the whole cause: run_msobe_sf does not reproduce the
     embedded reference tables at any order.  Its 1/15 and 14/15 ATI class
-    bounds are 0.175/0.630 at n=4 (table 0.173/0.611) and 0.220/0.503 at n=6
+    bounds are 0.175/0.631 at n=4 (table 0.173/0.611) and 0.220/0.504 at n=6
     (table 0.194/0.454), and per-class RE quantiles are off by up to 3x (n=4
-    class 4 q90 0.869 against 0.2762).  Kept red on purpose.
+    class 4 q90 0.868 against 0.2762).  Kept red on purpose.
     """
     failures = []
     res = run_msobe_sf(4, 240_000, seed=1, workers=4)

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from pcmkit import simulate as sim
 from pcmkit.cli import EXIT_DATA, EXIT_OK, EXIT_REJECT, EXIT_USAGE, main
 from pcmkit.core import write_pcm
 from pcmkit.simulate import SimRecord, read_records_csv, read_records_jsonl, write_records_csv
@@ -194,7 +195,9 @@ class TestSimulate:
         manifest = json.loads((tmp_path / "db.csv.manifest.json").read_text())
         assert manifest["config"]["n"] == 4
         assert manifest["config"]["seed"] == 3
+        assert manifest["config"]["format"] == "csv"
         assert manifest["skipped"] == 400 - len(records)
+        assert manifest["rng"] == {"stream": "msobe-block", "block": 1024} == sim.MSOBE_RNG
 
     def test_msobe_jsonl(self, tmp_path, capsys):
         out = tmp_path / "db.jsonl"
@@ -217,6 +220,25 @@ class TestSimulate:
         capsys.readouterr()
         assert code == EXIT_OK
         assert len(read_records_jsonl(out)) >= 399
+
+    @pytest.mark.parametrize("framework", ["mse", "nee"])
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_format_is_for_msobe_only(self, tmp_path, capsys, framework, fmt):
+        out = tmp_path / "summary.json"
+        code = main(["simulate", framework, "--n", "4", "--runs", "3", "--nr", "3", "--format", fmt, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.startswith("pcmkit: --format") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("framework", ["mse", "nee"])
+    def test_summary_manifest_has_no_format(self, tmp_path, capsys, framework):
+        out = tmp_path / "summary.json"
+        assert main(["simulate", framework, "--n", "4", "--runs", "3", "--nr", "3", "--seed", "1", "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        manifest = json.loads((tmp_path / "summary.json.manifest.json").read_text())
+        assert "format" not in manifest["config"] and "rng" not in manifest
+        assert json.loads(out.read_text())["framework"] == framework
 
     def test_mse_summary(self, tmp_path, capsys):
         out = tmp_path / "mse.csv"

@@ -2,8 +2,8 @@
 
 The scalar API calls the same kernels on one matrix, so these tests also pin
 the scalar and the Monte Carlo paths to each other.  A plain per-matrix power
-iteration loop, a per-sample ASI loop and per-run MSE-SF / NEE-SF loops serve
-as references.
+iteration loop, a per-sample ASI loop, a broadcast nearest-value rounding and
+per-run MSE-SF / NEE-SF loops serve as references.
 """
 
 import itertools
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from pcmkit import simulate
-from pcmkit.core import SAATY_SCALE
+from pcmkit.core import SAATY_SCALE, SaatyScale, round_matrix_to_scale
 from pcmkit.indices import batch_gi, batch_ki_ati, batch_si, estimate_asi, triad_values
 from pcmkit.loss import batch_absolute_error, batch_relative_error
 from pcmkit.prioritize import batch_gm, batch_rev
@@ -106,6 +106,37 @@ def test_asi_matches_per_sample_loop(n):
         a[ju, iu] = 1.0 / a[iu, ju]
         total += (reference_rev(a)[1] - n) / (n - 1)
     assert abs(estimate_asi(n, sample_size, seed=7) - total / sample_size) <= 1e-12
+
+
+def reference_round(values, scale):
+    """Nearest scale value by a broadcast argmin; on the reversed distances it picks the upper of a tie."""
+    vals = scale.as_array()
+    d = np.abs(np.asarray(values, dtype=float)[..., None] - vals)
+    return vals[(len(vals) - 1) - np.argmin(d[..., ::-1], axis=-1)]
+
+
+@pytest.mark.parametrize("scale", [SAATY_SCALE, SaatyScale((0.2, 0.25, 0.5, 1.0, 2.0, 4.0, 5.0))], ids=["saaty", "custom"])
+def test_rounding_equals_argmin_reference(scale):
+    rng = np.random.default_rng(11)
+    vals = scale.as_array()
+    mids = (vals[1:] + vals[:-1]) / 2
+    cases = [
+        np.exp(rng.uniform(-3.0, 3.0, size=(4096, 21))),
+        mids,
+        np.nextafter(mids, 0.0),
+        np.nextafter(mids, np.inf),
+        vals,
+        np.array([1e-300, 1e-3, vals[0] / 2, vals[-1] * 2, 1e300, np.inf]),
+    ]
+    for x in cases:
+        assert np.array_equal(round_matrix_to_scale(x, scale), reference_round(x, scale))
+    tie = np.abs(vals[1:] - mids) == np.abs(mids - vals[:-1])  # exact in floating point
+    assert tie.any() and np.array_equal(round_matrix_to_scale(mids[tie], scale), vals[1:][tie])
+
+
+def test_rounding_rejects_nan():
+    with pytest.raises(ValueError):
+        round_matrix_to_scale([2.0, np.nan])
 
 
 def test_correlation_rows_equal_each_row_alone():

@@ -1,11 +1,14 @@
 """Monte-Carlo frameworks: error models, determinism, record IO, sanity sweeps."""
 
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.stats
 
-from pcmkit.core import Pcm, PriorityVector, mpr_from_pv
+from pcmkit import simulate
+from pcmkit.core import Pcm, PriorityVector, mpr_from_pv, round_matrix_to_scale
 from pcmkit.simulate import (
     ERROR_NAMES,
     INDEX_NAMES,
@@ -15,6 +18,7 @@ from pcmkit.simulate import (
     BigErrorModel,
     ErrorModel,
     MsobeResult,
+    SMALL_ERROR_SUPPORT,
     SimRecord,
     default_error_models,
     perturb_entry,
@@ -58,6 +62,36 @@ class TestErrorModels:
             ErrorModel("uniform", (0.9, 1.5)).verify()  # mean 1.2
         with pytest.raises(ValueError):
             ErrorModel("log-normal", (0.0, 0.8)).verify()  # mean e^{0.32}
+
+    @pytest.mark.parametrize(
+        "model",
+        default_error_models()
+        + (
+            ErrorModel("gamma", (20.0, 1.0 / 20.0)),
+            ErrorModel("gamma", (200.0, 1.0 / 200.0)),
+            ErrorModel("gamma", (4.0, 0.25)),
+            ErrorModel("log-normal", (-0.1**2 / 2, 0.1)),
+            ErrorModel("log-normal", (0.0, 0.8)),
+            ErrorModel("truncated-normal", (1.0, 0.1)),
+            ErrorModel("truncated-normal", (1.0, 1.0)),
+            ErrorModel("truncated-normal", (1.2, 0.3)),
+        ),
+        ids=lambda m: f"{m.distribution}{m.params}",
+    )
+    def test_mean_and_mass_match_scipy_stats(self, model):
+        lo, hi = SMALL_ERROR_SUPPORT
+        a, b = model.params
+        if model.distribution == "gamma":
+            dist = scipy.stats.gamma(a, scale=b)
+        elif model.distribution == "log-normal":
+            dist = scipy.stats.lognorm(b, scale=math.exp(a))
+        elif model.distribution == "truncated-normal":
+            dist = scipy.stats.truncnorm((lo - a) / b, (hi - a) / b, loc=a, scale=b)
+        else:
+            dist = scipy.stats.uniform(a, b - a)
+        mean, mass = model._mean_and_mass()
+        assert mean == pytest.approx(dist.mean(), abs=1e-14)
+        assert mass == pytest.approx(dist.cdf(hi) - dist.cdf(lo), abs=1e-14)
 
     def test_unknown_distribution(self):
         with pytest.raises(ValueError):
@@ -174,6 +208,61 @@ class TestBigErrorDatabase:
         b = run_msobe_sf(4, 8192, seed=16, workers=3)
         assert a.records == b.records
         assert a.skipped == b.skipped
+
+    @pytest.mark.parametrize("dpv", [1, 3])
+    def test_blocks_do_not_depend_on_workers_or_chunks(self, dpv, monkeypatch):
+        # 4100 records: the model quarters (1025 records) end inside record
+        # blocks, and the last block holds 4 records.
+        a = run_msobe_sf(4, 4100, seed=20, workers=1, disturbances_per_vector=dpv)
+        b = run_msobe_sf(4, 4100, seed=20, workers=2, disturbances_per_vector=dpv)
+        assert a.records == b.records and a.skipped == b.skipped
+        assert len(a) + a.skipped == 4100
+        monkeypatch.setattr(simulate, "_CHUNK", 2 * simulate._BLOCK)
+        c = run_msobe_sf(4, 4100, seed=20, workers=1, disturbances_per_vector=dpv)
+        assert a.records == c.records and a.skipped == c.skipped
+
+    def test_record_seed_column_is_the_master_seed(self):
+        res = run_msobe_sf(4, 400, seed=21)
+        assert {r.seed for r in res} == {21}
+        assert all(type(r.seed) is int for r in res)
+
+    def test_record_replays_from_seed_index_and_block(self):
+        """Record 3075 of 4100 from its block's stream alone: the stream definition, pinned."""
+        seed, total, idx = 23, 4100, 3075
+        rec = run_msobe_sf(4, total, seed=seed).records[idx]
+        block, row = divmod(idx, simulate._BLOCK)  # block 3 = records 3072..4095
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1, block)))
+        models = default_error_models()
+        # quarter = 1025: records 3072..3074 use model 2, 3075.. use model 3
+        for model, k in ((models[2], 3), (models[3], simulate._BLOCK - 3)):
+            applied, pos, eps = rng.random(k), rng.integers(6, size=k), rng.uniform(2.0, 4.0, k)
+            factors = model.draw(rng, (k, 6))
+        applied, pos, eps, factors = applied[0] < 0.75, pos[0], eps[0], factors[0]
+        if applied:
+            factors[pos] = eps
+        e = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, block))).standard_exponential((simulate._BLOCK, 4))
+        v = e[row] / e[row].sum()
+        iu, ju = np.triu_indices(4, k=1)
+        upper = round_matrix_to_scale(v[iu] / v[ju] * factors)
+        a = np.ones((1, 4, 4))
+        a[0, iu, ju], a[0, ju, iu] = upper, 1.0 / upper
+        metrics, failed = simulate._batch_metrics(a, v[None])
+        assert not failed[0]
+        want = SimRecord(4, idx, 0, "uniform", bool(applied), *(float(metrics[f][0]) for f in RECORD_FIELDS[5:13]), seed)
+        assert rec == want
+
+    def test_no_per_record_seeding(self, monkeypatch):
+        built = []
+        seed_sequence = np.random.SeedSequence
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return seed_sequence(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", counted)
+        run_msobe_sf(4, 8192, seed=22)
+        # one record block and one vector block per _BLOCK records
+        assert len(built) <= 2 * math.ceil(8192 / simulate._BLOCK) + 2
 
     def test_shared_vector_groups(self):
         res = run_msobe_sf(4, 400, seed=17, disturbances_per_vector=4)
