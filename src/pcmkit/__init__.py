@@ -41,6 +41,7 @@ from .simulate import (
     CorrelationSummary,
     ErrorModel,
     MsobeResult,
+    RecordTable,
     SimRecord,
     default_error_models,
     perturb_entry,

@@ -166,6 +166,8 @@ def assess_pcm(
         table = builtin_table(pcm.n, method)
     if table.n != pcm.n:
         raise ValueError(f"table is for n={table.n} but the PCM has order {pcm.n}")
+    if table.method != method:
+        raise ValueError(f"table is for the {table.method} estimate, not {method}")
     ati = compute_ati(pcm)
     row = table.rows[locate_class(table, ati) - 1]
     chosen = getattr(row, quantile_choice)

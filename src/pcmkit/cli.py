@@ -219,8 +219,6 @@ def cmd_report(args) -> int:
         records = reader(args.database_path)
     except (OSError, ValueError) as exc:
         raise DataError(str(exc)) from exc
-    except (KeyError, TypeError) as exc:
-        raise DataError(f"{args.database_path}: not a simulation database ({exc!r})") from exc
     if len(records) < args.classes:
         raise DataError("fewer records than classes")
     try:

@@ -14,8 +14,7 @@ import itertools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields
-from operator import attrgetter
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, Sequence, get_type_hints
 
@@ -31,6 +30,7 @@ __all__ = [
     "ErrorModel",
     "BigErrorModel",
     "SimRecord",
+    "RecordTable",
     "MsobeResult",
     "CorrelationSummary",
     "default_error_models",
@@ -113,7 +113,7 @@ class ErrorModel:
         else:  # uniform
             a, b = self.params
             mean = (a + b) / 2
-            mass = 1.0 if a >= lo and b <= hi else 0.0
+            mass = max(0.0, min(b, hi) - max(a, lo)) / (b - a)
         return mean, mass
 
     def verify(self) -> None:
@@ -179,15 +179,40 @@ class SimRecord:
     seed: int
 
 
-RECORD_FIELDS = tuple(f.name for f in fields(SimRecord))
-_FIELD_TYPES = tuple(get_type_hints(SimRecord).values())  # int, str, bool or float
+# Column dtypes, from SimRecord's field types (int, str, bool or float), in field order.
+_DTYPES = {name: {int: np.int64, str: object, bool: np.bool_, float: np.float64}[typ]
+           for name, typ in get_type_hints(SimRecord).items()}
+RECORD_FIELDS = tuple(_DTYPES)
+
+
+@dataclass(frozen=True, eq=False)
+class RecordTable:
+    """Simulation records: ``columns`` maps each SimRecord field to a numpy column of its dtype.
+
+    ``table[name]`` is a column; iterating yields SimRecord rows of Python scalars.
+    """
+
+    columns: dict
+
+    def __len__(self):
+        return len(self.columns["n"])
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self.columns[name]
+
+    def __iter__(self):
+        return itertools.starmap(SimRecord, zip(*(self.columns[name].tolist() for name in RECORD_FIELDS)))
+
+    def __eq__(self, other):
+        same = isinstance(other, RecordTable) and self.columns.keys() == other.columns.keys()
+        return same and all(np.array_equal(col, other[name]) for name, col in self.columns.items())
 
 
 @dataclass(frozen=True)
 class MsobeResult:
     """Simulation database plus the tally of non-converged, excluded records."""
 
-    records: list
+    records: RecordTable
     skipped: int
 
     def __len__(self):
@@ -519,14 +544,6 @@ def _msobe_chunk(args):
     return columns, failed
 
 
-def _records_from_columns(n: int, seed: int, columns: dict, failed: np.ndarray) -> list:
-    """SimRecords of one chunk's columns, leaving out the non-converged records."""
-    values = dict(n=itertools.repeat(n), seed=itertools.repeat(seed))
-    values.update((name, col.tolist()) for name, col in columns.items())
-    rows = zip(*(values[name] for name in RECORD_FIELDS))
-    return [SimRecord(*row) for row, bad in zip(rows, failed.tolist()) if not bad]
-
-
 _VERIFIED_MODELS = set()
 
 
@@ -553,8 +570,10 @@ def run_msobe_sf(
     if n < 4:
         raise ValueError("need n >= 4")
     models = tuple(error_models) if error_models is not None else default_error_models()
-    if total_matrices % len(models):
-        raise ValueError(f"total_matrices must be divisible by {len(models)}")
+    if total_matrices <= 0 or total_matrices % len(models):
+        raise ValueError(f"total_matrices must be a positive multiple of {len(models)}")
+    if not 0 <= seed < 2**63:  # the int64 seed column of the database
+        raise ValueError(f"seed must lie in [0, 2**63), not {seed}")
     if disturbances_per_vector < 1:
         raise ValueError("disturbances_per_vector must be >= 1")
     for model in models:
@@ -566,67 +585,101 @@ def run_msobe_sf(
         (n, lo, hi, total_matrices, tuple(scale.values), models, big, seed, disturbances_per_vector)
         for lo, hi in zip(bounds, bounds[1:])
     ]
-    records: list = []
-    skipped = 0
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_msobe_chunk, chunks))
     else:
         results = [_msobe_chunk(c) for c in chunks]
-    for columns, failed in results:
-        records += _records_from_columns(n, seed, columns, failed)
-        skipped += int(failed.sum())
-    return MsobeResult(records, skipped)
+    kept = ~np.concatenate([failed for _, failed in results])
+    columns = {name: np.concatenate([c[name] for c, _ in results])[kept] for name in results[0][0]}
+    columns.update(n=np.full(kept.sum(), n), seed=np.full(kept.sum(), seed))
+    return MsobeResult(RecordTable(columns), int(kept.size - kept.sum()))
 
 
 # ---------------------------------------------------------------------------
 # database serialization
 
-
-def _bool_from_text(text) -> bool:
-    return text in (True, "1", 1)
-
-
-# Text formats and parsers per field, from SimRecord's field types.  A bool
-# is written as 1 or 0; JSONL keeps the non-float fields native.
-_CSV_ROW = ",".join({float: "{:.8g}", str: "{}"}.get(typ, "{:d}") for typ in _FIELD_TYPES)
-_FROM_TEXT = tuple(_bool_from_text if typ is bool else typ for typ in _FIELD_TYPES)
-_record_values = attrgetter(*RECORD_FIELDS)
+# Text forms per column dtype: CSV writes a flag as 1 or 0, both formats a float as its %.8g text,
+# JSONL the other fields natively.  A file is read as _READ_DTYPE (flags as numbers), then checked.
+_CSV_ROW = ",".join({np.float64: "{:.8g}", object: "{}"}.get(dtype, "{:d}") for dtype in _DTYPES.values())
+_READ_DTYPE = np.dtype([(name, np.float64 if dtype is np.bool_ else dtype) for name, dtype in _DTYPES.items()])
+_CHECKS = {np.bool_: ("0 or 1", lambda col: (col == 0) | (col == 1)), np.float64: ("finite", np.isfinite)}
 
 
-def write_records_csv(records, path) -> None:
-    lines = [",".join(RECORD_FIELDS)]
-    lines += [_CSV_ROW.format(*_record_values(rec)) for rec in records]
+def _cast(values, dtype, ndim: int):
+    """values as an array of dtype with ndim dimensions, or None if they are not one."""
+    try:
+        out = np.asarray(values, dtype)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return out if out.ndim == ndim else None
+
+
+def _checked_table(path, columns: dict) -> RecordTable:
+    """The RecordTable of one file's columns (field name -> values), checked value by value.
+
+    Raises ValueError naming the file and the first row at fault (rows count
+    records from 1): a value that is not of its field's type, a flag other
+    than 0 or 1, or an index or error value that is not finite.
+    """
+    cast = {}
+    for name, dtype in _DTYPES.items():
+        values, read = columns[name], _READ_DTYPE[name]
+        col = _cast(values, read, 1)
+        if col is None:
+            row = next(k for k, x in enumerate(values) if _cast(x, read, 0) is None)
+            raise ValueError(f"{path}: row {row + 1}: bad {name} value {values[row]!r}")
+        if dtype in _CHECKS:
+            what, check = _CHECKS[dtype]
+            ok = check(col)
+            if not ok.all():
+                row = int(np.argmin(ok))
+                raise ValueError(f"{path}: row {row + 1}: {name} is {col[row]:g}, not {what}")
+        cast[name] = np.asarray(col, dtype)
+    return RecordTable(cast)
+
+
+def write_records_csv(records: RecordTable, path) -> None:
+    rows = zip(*(records[name].tolist() for name in RECORD_FIELDS))
+    lines = [",".join(RECORD_FIELDS)] + [_CSV_ROW.format(*row) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_records_csv(path) -> list:
+def read_records_csv(path) -> RecordTable:
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0].split(",") != list(RECORD_FIELDS):
         raise ValueError(f"{path}: not a simulation database (bad header)")
-    out = []
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        out.append(SimRecord(*[parse(x) for parse, x in zip(_FROM_TEXT, line.split(","))]))
-    return out
+    body = [line for line in lines[1:] if line.strip()]
+    try:
+        rows = np.loadtxt(body, dtype=_READ_DTYPE, delimiter=",", ndmin=1) if body else np.empty(0, _READ_DTYPE)
+        columns = {name: rows[name] for name in RECORD_FIELDS}
+    except ValueError:  # find the row at fault and name it
+        cells = [line.split(",") for line in body]
+        for row, values in enumerate(cells, 1):
+            if len(values) != len(RECORD_FIELDS):
+                raise ValueError(f"{path}: row {row}: {len(values)} fields, not {len(RECORD_FIELDS)}")
+        columns = dict(zip(RECORD_FIELDS, zip(*cells)))
+    return _checked_table(path, columns)
 
 
-def write_records_jsonl(records, path) -> None:
+def write_records_jsonl(records: RecordTable, path) -> None:
     """One JSON object per record; floats as their %.8g text, like the CSV columns."""
+    columns = [
+        [format(x, ".8g") for x in records[name].tolist()] if dtype is np.float64 else records[name].tolist()
+        for name, dtype in _DTYPES.items()
+    ]
     with open(path, "w") as fh:
-        for rec in records:
-            row = {
-                name: format(x, ".8g") if typ is float else x
-                for name, typ, x in zip(RECORD_FIELDS, _FIELD_TYPES, _record_values(rec))
-            }
-            fh.write(json.dumps(row) + "\n")
+        fh.writelines(json.dumps(dict(zip(RECORD_FIELDS, row))) + "\n" for row in zip(*columns))
 
 
-def read_records_jsonl(path) -> list:
-    out = []
-    for line in Path(path).read_text().splitlines():
-        if line.strip():
-            row = json.loads(line)
-            out.append(SimRecord(*[parse(row[name]) for parse, name in zip(_FROM_TEXT, RECORD_FIELDS)]))
-    return out
+def read_records_jsonl(path) -> RecordTable:
+    rows = []
+    for row, line in enumerate((line for line in Path(path).read_text().splitlines() if line.strip()), 1):
+        try:
+            record = json.loads(line)
+        except ValueError as exc:
+            raise ValueError(f"{path}: row {row}: not JSON ({exc})") from None
+        if not isinstance(record, dict) or record.keys() != _DTYPES.keys():
+            raise ValueError(f"{path}: row {row}: the fields are not {','.join(RECORD_FIELDS)}")
+        rows.append(record)
+    return _checked_table(path, {name: [record[name] for record in rows] for name in RECORD_FIELDS})

@@ -155,14 +155,11 @@ class ClassSummary:
 def summarize_classes(records, index: str, error: str, n_classes: int = 15) -> list:
     """Bin records by one index and summarize one error type per class.
 
-    `records` is any sequence of objects exposing the named index and error
-    attributes (SimRecord does).
+    `records` is any mapping from field name to column (a RecordTable or a
+    dict of arrays) holding the named index and error columns.
     """
-    records = list(records)
-    if not records:
-        raise ValueError("no records to summarize")
-    idx_vals = np.array([getattr(r, index) for r in records])
-    err_vals = np.array([getattr(r, error) for r in records])
+    idx_vals = np.asarray(records[index], dtype=float)
+    err_vals = np.asarray(records[error], dtype=float)
     part = make_partition(idx_vals, n_classes)
     classes = assign_classes(part, idx_vals)
     out = []

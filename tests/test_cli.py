@@ -1,7 +1,7 @@
 """Command-line interface: exit codes, outputs, manifests."""
 
 import json
-from dataclasses import replace
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -9,7 +9,15 @@ import pytest
 from pcmkit import simulate as sim
 from pcmkit.cli import EXIT_DATA, EXIT_OK, EXIT_REJECT, EXIT_USAGE, main
 from pcmkit.core import write_pcm
-from pcmkit.simulate import SimRecord, read_records_csv, read_records_jsonl, write_records_csv
+from pcmkit.simulate import (
+    RECORD_FIELDS,
+    RecordTable,
+    SimRecord,
+    read_records_csv,
+    read_records_jsonl,
+    write_records_csv,
+    write_records_jsonl,
+)
 
 from conftest import RA, RB
 
@@ -32,15 +40,48 @@ def assert_one_line_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("pcmkit: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
+    return err
 
 
-def write_database(path, ati_values):
-    """A CSV database whose records differ only in their ATI values."""
+def write_database(path, ati_values, writer=write_records_csv):
+    """A database whose records differ only in their vector ids and ATI values."""
     template = SimRecord(4, 0, 0, "gamma", False, 0.1, 0.1, 0.5, 0.1, 0.01, 0.05, 0.01, 0.05, 1)
-    write_records_csv(
-        [replace(template, vector_id=k, ati=float(x)) for k, x in enumerate(ati_values)], path
-    )
+    columns = {name: np.full(len(ati_values), value) for name, value in zip(RECORD_FIELDS, astuple(template))}
+    columns.update(vector_id=np.arange(len(ati_values)), ati=np.asarray(ati_values, dtype=float))
+    writer(RecordTable(columns), path)
     return str(path)
+
+
+# Faults in one database row, as field -> new text (None drops the field).
+BAD_ROWS = (
+    {"extra": "7"},
+    {"re_gm": None, "seed": None},
+    {"big_error": "yes"},
+    {"big_error": "2"},
+    {"ati": "nan"},
+    {"ae_rev": "inf"},
+)
+
+
+def assert_bad_row_3_is_named(tmp_path, capsys, name, writer):
+    """Each BAD_ROWS fault in row 3 of an otherwise valid database: report exits 2 naming file and row."""
+    good = write_database(tmp_path / name, np.linspace(0.1, 1.0, 30), writer)
+    assert main(["report", good, "--classes", "3"]) == EXIT_OK
+    capsys.readouterr()
+    jsonl = name.endswith(".jsonl")
+    lines = (tmp_path / name).read_text().splitlines()
+    k = 2 if jsonl else 3  # CSV line 0 is the header
+    for fault in BAD_ROWS:
+        row = json.loads(lines[k]) if jsonl else dict(zip(RECORD_FIELDS, lines[k].split(",")))
+        for field, text in fault.items():
+            if text is None:
+                del row[field]
+            else:
+                row[field] = text
+        bad = tmp_path / f"bad-{name}"
+        bad.write_text("\n".join(lines[:k] + [json.dumps(row) if jsonl else ",".join(row.values())] + lines[k + 1:]))
+        assert main(["report", str(bad), "--classes", "3"]) == EXIT_DATA, fault
+        assert assert_one_line_error(capsys).startswith(f"pcmkit: {bad}: row 3: "), fault
 
 
 class TestUsageErrors:
@@ -117,12 +158,14 @@ class TestDataErrors:
         path.write_text("not,a,database\n")
         assert main(["report", str(path)]) == EXIT_DATA
         capsys.readouterr()
+        assert_bad_row_3_is_named(tmp_path, capsys, "db.csv", write_records_csv)
 
     def test_report_on_json_lines_that_are_not_records(self, tmp_path, capsys):
         path = tmp_path / "other.jsonl"
         path.write_text('{"a": 1}\n')
         assert main(["report", str(path)]) == EXIT_DATA
         assert_one_line_error(capsys)
+        assert_bad_row_3_is_named(tmp_path, capsys, "db.jsonl", write_records_jsonl)
 
     def test_report_degenerate_partition(self, tmp_path, capsys):
         path = write_database(tmp_path / "flat.csv", [0.3] * 20)
@@ -221,6 +264,21 @@ class TestSimulate:
         assert code == EXIT_OK
         assert len(read_records_jsonl(out)) >= 399
 
+    def test_msobe_seed_beyond_int64_is_rejected(self, tmp_path, capsys):
+        out = tmp_path / "db.csv"
+        argv = ["simulate", "msobe", "--n", "4", "--total", "8", "--seed", str(2**63), "--out", str(out)]
+        assert main(argv) == EXIT_USAGE
+        assert_one_line_error(capsys)
+        assert not out.exists()
+
+    def test_msobe_largest_seed_round_trips(self, tmp_path, capsys):
+        out = tmp_path / "db.csv"
+        argv = ["simulate", "msobe", "--n", "4", "--total", "400", "--seed", str(2**63 - 1), "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        assert main(["report", str(out), "--classes", "3"]) == EXIT_OK
+        capsys.readouterr()
+        assert set(read_records_csv(out)["seed"].tolist()) == {2**63 - 1}
+
     @pytest.mark.parametrize("framework", ["mse", "nee"])
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_format_is_for_msobe_only(self, tmp_path, capsys, framework, fmt):
@@ -309,6 +367,17 @@ class TestReportAndAccept:
         )
         capsys.readouterr()
         assert code == EXIT_OK
+
+    def test_accept_refuses_a_table_of_the_other_method(self, database, rb_file, tmp_path, capsys):
+        from pcmkit.acceptance import table_from_records, write_table
+
+        table_path = tmp_path / "gm.csv"
+        write_table(table_from_records(read_records_csv(database), 4, "GM"), table_path)
+        argv = ["accept", rb_file, "--threshold", "1", "--table", str(table_path)]
+        assert main(argv + ["--method", "gm"]) == EXIT_OK
+        capsys.readouterr()
+        assert main(argv + ["--method", "rev"]) == EXIT_DATA
+        assert "GM" in assert_one_line_error(capsys)
 
     def test_accept_gm_method(self, rb_file, capsys):
         assert main(["accept", rb_file, "--method", "gm", "--threshold", "1", "--quantile", "median"]) == EXIT_OK

@@ -1,5 +1,6 @@
 """Monte-Carlo frameworks: error models, determinism, record IO, sanity sweeps."""
 
+import hashlib
 import math
 from collections import Counter
 
@@ -75,6 +76,8 @@ class TestErrorModels:
             ErrorModel("truncated-normal", (1.0, 0.1)),
             ErrorModel("truncated-normal", (1.0, 1.0)),
             ErrorModel("truncated-normal", (1.2, 0.3)),
+            ErrorModel("uniform", (0.4, 1.6)),
+            ErrorModel("uniform", (0.49, 1.51)),
         ),
         ids=lambda m: f"{m.distribution}{m.params}",
     )
@@ -186,7 +189,7 @@ class TestBigErrorDatabase:
         assert set(dist_counts) == set(names)
         for name in names:
             assert abs(dist_counts[name] - 200) <= res.skipped
-        for rec in res.records[:5]:
+        for rec in list(res)[:5]:
             assert isinstance(rec, SimRecord)
             assert rec.n == 4
             for f in RECORD_FIELDS:
@@ -210,7 +213,7 @@ class TestBigErrorDatabase:
         assert a.skipped == b.skipped
 
     @pytest.mark.parametrize("dpv", [1, 3])
-    def test_blocks_do_not_depend_on_workers_or_chunks(self, dpv, monkeypatch):
+    def test_blocks_do_not_depend_on_workers_or_chunks(self, dpv, monkeypatch, tmp_path):
         # 4100 records: the model quarters (1025 records) end inside record
         # blocks, and the last block holds 4 records.
         a = run_msobe_sf(4, 4100, seed=20, workers=1, disturbances_per_vector=dpv)
@@ -221,6 +224,14 @@ class TestBigErrorDatabase:
         c = run_msobe_sf(4, 4100, seed=20, workers=1, disturbances_per_vector=dpv)
         assert a.records == c.records and a.skipped == c.skipped
 
+        def written(result):
+            csv, jsonl = tmp_path / "db.csv", tmp_path / "db.jsonl"
+            write_records_csv(result.records, csv)
+            write_records_jsonl(result.records, jsonl)
+            return csv.read_bytes(), jsonl.read_bytes()
+
+        assert written(a) == written(b) == written(c)
+
     def test_record_seed_column_is_the_master_seed(self):
         res = run_msobe_sf(4, 400, seed=21)
         assert {r.seed for r in res} == {21}
@@ -229,7 +240,7 @@ class TestBigErrorDatabase:
     def test_record_replays_from_seed_index_and_block(self):
         """Record 3075 of 4100 from its block's stream alone: the stream definition, pinned."""
         seed, total, idx = 23, 4100, 3075
-        rec = run_msobe_sf(4, total, seed=seed).records[idx]
+        rec = list(run_msobe_sf(4, total, seed=seed))[idx]
         block, row = divmod(idx, simulate._BLOCK)  # block 3 = records 3072..4095
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1, block)))
         models = default_error_models()
@@ -278,6 +289,8 @@ class TestBigErrorDatabase:
     def test_total_must_split_across_models(self):
         with pytest.raises(ValueError):
             run_msobe_sf(4, 402)
+        with pytest.raises(ValueError):
+            run_msobe_sf(4, 0)
 
     def test_indices_are_plausible(self):
         res = run_msobe_sf(5, 400, seed=18)
@@ -298,6 +311,7 @@ class TestRecordIO:
         write_records_csv(records, path)
         back = read_records_csv(path)
         assert len(back) == len(records)
+        assert back != records and back == read_records_csv(path)  # floats are written as %.8g
         for a, b in zip(records, back):
             assert a.n == b.n and a.distribution == b.distribution
             assert a.big_error == b.big_error
@@ -326,3 +340,14 @@ class TestRecordIO:
         write_records_csv(records, cpath)
         write_records_jsonl(records, jpath)
         assert read_records_csv(cpath) == read_records_jsonl(jpath)
+
+    def test_written_bytes_are_pinned(self, tmp_path):
+        """Both formats of one small database, byte for byte: the stream, kernels and text forms together."""
+        records = run_msobe_sf(4, 400, seed=3).records
+        write_records_csv(records, tmp_path / "db.csv")
+        write_records_jsonl(records, tmp_path / "db.jsonl")
+        digests = [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in ("db.csv", "db.jsonl")]
+        assert digests == [
+            "a525c8536bf6b1b70d56e369fc8538f5afc010bf3084e7d4cb90b18cae96e0ce",
+            "6f12a118414d0885facc36f9249a5823f93abe560b831e31079c69f28421510b",
+        ]

@@ -132,15 +132,11 @@ class TestPartition:
 
 class TestSummaries:
     def test_summarize_classes(self):
-        from types import SimpleNamespace
-
         rng = np.random.default_rng(21)
         n = 3000
         idx = rng.gamma(2.0, 0.1, size=n)
         err = 0.02 * idx + rng.normal(0, 0.001, size=n)
-        records = [
-            SimpleNamespace(ati=float(a), ae_rev=float(e)) for a, e in zip(idx, err)
-        ]
+        records = {"ati": idx, "ae_rev": err}
         summaries = summarize_classes(records, index="ati", error="ae_rev", n_classes=15)
         assert len(summaries) == 15
         assert sum(s.count for s in summaries) == n
