@@ -3,14 +3,16 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from .core import Pcm
 from .indices import compute_ati
-from .stats import summarize_classes
+from .stats import ClassPartition, assign_classes, summarize_classes
 
 __all__ = [
     "QuantileRow",
@@ -53,29 +55,29 @@ class QuantileRow:
 
 @dataclass(frozen=True)
 class QuantileTable:
-    """Per-ATI-class error statistics for one (order, method, loss) setting."""
+    """Per-ATI-class error statistics for one (order, method, loss) setting; row k is class k."""
 
     n: int
     method: str  # "REV" or "GM"
     loss: str  # "RE" for the builtin data, "AE" or "RE" for user tables
     rows: tuple
+    partition: ClassPartition = field(init=False, repr=False, compare=False)  # the rows' class bounds
 
     def __post_init__(self):
         if self.method not in ("REV", "GM"):
             raise ValueError("method must be 'REV' or 'GM'")
         rows = tuple(self.rows)
-        if not rows:
-            raise ValueError("table needs at least one class row")
-        if rows[0].class_lo != 0.0:
-            raise ValueError("first class must start at 0")
-        if rows[-1].class_hi != float("inf"):
-            raise ValueError("last class must be unbounded above")
-        for prev, cur in zip(rows, rows[1:]):
-            if cur.class_lo <= prev.class_lo:
-                raise ValueError("class lower bounds must be strictly increasing")
-        for row in rows:
-            if not row.q10 <= row.median <= row.q90:
-                raise ValueError(f"row {row.class_index}: quantiles out of order")
+        for k, row in enumerate(rows, 1):
+            if row.class_index != k:
+                raise ValueError(f"row {k}: class_index is {row.class_index}, not {k}")
+            if k < len(rows) and row.class_hi != rows[k].class_lo:
+                raise ValueError(f"row {k}: ends at {row.class_hi:g}, row {k + 1} begins at {rows[k].class_lo:g}")
+            if not 0 <= row.q10 <= row.median <= row.q90 < math.inf:
+                raise ValueError(f"row {k}: quantiles are not 0 <= q10 <= median <= q90 < inf")
+            if not 0 <= row.mean_err < math.inf:
+                raise ValueError(f"row {k}: mean_err is {row.mean_err:g}, not finite and non-negative")
+        bounds = [row.class_lo for row in rows] + [row.class_hi for row in rows[-1:]]
+        object.__setattr__(self, "partition", ClassPartition(tuple(bounds), len(rows)))
         object.__setattr__(self, "rows", rows)
 
 
@@ -93,15 +95,19 @@ class AcceptanceVerdict:
 
 
 def _parse_tables(lines) -> dict:
-    """QuantileRows of `_TABLE_HEADER` lines, grouped by (n, method) and numbered from 1 in each group."""
+    """QuantileRows of `_TABLE_HEADER` lines, grouped by (n, method) and numbered from 1 in each group.
+
+    Raises ValueError naming the first row (counted from 1, blank lines skipped) that does not parse.
+    """
     tables: dict = {}
-    for line in lines:
-        if not line.strip():
-            continue
-        n_s, method, lo, hi, mean_ati, q10, med, q90, mean_err = line.split(",")
-        rows = tables.setdefault((int(n_s), method), [])
-        rows.append(QuantileRow(len(rows) + 1, float(lo), float(hi), float(mean_ati),
-                                float(q10), float(med), float(q90), float(mean_err)))
+    for k, line in enumerate((line for line in lines if line.strip()), 1):
+        try:
+            n_s, method, lo, hi, mean_ati, q10, med, q90, mean_err = line.split(",")
+            rows = tables.setdefault((int(n_s), method), [])
+            rows.append(QuantileRow(len(rows) + 1, float(lo), float(hi), float(mean_ati),
+                                    float(q10), float(med), float(q90), float(mean_err)))
+        except ValueError as exc:
+            raise ValueError(f"row {k}: {exc}") from None
     return tables
 
 
@@ -131,8 +137,9 @@ def builtin_table(n: int, method: str) -> QuantileTable:
         return _BUILTIN_CACHE[(n, method)]
     except KeyError:
         raise UnsupportedOrderError(
-            f"no builtin table for n={n}; generate a custom one with "
-            f"run_msobe_sf + table_from_records (CLI: `simulate msobe` then `report`)"
+            f"no builtin table for n={n}; make one: `pcmkit simulate msobe --n {n} --out db.csv`, then in Python "
+            f"`write_table(table_from_records(read_records_csv(\"db.csv\"), {n}, \"{method}\"), \"table.csv\")`, "
+            f"then run accept again with `--table table.csv`"
         ) from None
 
 
@@ -140,10 +147,7 @@ def locate_class(table: QuantileTable, ati: float) -> int:
     """1-based index of the half-open class interval containing the ATI value."""
     if ati < 0:
         raise ValueError("ati must be nonnegative")
-    for row in table.rows[:-1]:
-        if row.class_lo <= ati < row.class_hi:
-            return row.class_index
-    return table.rows[-1].class_index
+    return int(assign_classes(table.partition, [ati])[0])
 
 
 def assess_pcm(
@@ -185,25 +189,16 @@ def assess_pcm(
 
 
 def table_from_records(records, n: int, method: str, loss: str = "RE", n_classes: int = 15) -> QuantileTable:
-    """Build a QuantileTable from a simulation database (ATI binning)."""
+    """Build a QuantileTable from a simulation database of order-n records (ATI binning)."""
+    orders = np.asarray(records["n"])
+    if (orders != n).any():
+        raise ValueError(f"records of order {np.unique(orders).tolist()} cannot make a table for n={n}")
     error = f"{loss.lower()}_{method.lower()}"
-    rows = []
-    for summary in summarize_classes(records, "ati", error, n_classes):
-        if summary.count == 0:
-            raise ValueError(f"class {summary.class_index} is empty; use more records")
-        rows.append(
-            QuantileRow(
-                class_index=summary.class_index,
-                class_lo=summary.lower,
-                class_hi=summary.upper,
-                mean_ati=summary.mean_index_value,
-                q10=summary.q10,
-                median=summary.median,
-                q90=summary.q90,
-                mean_err=summary.mean_error,
-            )
-        )
-    return QuantileTable(n=n, method=method, loss=loss.upper(), rows=tuple(rows))
+    rows = tuple(
+        QuantileRow(s.class_index, s.lower, s.upper, s.mean_index_value, s.q10, s.median, s.q90, s.mean_error)
+        for s in summarize_classes(records, "ati", error, n_classes)
+    )
+    return QuantileTable(n=n, method=method, loss=loss.upper(), rows=rows)
 
 
 _TABLE_HEADER = "n,method,class_lo,class_hi,mean_ati,q10,median,q90,mean_err"
@@ -224,10 +219,13 @@ def read_table(path, loss: str = "RE") -> QuantileTable:
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != _TABLE_HEADER:
         raise ValueError(f"{path}: not a quantile table (bad header)")
-    tables = _parse_tables(lines[1:])
-    if not tables:
-        raise ValueError(f"{path}: empty quantile table")
-    if len(tables) > 1:
-        raise ValueError(f"{path}: rows of more than one (n, method) table")
-    ((n, method), rows), = tables.items()
-    return QuantileTable(n=n, method=method, loss=loss, rows=tuple(rows))
+    try:
+        tables = _parse_tables(lines[1:])
+        if not tables:
+            raise ValueError("empty quantile table")
+        if len(tables) > 1:
+            raise ValueError("rows of more than one (n, method) table")
+        ((n, method), rows), = tables.items()
+        return QuantileTable(n=n, method=method, loss=loss, rows=tuple(rows))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

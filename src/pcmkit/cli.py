@@ -219,15 +219,10 @@ def cmd_report(args) -> int:
         records = reader(args.database_path)
     except (OSError, ValueError) as exc:
         raise DataError(str(exc)) from exc
-    if len(records) < args.classes:
-        raise DataError("fewer records than classes")
     try:
         summaries = summarize_classes(records, args.index, args.error, args.classes)
     except PartitionError as exc:
         raise DataError(f"cannot split the {args.index} values into classes: {exc}") from exc
-    empty = [s.class_index for s in summaries if s.count == 0]
-    if empty:
-        raise DataError(f"degenerate partition: class(es) {empty} of {args.classes} are empty")
     mean_idx = [s.mean_index_value for s in summaries]
     corr = {}
     for stat in ("q10", "median", "q90", "mean_error"):
@@ -286,8 +281,6 @@ def cmd_accept(args) -> int:
         else:
             table = acc.builtin_table(pcm.n, method)
         verdict = acc.assess_pcm(pcm, method, args.threshold, args.quantile, table)
-    except acc.UnsupportedOrderError as exc:
-        raise DataError(str(exc)) from exc
     except (OSError, ValueError) as exc:
         raise DataError(str(exc)) from exc
     mean_s = "suspect, unused" if verdict.estimated_mean is None else f"{verdict.estimated_mean:.4f}"

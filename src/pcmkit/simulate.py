@@ -603,7 +603,18 @@ def run_msobe_sf(
 # JSONL the other fields natively.  A file is read as _READ_DTYPE (flags as numbers), then checked.
 _CSV_ROW = ",".join({np.float64: "{:.8g}", object: "{}"}.get(dtype, "{:d}") for dtype in _DTYPES.values())
 _READ_DTYPE = np.dtype([(name, np.float64 if dtype is np.bool_ else dtype) for name, dtype in _DTYPES.items()])
-_CHECKS = {np.bool_: ("0 or 1", lambda col: (col == 0) | (col == 1)), np.float64: ("finite", np.isfinite)}
+# The JSON types a JSONL value may have, per column dtype: what the writer writes (floats as text) or a number.
+_JSON_TYPES = {np.int64: ("an integer", {int}), object: ("a string", {str}), np.bool_: ("true or false", {bool}),
+               np.float64: ("a string or number", {str, int, float})}
+# Value rules per field as (what, test); SI is only finite, because float round-off leaves values like -3e-16.
+_CHECKS = {
+    "n": ("the order in row 1", lambda col: col == col[:1]),
+    "distribution": (f"one of {', '.join(ERROR_DISTRIBUTIONS)}", lambda col: np.isin(col, ERROR_DISTRIBUTIONS)),
+    "big_error": ("0 or 1", lambda col: (col == 0) | (col == 1)),
+    "si": ("finite", np.isfinite),
+    **{name: ("finite and non-negative", lambda col: np.isfinite(col) & (col >= 0))
+       for name in ("gi", "ki", "ati", "ae_rev", "re_rev", "ae_gm", "re_gm")},
+}
 
 
 def _cast(values, dtype, ndim: int):
@@ -619,8 +630,8 @@ def _checked_table(path, columns: dict) -> RecordTable:
     """The RecordTable of one file's columns (field name -> values), checked value by value.
 
     Raises ValueError naming the file and the first row at fault (rows count
-    records from 1): a value that is not of its field's type, a flag other
-    than 0 or 1, or an index or error value that is not finite.
+    records from 1): a value that is not of its field's type, or one that
+    breaks its field's rule in _CHECKS.
     """
     cast = {}
     for name, dtype in _DTYPES.items():
@@ -629,12 +640,13 @@ def _checked_table(path, columns: dict) -> RecordTable:
         if col is None:
             row = next(k for k, x in enumerate(values) if _cast(x, read, 0) is None)
             raise ValueError(f"{path}: row {row + 1}: bad {name} value {values[row]!r}")
-        if dtype in _CHECKS:
-            what, check = _CHECKS[dtype]
+        if name in _CHECKS:
+            what, check = _CHECKS[name]
             ok = check(col)
             if not ok.all():
                 row = int(np.argmin(ok))
-                raise ValueError(f"{path}: row {row + 1}: {name} is {col[row]:g}, not {what}")
+                value = col[row] if dtype is object else f"{col[row]:g}"
+                raise ValueError(f"{path}: row {row + 1}: {name} is {value}, not {what}")
         cast[name] = np.asarray(col, dtype)
     return RecordTable(cast)
 
@@ -682,4 +694,10 @@ def read_records_jsonl(path) -> RecordTable:
         if not isinstance(record, dict) or record.keys() != _DTYPES.keys():
             raise ValueError(f"{path}: row {row}: the fields are not {','.join(RECORD_FIELDS)}")
         rows.append(record)
-    return _checked_table(path, {name: [record[name] for record in rows] for name in RECORD_FIELDS})
+    columns = {name: [record[name] for record in rows] for name in RECORD_FIELDS}
+    for name, dtype in _DTYPES.items():
+        what, types = _JSON_TYPES[dtype]
+        if not set(map(type, columns[name])) <= types:
+            row = next(k for k, x in enumerate(columns[name]) if type(x) not in types)
+            raise ValueError(f"{path}: row {row + 1}: {name} is {json.dumps(columns[name][row])}, not {what}")
+    return _checked_table(path, columns)

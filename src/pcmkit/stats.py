@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -97,12 +97,7 @@ def quantile(sample: Sequence[float], p: float) -> float:
 
 @dataclass(frozen=True)
 class ClassPartition:
-    """Quantile-anchored split of [0, inf) into n_classes half-open intervals.
-
-    boundaries[0] is 0, boundaries[-1] is +inf; the first interior boundary is
-    the 1/n_classes sample quantile, the last finite one the 1 - 1/n_classes
-    quantile, and everything between is equally spaced.
-    """
+    """Split of [0, inf) into n_classes half-open intervals; boundaries increase strictly from 0 to +inf."""
 
     boundaries: tuple
     n_classes: int
@@ -111,24 +106,23 @@ class ClassPartition:
         b = tuple(float(v) for v in self.boundaries)
         if len(b) != self.n_classes + 1:
             raise ValueError("need n_classes + 1 boundaries")
-        if any(hi <= lo for lo, hi in zip(b, b[1:])):
-            raise ValueError("boundaries must be strictly increasing")
+        if b[0] != 0.0 or b[-1] != np.inf or not all(lo < hi for lo, hi in zip(b, b[1:])):
+            raise ValueError(f"boundaries must increase strictly from 0 to inf: {', '.join(f'{v:g}' for v in b)}")
         object.__setattr__(self, "boundaries", b)
 
 
 def make_partition(index_values: Sequence[float], n_classes: int) -> ClassPartition:
-    """Split observed index values into quantile-anchored classes."""
+    """Classes with boundaries equally spaced from the 1/n_classes to the 1 - 1/n_classes sample quantile."""
     if n_classes < 3:
         raise ValueError("need n_classes >= 3")
     arr = np.asarray(index_values, dtype=float)
     if arr.size < n_classes:
-        raise ValueError("need at least n_classes samples")
-    lo = quantile(arr, 1.0 / n_classes)
-    hi = quantile(arr, 1.0 - 1.0 / n_classes)
-    if hi <= lo:
-        raise PartitionError("degenerate sample: boundary quantiles coincide")
-    interior = np.linspace(lo, hi, n_classes - 1)
-    return ClassPartition((0.0, *interior, np.inf), n_classes)
+        raise PartitionError(f"{arr.size} values cannot fill {n_classes} classes")
+    interior = np.linspace(quantile(arr, 1.0 / n_classes), quantile(arr, 1.0 - 1.0 / n_classes), n_classes - 1)
+    try:
+        return ClassPartition((0.0, *interior, np.inf), n_classes)
+    except ValueError as exc:
+        raise PartitionError(f"degenerate sample: {exc}") from None
 
 
 def assign_classes(partition: ClassPartition, values: Sequence[float]) -> np.ndarray:
@@ -139,44 +133,43 @@ def assign_classes(partition: ClassPartition, values: Sequence[float]) -> np.nda
 
 @dataclass(frozen=True)
 class ClassSummary:
-    """Per-class error-distribution characteristics; statistics None when empty."""
+    """Error-distribution characteristics of one non-empty class."""
 
     class_index: int
     lower: float
     upper: float
     count: int
-    mean_index_value: Optional[float]
-    q10: Optional[float]
-    median: Optional[float]
-    q90: Optional[float]
-    mean_error: Optional[float]
+    mean_index_value: float
+    q10: float
+    median: float
+    q90: float
+    mean_error: float
 
 
 def summarize_classes(records, index: str, error: str, n_classes: int = 15) -> list:
     """Bin records by one index and summarize one error type per class.
 
     `records` is any mapping from field name to column (a RecordTable or a
-    dict of arrays) holding the named index and error columns.
+    dict of arrays) holding the named index and error columns.  Raises
+    PartitionError when the index values cannot fill every class.
     """
     idx_vals = np.asarray(records[index], dtype=float)
     err_vals = np.asarray(records[error], dtype=float)
     part = make_partition(idx_vals, n_classes)
     classes = assign_classes(part, idx_vals)
+    counts = np.bincount(classes, minlength=n_classes + 1)[1:]
+    if not counts.all():
+        raise PartitionError(f"class(es) {(np.flatnonzero(counts == 0) + 1).tolist()} of {n_classes} are empty")
     out = []
     for c in range(1, n_classes + 1):
         mask = classes == c
-        count = int(mask.sum())
-        lo, hi = part.boundaries[c - 1], part.boundaries[c]
-        if count == 0:
-            out.append(ClassSummary(c, lo, hi, 0, None, None, None, None, None))
-            continue
         errs = err_vals[mask]
         out.append(
             ClassSummary(
                 class_index=c,
-                lower=lo,
-                upper=hi,
-                count=count,
+                lower=part.boundaries[c - 1],
+                upper=part.boundaries[c],
+                count=int(counts[c - 1]),
                 mean_index_value=float(idx_vals[mask].mean()),
                 q10=quantile(errs, 0.1),
                 median=quantile(errs, 0.5),

@@ -137,3 +137,15 @@ def random_reciprocal_pcm(rng: np.random.Generator, n: int, scale_values) -> Pcm
     a[iu, ju] = rng.choice(scale_values, size=len(iu))
     a[ju, iu] = 1.0 / a[iu, ju]
     return Pcm(a)
+
+
+# Two-class table files with one fault each, and the row it is in.
+BAD_TABLES = (
+    (("4,REV,0,abc,0.1,0.1,0.2,0.3,0.2", "4,REV,0.2,inf,0.5,0.1,0.2,0.3,0.2"), 1),
+    (("4,REV,0,0.2,0.1,0.1,0.2,0.3,0.2", "4.5,REV,0.2,inf,0.5,0.1,0.2,0.3,0.2"), 2),
+    (("4,REV,0,0.2,0.1,0.1,0.2,0.3,nan", "4,REV,0.2,inf,0.5,0.1,0.2,0.3,0.2"), 1),
+    (("4,REV,0,0.2,0.1,-0.3,-0.2,-0.1,0.2", "4,REV,0.2,inf,0.5,0.1,0.2,0.3,0.2"), 1),
+    (("4,REV,0,0.2,0.1,0.1,0.2,0.3,0.2", "4,REV,0.3,inf,0.5,0.1,0.2,0.3,0.2"), 1),  # gap
+    (("4,REV,0,0.3,0.1,0.1,0.2,0.3,0.2", "4,REV,0.2,inf,0.5,0.1,0.2,0.3,0.2"), 1),  # overlap
+    (("4,REV,0,inf,0.1,0.1,0.2,0.3,0.2", "4,REV,0.2,inf,0.5,0.1,0.2,0.3,0.2"), 1),  # two unbounded classes
+)

@@ -1,6 +1,7 @@
 """Quantile-table acceptance engine: builtin data, class lookup, verdicts, IO."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from pcmkit.acceptance import (
 from pcmkit.core import Pcm, mpr_from_pv
 from pcmkit.indices import compute_ati
 from pcmkit.simulate import run_msobe_sf
+
+from conftest import BAD_TABLES
 
 
 class TestBuiltinTables:
@@ -88,7 +91,28 @@ class TestBuiltinTables:
         assert hashlib.sha256(data).hexdigest() == BUILTIN_DATA_SHA256
 
 
+def loop_locate_class(table, ati):
+    """The row loop that locate_class replaced with the partition's class rule."""
+    if ati < 0:
+        raise ValueError("ati must be nonnegative")
+    for row in table.rows[:-1]:
+        if row.class_lo <= ati < row.class_hi:
+            return row.class_index
+    return table.rows[-1].class_index
+
+
 class TestLocateClass:
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    @pytest.mark.parametrize("method", ["REV", "GM"])
+    def test_matches_the_row_loop_at_every_bound(self, n, method):
+        table = builtin_table(n, method)
+        assert table.partition.boundaries == tuple(r.class_lo for r in table.rows) + (math.inf,)
+        for bound in table.partition.boundaries:
+            for ati in (np.nextafter(bound, -math.inf), bound, np.nextafter(bound, math.inf)):
+                if ati >= 0:
+                    assert locate_class(table, float(ati)) == loop_locate_class(table, float(ati)), (bound, ati)
+                    assert type(locate_class(table, float(ati))) is int
+
     def test_boundaries_are_half_open(self):
         table = builtin_table(4, "REV")
         assert locate_class(table, 0.0) == 1
@@ -119,6 +143,10 @@ class TestTableValidation:
         )
         with pytest.raises(ValueError):
             QuantileTable(4, "REV", "RE", rows)
+        for stats in (dict(q10=-0.01), dict(q90=math.inf), dict(median=math.nan), dict(mean_err=math.nan),
+                      dict(mean_err=-0.1)):
+            with pytest.raises(ValueError, match="row 2: "):
+                QuantileTable(4, "REV", "RE", (rows[0], self._row(2, 0.2, math.inf, **stats)))
 
     def test_rejects_bounded_last_class(self):
         with pytest.raises(ValueError):
@@ -127,6 +155,30 @@ class TestTableValidation:
     def test_rejects_bad_method(self):
         with pytest.raises(ValueError):
             QuantileTable(4, "avg", "RE", (self._row(1, 0.0, float("inf")),))
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (((1, 0.0, 0.2), (2, 0.3, math.inf)), "row 1: ends at 0.2, row 2 begins at 0.3"),  # gap
+            (((1, 0.0, 0.3), (2, 0.2, math.inf)), "row 1: ends at 0.3, row 2 begins at 0.2"),  # overlap
+            (((1, 0.0, math.inf), (2, 0.5, math.inf)), "row 1: ends at inf, row 2 begins at 0.5"),  # two unbounded classes
+            (((1, 0.0, 0.2), (3, 0.2, math.inf)), "row 2: class_index is 3, not 2"),
+            (((2, 0.0, 0.2), (1, 0.2, math.inf)), "row 1: class_index is 2, not 1"),
+            (((1, 0.0, 0.5), (2, 0.5, 0.4), (3, 0.4, math.inf)), "increase strictly from 0 to inf"),
+        ],
+    )
+    def test_rejects_classes_that_do_not_tile_zero_to_inf(self, rows, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            QuantileTable(4, "REV", "RE", tuple(self._row(*r) for r in rows))
+
+    def test_partition_is_derived_not_compared(self):
+        rows = (self._row(1, 0.0, 0.2), self._row(2, 0.2, math.inf))
+        table = QuantileTable(4, "REV", "RE", rows)
+        assert table.partition.boundaries == (0.0, 0.2, math.inf) and table.partition.n_classes == 2
+        assert table == QuantileTable(4, "REV", "RE", list(rows))
+        assert "partition" not in repr(table)
+        with pytest.raises(TypeError):
+            QuantileTable(4, "REV", "RE", rows, table.partition)
 
 
 class TestAssessPcm:
@@ -220,6 +272,15 @@ class TestCustomTables:
             path.write_text(text)
             with pytest.raises(ValueError):
                 read_table(path)
+        # each a two-class table with a fault in the named row
+        for rows, at in BAD_TABLES:
+            path.write_text(header + "".join(r + "\n" for r in rows))
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: row {at}: "):
+                read_table(path)
+
+    def test_table_refuses_records_of_another_order(self, records):
+        with pytest.raises(ValueError, match=r"records of order \[4\] cannot make a table for n=8"):
+            table_from_records(records, 8, "REV")
 
     def test_assess_with_custom_table(self, records, rb):
         table = table_from_records(records, 4, "REV", loss="AE")

@@ -2,13 +2,14 @@
 
 import json
 from dataclasses import astuple
+from typing import get_type_hints
 
 import numpy as np
 import pytest
 
 from pcmkit import simulate as sim
 from pcmkit.cli import EXIT_DATA, EXIT_OK, EXIT_REJECT, EXIT_USAGE, main
-from pcmkit.core import write_pcm
+from pcmkit.core import Pcm, write_pcm
 from pcmkit.simulate import (
     RECORD_FIELDS,
     RecordTable,
@@ -19,7 +20,7 @@ from pcmkit.simulate import (
     write_records_jsonl,
 )
 
-from conftest import RA, RB
+from conftest import BAD_TABLES, RA, RB
 
 
 @pytest.fixture
@@ -52,7 +53,7 @@ def write_database(path, ati_values, writer=write_records_csv):
     return str(path)
 
 
-# Faults in one database row, as field -> new text (None drops the field).
+# Faults in one database row, as field -> new CSV text (None drops the field).
 BAD_ROWS = (
     {"extra": "7"},
     {"re_gm": None, "seed": None},
@@ -60,7 +61,28 @@ BAD_ROWS = (
     {"big_error": "2"},
     {"ati": "nan"},
     {"ae_rev": "inf"},
+    {"n": "9"},
+    {"ati": "-0.5"},
+    {"gi": "-0.1"},
+    {"re_gm": "-0.01"},
+    {"distribution": "bogus"},
+    {"vector_id": "1.5"},
+    {"vector_id": "true"},
+    {"vector_id": '"7"'},
 )
+
+# The JSONL writer writes these fields as strings (floats as their text), the others as JSON values.
+STRING_FIELDS = {name for name, typ in get_type_hints(SimRecord).items() if typ in (float, str)}
+
+
+def json_value(field, text):
+    """A BAD_ROWS cell in JSONL: the text as a string where the writer writes one, else the JSON it spells."""
+    if field in STRING_FIELDS:
+        return text
+    try:
+        return json.loads(text)
+    except ValueError:
+        return text
 
 
 def assert_bad_row_3_is_named(tmp_path, capsys, name, writer):
@@ -77,7 +99,7 @@ def assert_bad_row_3_is_named(tmp_path, capsys, name, writer):
             if text is None:
                 del row[field]
             else:
-                row[field] = text
+                row[field] = json_value(field, text) if jsonl else text
         bad = tmp_path / f"bad-{name}"
         bad.write_text("\n".join(lines[:k] + [json.dumps(row) if jsonl else ",".join(row.values())] + lines[k + 1:]))
         assert main(["report", str(bad), "--classes", "3"]) == EXIT_DATA, fault
@@ -171,12 +193,27 @@ class TestDataErrors:
         path = write_database(tmp_path / "flat.csv", [0.3] * 20)
         assert main(["report", path, "--classes", "3"]) == EXIT_DATA
         assert_one_line_error(capsys)
+        path = write_database(tmp_path / "few.csv", [0.1, 0.2, 0.3])
+        assert main(["report", path, "--classes", "4"]) == EXIT_DATA
+        assert "3 values cannot fill 4 classes" in assert_one_line_error(capsys)
+        # over a quarter of the values are 0, so the first class would be [0, 0)
+        path = write_database(tmp_path / "zeros.csv", [0.0] * 15 + list(np.linspace(0.1, 1.0, 30)))
+        assert main(["report", path, "--classes", "4"]) == EXIT_DATA
+        assert "boundaries must increase strictly from 0 to inf: 0, 0, " in assert_one_line_error(capsys)
 
     def test_report_empty_class(self, tmp_path, capsys):
         # quartile-anchored bounds 0.1, 0.55, 1.0: classes 1 and 3 stay empty
         path = write_database(tmp_path / "gap.csv", [0.1] * 4 + [1.0] * 4)
         assert main(["report", path, "--classes", "4"]) == EXIT_DATA
-        assert_one_line_error(capsys)
+        assert "class(es) [1, 3] of 4 are empty" in assert_one_line_error(capsys)
+
+    def test_accept_names_the_table_file_and_row(self, tmp_path, rb_file, capsys):
+        header = "n,method,class_lo,class_hi,mean_ati,q10,median,q90,mean_err\n"
+        for k, (rows, at) in enumerate(BAD_TABLES):
+            path = tmp_path / f"table{k}.csv"
+            path.write_text(header + "".join(r + "\n" for r in rows))
+            assert main(["accept", rb_file, "--threshold", "1", "--table", str(path)]) == EXIT_DATA, rows
+            assert assert_one_line_error(capsys).startswith(f"pcmkit: {path}: row {at}: "), rows
 
 
 class TestAnalyze:
@@ -378,6 +415,23 @@ class TestReportAndAccept:
         capsys.readouterr()
         assert main(argv + ["--method", "rev"]) == EXIT_DATA
         assert "GM" in assert_one_line_error(capsys)
+
+    def test_order_eight_path_named_by_the_no_table_message(self, tmp_path, monkeypatch, capsys):
+        from pcmkit.acceptance import table_from_records, write_table
+
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "m8.csv"
+        write_pcm(Pcm(np.ones((8, 8))), path)
+        assert main(["accept", str(path), "--threshold", "0.2"]) == EXIT_DATA
+        message = assert_one_line_error(capsys)
+        for step in ("`pcmkit simulate msobe --n 8 --out db.csv`",
+                     '`write_table(table_from_records(read_records_csv("db.csv"), 8, "REV"), "table.csv")`',
+                     "run accept again with `--table table.csv`"):
+            assert step in message
+        assert main(["simulate", "msobe", "--n", "8", "--total", "2000", "--seed", "8", "--out", "db.csv"]) == EXIT_OK
+        write_table(table_from_records(read_records_csv("db.csv"), 8, "REV"), "table.csv")
+        assert main(["accept", str(path), "--threshold", "0.2", "--table", "table.csv"]) in (EXIT_OK, EXIT_REJECT)
+        assert len(capsys.readouterr().out.splitlines()) == 3
 
     def test_accept_gm_method(self, rb_file, capsys):
         assert main(["accept", rb_file, "--method", "gm", "--threshold", "1", "--quantile", "median"]) == EXIT_OK

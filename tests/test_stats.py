@@ -5,6 +5,7 @@ import pytest
 import scipy.stats
 
 from pcmkit.stats import (
+    ClassPartition,
     ClassSummary,
     DegenerateDataError,
     PartitionError,
@@ -128,6 +129,17 @@ class TestPartition:
     def test_degenerate_partition(self):
         with pytest.raises((PartitionError, DegenerateDataError)):
             make_partition(np.full(100, 0.5), n_classes=15)
+        with pytest.raises(PartitionError):  # the 1/4 quantile is 0: class 1 would be [0, 0)
+            make_partition([0.0] * 20 + list(np.linspace(1.0, 2.0, 30)), n_classes=4)
+        with pytest.raises(PartitionError, match="3 values cannot fill 4 classes"):
+            make_partition([0.1, 0.2, 0.3], n_classes=4)
+
+    def test_partition_bounds_run_strictly_from_zero_to_inf(self):
+        assert ClassPartition((0.0, np.inf), 1).boundaries == (0.0, np.inf)
+        for bounds in ((0.1, 0.5, np.inf), (0.0, 0.5, 9.0), (0.0, 0.5, 0.5, np.inf), (0.0, 0.6, 0.5, np.inf),
+                       (0.0, np.nan, np.inf)):
+            with pytest.raises(ValueError, match="increase strictly from 0 to inf"):
+                ClassPartition(bounds, len(bounds) - 1)
 
 
 class TestSummaries:
@@ -154,3 +166,9 @@ class TestSummaries:
             assert s.q10 == pytest.approx(np.quantile(err[mask], 0.1), abs=1e-12)
             assert s.median == pytest.approx(np.quantile(err[mask], 0.5), abs=1e-12)
             assert s.q90 == pytest.approx(np.quantile(err[mask], 0.9), abs=1e-12)
+
+    def test_empty_classes_are_named(self):
+        # quartile-anchored bounds 0.1, 0.55, 1.0: classes 1 and 3 stay empty
+        records = {"ati": np.array([0.1] * 4 + [1.0] * 4), "ae_rev": np.full(8, 0.01)}
+        with pytest.raises(PartitionError, match=r"class\(es\) \[1, 3\] of 4 are empty"):
+            summarize_classes(records, "ati", "ae_rev", n_classes=4)
