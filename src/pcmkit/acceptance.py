@@ -136,6 +136,8 @@ def builtin_table(n: int, method: str) -> QuantileTable:
     try:
         return _BUILTIN_CACHE[(n, method)]
     except KeyError:
+        if n < 4:
+            raise UnsupportedOrderError(f"no builtin table for n={n}; MSOBE-SF needs n >= 4 to make one") from None
         raise UnsupportedOrderError(
             f"no builtin table for n={n}; make one: `pcmkit simulate msobe --n {n} --out db.csv`, then in Python "
             f"`write_table(table_from_records(read_records_csv(\"db.csv\"), {n}, \"{method}\"), \"table.csv\")`, "
@@ -190,6 +192,8 @@ def assess_pcm(
 
 def table_from_records(records, n: int, method: str, loss: str = "RE", n_classes: int = 15) -> QuantileTable:
     """Build a QuantileTable from a simulation database of order-n records (ATI binning)."""
+    if method not in ("REV", "GM") or loss not in ("AE", "RE"):
+        raise ValueError(f"method must be 'REV' or 'GM' and loss 'AE' or 'RE', not {method!r} and {loss!r}")
     orders = np.asarray(records["n"])
     if (orders != n).any():
         raise ValueError(f"records of order {np.unique(orders).tolist()} cannot make a table for n={n}")
@@ -198,7 +202,7 @@ def table_from_records(records, n: int, method: str, loss: str = "RE", n_classes
         QuantileRow(s.class_index, s.lower, s.upper, s.mean_index_value, s.q10, s.median, s.q90, s.mean_error)
         for s in summarize_classes(records, "ati", error, n_classes)
     )
-    return QuantileTable(n=n, method=method, loss=loss.upper(), rows=rows)
+    return QuantileTable(n=n, method=method, loss=loss, rows=rows)
 
 
 _TABLE_HEADER = "n,method,class_lo,class_hi,mean_ati,q10,median,q90,mean_err"
@@ -207,9 +211,8 @@ _TABLE_HEADER = "n,method,class_lo,class_hi,mean_ati,q10,median,q90,mean_err"
 def write_table(table: QuantileTable, path) -> None:
     lines = [_TABLE_HEADER]
     for row in table.rows:
-        hi = "inf" if row.class_hi == float("inf") else f"{row.class_hi:.8g}"
         lines.append(
-            f"{table.n},{table.method},{row.class_lo:.8g},{hi},{row.mean_ati:.8g},"
+            f"{table.n},{table.method},{row.class_lo:.8g},{row.class_hi:.8g},{row.mean_ati:.8g},"
             f"{row.q10:.8g},{row.median:.8g},{row.q90:.8g},{row.mean_err:.8g}"
         )
     Path(path).write_text("\n".join(lines) + "\n")

@@ -19,7 +19,7 @@ from .core import Pcm, PcmFormatError, PriorityVector, read_pcm
 from .indices import estimate_asi, report_from_estimates
 from .loss import avg_absolute_error, avg_relative_error
 from .prioritize import ConvergenceError, gm_estimate, rev_estimate
-from .stats import PartitionError, pearson, spearman, summarize_classes
+from .stats import PartitionError, average_ranks, batch_pearson, summarize_classes
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -223,28 +223,22 @@ def cmd_report(args) -> int:
         summaries = summarize_classes(records, args.index, args.error, args.classes)
     except PartitionError as exc:
         raise DataError(f"cannot split the {args.index} values into classes: {exc}") from exc
-    mean_idx = [s.mean_index_value for s in summaries]
-    corr = {}
-    for stat in ("q10", "median", "q90", "mean_error"):
-        vals = [getattr(s, stat) for s in summaries]
-        try:
-            corr[stat] = {"spearman": spearman(mean_idx, vals), "pearson": pearson(mean_idx, vals)}
-        except ValueError:
-            corr[stat] = {"spearman": None, "pearson": None}
+    # Correlations of the class-mean index values with each error statistic; NaN where one is constant.
+    stats = ("q10", "median", "q90", "mean_error")
+    x = np.array([s.mean_index_value for s in summaries])
+    y = np.array([[getattr(s, stat) for s in summaries] for stat in stats])
+    corr = list(zip(stats, batch_pearson(average_ranks(x), average_ranks(y)), batch_pearson(x, y)))
     if args.format == "csv":
         lines = ["class,lo,hi,count,mean_index,q10,median,q90,mean_error"]
         for s in summaries:
-            cells = [str(s.class_index), f"{s.lower:.8g}",
-                     "inf" if s.upper == float("inf") else f"{s.upper:.8g}", str(s.count)]
+            cells = [str(s.class_index), f"{s.lower:.8g}", f"{s.upper:.8g}", str(s.count)]
             for v in (s.mean_index_value, s.q10, s.median, s.q90, s.mean_error):
                 cells.append(f"{v:.8g}")
             lines.append(",".join(cells))
         lines.append("")
         lines.append("statistic,spearman,pearson")
-        for stat, c in corr.items():
-            sp = "" if c["spearman"] is None else f"{c['spearman']:.6f}"
-            pe = "" if c["pearson"] is None else f"{c['pearson']:.6f}"
-            lines.append(f"{stat},{sp},{pe}")
+        for stat, *coeffs in corr:
+            lines.append(",".join([stat] + ["" if np.isnan(r) else f"{r:.6f}" for r in coeffs]))
         _emit("\n".join(lines), args.out)
         return EXIT_OK
     lines = [
@@ -254,16 +248,14 @@ def cmd_report(args) -> int:
     lines.append(f"{'i':>3} {'class':>21} {'count':>7} {'mean idx':>10} "
                  f"{'q10':>10} {'median':>10} {'q90':>10} {'mean':>10}")
     for s in summaries:
-        hi = "inf" if s.upper == float("inf") else f"{s.upper:.4f}"
         lines.append(
-            f"{s.class_index:>3} {f'{s.lower:.4f} - {hi}':>21} {s.count:>7}"
+            f"{s.class_index:>3} {f'{s.lower:.4f} - {s.upper:.4f}':>21} {s.count:>7}"
             f"{s.mean_index_value:11.4f}{s.q10:11.4f}{s.median:11.4f}{s.q90:11.4f}{s.mean_error:11.4f}"
         )
     lines.append("")
     lines.append("correlation of class-mean index values with error statistics:")
-    for stat, c in corr.items():
-        sp = "undefined" if c["spearman"] is None else f"{c['spearman']:.4f}"
-        pe = "undefined" if c["pearson"] is None else f"{c['pearson']:.4f}"
+    for stat, *coeffs in corr:
+        sp, pe = ("undefined" if np.isnan(r) else f"{r:.4f}" for r in coeffs)
         lines.append(f"  {stat:<11} spearman {sp:>10}   pearson {pe:>10}")
     _emit("\n".join(lines), args.out)
     return EXIT_OK

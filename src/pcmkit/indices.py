@@ -7,7 +7,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import SAATY_SCALE, PriorityVector, SaatyScale, _as_matrix
+from .core import SAATY_SCALE, PriorityVector, _as_matrix
 from .prioritize import ConvergenceError, RevResult, batch_gm, batch_rev, gm_estimate, rev_estimate
 
 __all__ = [
@@ -92,13 +92,8 @@ def compute_si(pcm) -> float:
     return float(batch_si(rev_estimate(a).lambda_max, a.shape[0]))
 
 
-def estimate_asi(
-    n: int,
-    sample_size: int = 500,
-    seed: int = 0,
-    scale: SaatyScale = SAATY_SCALE,
-) -> float:
-    """Mean SI over random reciprocal matrices with scale-valued upper triangles."""
+def estimate_asi(n: int, sample_size: int = 500, seed: int = 0) -> float:
+    """Mean SI over random reciprocal matrices with upper triangles drawn from SAATY_SCALE."""
     if n < 3:
         raise ValueError("need n >= 3")
     if sample_size < 1:
@@ -106,7 +101,7 @@ def estimate_asi(
     rng = np.random.default_rng(seed)
     iu, ju = np.triu_indices(n, k=1)
     a = np.ones((sample_size, n, n))
-    a[:, iu, ju] = rng.choice(scale.as_array(), size=(sample_size, iu.size))
+    a[:, iu, ju] = rng.choice(SAATY_SCALE.as_array(), size=(sample_size, iu.size))
     a[:, ju, iu] = 1.0 / a[:, iu, ju]
     w, lam, iterations, residual, converged = batch_rev(a)
     if not converged.all():

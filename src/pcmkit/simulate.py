@@ -16,11 +16,11 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Optional, Sequence, get_type_hints
+from typing import get_type_hints
 
 import numpy as np
 
-from .core import SAATY_SCALE, Pcm, PriorityVector, SaatyScale, round_matrix_to_scale, _as_matrix
+from .core import Pcm, PriorityVector, round_matrix_to_scale, _as_matrix
 from .indices import batch_gi, batch_ki_ati, batch_si
 from .loss import batch_absolute_error, batch_relative_error
 from .prioritize import batch_gm, batch_rev
@@ -87,44 +87,6 @@ class ErrorModel:
             return out
         lo, hi = self.params  # uniform
         return rng.uniform(lo, hi, size)
-
-    def _mean_and_mass(self) -> tuple:
-        """The distribution's expected value and its probability mass on SMALL_ERROR_SUPPORT."""
-        # Imported here: only MSOBE runs check their models, other callers skip the import.
-        from statistics import NormalDist
-
-        lo, hi = SMALL_ERROR_SUPPORT
-        if self.distribution == "gamma":
-            from scipy.special import gammainc
-
-            shape, scale = self.params
-            mean = shape * scale
-            mass = float(gammainc(shape, hi / scale) - gammainc(shape, lo / scale))
-        elif self.distribution == "log-normal":
-            mu, sigma = self.params
-            mean = math.exp(mu + sigma**2 / 2)
-            log_error = NormalDist(mu, sigma)
-            mass = log_error.cdf(math.log(hi)) - log_error.cdf(math.log(lo))
-        elif self.distribution == "truncated-normal":
-            m, sd = self.params
-            parent = NormalDist(m, sd)
-            mean = m + sd**2 * (parent.pdf(lo) - parent.pdf(hi)) / (parent.cdf(hi) - parent.cdf(lo))
-            mass = 1.0
-        else:  # uniform
-            a, b = self.params
-            mean = (a + b) / 2
-            mass = max(0.0, min(b, hi) - max(a, lo)) / (b - a)
-        return mean, mass
-
-    def verify(self) -> None:
-        """Check the unit-mean and support-mass contracts; raise on violation."""
-        mean, mass = self._mean_and_mass()
-        if abs(mean - 1.0) > 1e-3:
-            raise ValueError(f"{self.distribution}: expected value {mean} is not 1")
-        if mass < 0.98:
-            raise ValueError(
-                f"{self.distribution}: mass {mass:.4f} on {SMALL_ERROR_SUPPORT} is below 0.98"
-            )
 
 
 _LOGNORMAL_SIGMA = 0.15
@@ -505,7 +467,7 @@ def _segments(lo: int, hi: int, quarter: int, n_models: int):
 
 def _msobe_chunk(args):
     """Columns of records [lo, hi), a union of whole record blocks, and their non-convergence mask."""
-    (n, lo, hi, total, scale_values, models, big, seed, dpv) = args
+    (n, lo, hi, total, big, seed, dpv) = args
     assert lo % _BLOCK == 0, "chunks start on a record block"
     n_pairs = n * (n - 1) // 2
     iu, ju = np.triu_indices(n, k=1)
@@ -514,6 +476,7 @@ def _msobe_chunk(args):
     factors = np.empty((hi - lo, n_pairs))
     big_flags = np.empty(hi - lo, dtype=bool)
     model_ids = np.empty(hi - lo, dtype=np.intp)
+    models = default_error_models()
     quarter = total // len(models)
     for b_lo in range(lo, hi, _BLOCK):
         rng = _rng_for(seed, _RECORD_KEY, b_lo // _BLOCK)
@@ -528,7 +491,7 @@ def _msobe_chunk(args):
             big_flags[rows] = applied
             model_ids[rows] = model
     v = _vector_rows(n, seed, vector_ids)
-    rounded = round_matrix_to_scale(v[:, iu] / v[:, ju] * factors, SaatyScale(tuple(scale_values)))
+    rounded = round_matrix_to_scale(v[:, iu] / v[:, ju] * factors)
     a = np.ones((hi - lo, n, n))
     a[:, iu, ju] = rounded
     a[:, ju, iu] = 1.0 / rounded
@@ -544,14 +507,9 @@ def _msobe_chunk(args):
     return columns, failed
 
 
-_VERIFIED_MODELS = set()
-
-
 def run_msobe_sf(
     n: int,
     total_matrices: int,
-    scale: SaatyScale = SAATY_SCALE,
-    error_models: Optional[Sequence[ErrorModel]] = None,
     big: BigErrorModel = BigErrorModel(),
     seed: int = 0,
     workers: int = 1,
@@ -564,27 +522,20 @@ def run_msobe_sf(
     one upper-triangle entry is hit by a big error uniform on [big.lo,
     big.hi]; every other upper-triangle entry gets a small multiplicative
     error from the record's distribution; the upper triangle is rounded to
-    the scale and the lower triangle reciprocated.  The matrix count is split
-    into equal contiguous blocks across the error models.
+    SAATY_SCALE and the lower triangle reciprocated.  The matrix count is
+    split into equal contiguous blocks across default_error_models(), in order.
     """
     if n < 4:
         raise ValueError("need n >= 4")
-    models = tuple(error_models) if error_models is not None else default_error_models()
-    if total_matrices <= 0 or total_matrices % len(models):
-        raise ValueError(f"total_matrices must be a positive multiple of {len(models)}")
+    if total_matrices <= 0 or total_matrices % 4:  # one equal block per default error model
+        raise ValueError("total_matrices must be a positive multiple of 4")
     if not 0 <= seed < 2**63:  # the int64 seed column of the database
         raise ValueError(f"seed must lie in [0, 2**63), not {seed}")
     if disturbances_per_vector < 1:
         raise ValueError("disturbances_per_vector must be >= 1")
-    for model in models:
-        if model not in _VERIFIED_MODELS:
-            model.verify()
-            _VERIFIED_MODELS.add(model)
     bounds = list(range(0, total_matrices, _CHUNK)) + [total_matrices]
-    chunks = [
-        (n, lo, hi, total_matrices, tuple(scale.values), models, big, seed, disturbances_per_vector)
-        for lo, hi in zip(bounds, bounds[1:])
-    ]
+    chunks = [(n, lo, hi, total_matrices, big, seed, disturbances_per_vector)
+              for lo, hi in zip(bounds, bounds[1:])]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_msobe_chunk, chunks))
@@ -609,6 +560,7 @@ _JSON_TYPES = {np.int64: ("an integer", {int}), object: ("a string", {str}), np.
 # Value rules per field as (what, test); SI is only finite, because float round-off leaves values like -3e-16.
 _CHECKS = {
     "n": ("the order in row 1", lambda col: col == col[:1]),
+    **{name: ("non-negative", lambda col: col >= 0) for name in ("vector_id", "perturbation_id", "seed")},
     "distribution": (f"one of {', '.join(ERROR_DISTRIBUTIONS)}", lambda col: np.isin(col, ERROR_DISTRIBUTIONS)),
     "big_error": ("0 or 1", lambda col: (col == 0) | (col == 1)),
     "si": ("finite", np.isfinite),

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from pcmkit import acceptance
 from pcmkit.acceptance import (
     BUILTIN_DATA_SHA256,
     QUANTILE_CHOICES,
@@ -281,6 +282,12 @@ class TestCustomTables:
     def test_table_refuses_records_of_another_order(self, records):
         with pytest.raises(ValueError, match=r"records of order \[4\] cannot make a table for n=8"):
             table_from_records(records, 8, "REV")
+
+    @pytest.mark.parametrize("method,loss", [("avg", "RE"), ("REV", "XE"), ("rev", "RE")])
+    def test_table_refuses_unknown_method_or_loss_before_binning(self, records, monkeypatch, method, loss):
+        monkeypatch.setattr(acceptance, "summarize_classes", lambda *args: pytest.fail("binned before checking"))
+        with pytest.raises(ValueError, match="method must be 'REV' or 'GM' and loss 'AE' or 'RE'"):
+            table_from_records(records, 4, method, loss=loss)
 
     def test_assess_with_custom_table(self, records, rb):
         table = table_from_records(records, 4, "REV", loss="AE")

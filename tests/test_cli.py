@@ -20,6 +20,8 @@ from pcmkit.simulate import (
     write_records_jsonl,
 )
 
+from pcmkit.stats import pearson, spearman, summarize_classes
+
 from conftest import BAD_TABLES, RA, RB
 
 
@@ -69,6 +71,9 @@ BAD_ROWS = (
     {"vector_id": "1.5"},
     {"vector_id": "true"},
     {"vector_id": '"7"'},
+    {"vector_id": "-3"},
+    {"perturbation_id": "-1"},
+    {"seed": "-1"},
 )
 
 # The JSONL writer writes these fields as strings (floats as their text), the others as JSON values.
@@ -174,6 +179,14 @@ class TestDataErrors:
         path.write_text("\n".join(rows) + "\n")
         assert main(["accept", str(path), "--threshold", "1"]) == EXIT_DATA
         capsys.readouterr()
+
+    def test_accept_order_three_names_no_command(self, tmp_path, capsys):
+        # no table exists for n=3, and MSOBE-SF cannot make one
+        path = tmp_path / "m3.csv"
+        write_pcm(Pcm(np.ones((3, 3))), path)
+        assert main(["accept", str(path), "--threshold", "0.2"]) == EXIT_DATA
+        message = assert_one_line_error(capsys)
+        assert "n >= 4" in message and "simulate msobe" not in message
 
     def test_report_on_garbage(self, tmp_path, capsys):
         path = tmp_path / "junk.csv"
@@ -367,6 +380,22 @@ class TestReportAndAccept:
         out = capsys.readouterr().out
         assert "ati" in out and "ae_rev" in out
         assert "spearman" in out
+
+    def test_report_correlation_grid(self, database, tmp_path, capsys):
+        """The grid holds the scalar spearman and pearson of each statistic; a constant one reads as undefined."""
+        summaries = summarize_classes(read_records_csv(database), "ati", "ae_rev", 15)
+        x = [s.mean_index_value for s in summaries]
+        want = []
+        for stat in ("q10", "median", "q90", "mean_error"):
+            y = [getattr(s, stat) for s in summaries]
+            want.append(f"{stat},{spearman(x, y):.6f},{pearson(x, y):.6f}")
+        assert main(["report", database, "--format", "csv"]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[-4:] == want
+        flat = write_database(tmp_path / "flat.csv", np.linspace(0.1, 1.0, 30))  # one error value throughout
+        assert main(["report", flat, "--classes", "3", "--format", "csv"]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[-4:] == ["q10,,", "median,,", "q90,,", "mean_error,,"]
+        assert main(["report", flat, "--classes", "3"]) == EXIT_OK
+        assert capsys.readouterr().out.count("undefined") == 8
 
     def test_report_reads_jsonl(self, database, tmp_path, capsys):
         jsonl = tmp_path / "db.jsonl"
