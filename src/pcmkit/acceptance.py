@@ -53,6 +53,11 @@ class QuantileRow:
     suspect_mean: bool = False
 
 
+def _check_method_and_loss(method: str, loss: str) -> None:
+    if method not in ("REV", "GM") or loss not in ("AE", "RE"):
+        raise ValueError(f"method must be 'REV' or 'GM' and loss 'AE' or 'RE', not {method!r} and {loss!r}")
+
+
 @dataclass(frozen=True)
 class QuantileTable:
     """Per-ATI-class error statistics for one (order, method, loss) setting; row k is class k."""
@@ -64,8 +69,7 @@ class QuantileTable:
     partition: ClassPartition = field(init=False, repr=False, compare=False)  # the rows' class bounds
 
     def __post_init__(self):
-        if self.method not in ("REV", "GM"):
-            raise ValueError("method must be 'REV' or 'GM'")
+        _check_method_and_loss(self.method, self.loss)
         rows = tuple(self.rows)
         for k, row in enumerate(rows, 1):
             if row.class_index != k:
@@ -192,8 +196,7 @@ def assess_pcm(
 
 def table_from_records(records, n: int, method: str, loss: str = "RE", n_classes: int = 15) -> QuantileTable:
     """Build a QuantileTable from a simulation database of order-n records (ATI binning)."""
-    if method not in ("REV", "GM") or loss not in ("AE", "RE"):
-        raise ValueError(f"method must be 'REV' or 'GM' and loss 'AE' or 'RE', not {method!r} and {loss!r}")
+    _check_method_and_loss(method, loss)
     orders = np.asarray(records["n"])
     if (orders != n).any():
         raise ValueError(f"records of order {np.unique(orders).tolist()} cannot make a table for n={n}")

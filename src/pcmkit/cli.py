@@ -201,7 +201,7 @@ def cmd_simulate(args) -> int:
             )
             writer = sim.write_records_csv if fmt == "csv" else sim.write_records_jsonl
             writer(result.records, args.out)
-            _write_manifest(args.out, config, result.skipped, rng=sim.MSOBE_RNG)
+            _write_manifest(args.out, config, result.skipped, rng=sim.MSOBE_RNG, rev=result.rev)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     except OSError as exc:

@@ -38,31 +38,46 @@ def batch_rev(a: np.ndarray, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_M
     """Normalized principal right eigenvectors of a (b, n, n) stack by power iteration.
 
     Starts from the uniform vector and renormalizes by the component sum at
-    each step; a record stops updating the moment its max successive-iterate
-    difference is within tol, so its result never depends on the rest of the
-    stack.  lambda_max is the mean of the Rayleigh ratios (A w)_i / w_i.
-    Returns weights (b, n) and, per record, lambda_max, iterations, the
-    residual max |A w - lambda_max w| and whether it converged.
+    each step.  Each pass iterates only the records still moving, held as a
+    compacted C-contiguous stack: a record stops the moment every component
+    of its successive-iterate difference is within tol, and its weights,
+    iteration count and convergence flag are written out on that pass, so its
+    result never depends on the rest of the stack.  A record still moving
+    after max_iter passes keeps its last iterate.  lambda_max is the mean of
+    the Rayleigh ratios (A w)_i / w_i.  Returns weights (b, n) and, per
+    record, lambda_max, iterations, the residual max |A w - lambda_max w| and
+    whether it converged.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, not {max_iter}")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, not {tol}")
+    a = np.ascontiguousarray(a)
     b, n, _ = a.shape
     w = np.full((b, n), 1.0 / n)
     iterations = np.full(b, max_iter)
-    active = np.ones(b, dtype=bool)
+    converged = np.zeros(b, dtype=bool)
+    a_act, w_act, idx = a, w, np.arange(b)
     it = 0
-    while active.any() and it < max_iter:
-        idx = np.flatnonzero(active)
-        y = np.einsum("bij,bj->bi", a[idx], w[idx])
-        y /= y.sum(axis=1, keepdims=True)
-        diff = np.max(np.abs(y - w[idx]), axis=1)
-        w[idx] = y
+    while idx.size and it < max_iter:
         it += 1
-        done = idx[diff <= tol]
-        active[done] = False
-        iterations[done] = it
+        y = np.einsum("bij,bj->bi", a_act, w_act)
+        y /= y.sum(axis=1, keepdims=True)
+        done = (np.abs(y - w_act) <= tol).all(axis=1)
+        w_act = y
+        if done.any():
+            stop, keep = idx[done], ~done
+            w[stop] = y[done]
+            iterations[stop] = it
+            converged[stop] = True
+            idx, w_act = idx[keep], y[keep]
+            del a_act  # the old active copy goes before the new one is gathered, so at most one exists
+            a_act = a[idx]
+    w[idx] = w_act
     aw = np.einsum("bij,bj->bi", a, w)
     lam = np.mean(aw / w, axis=1)
     residual = np.max(np.abs(aw - lam[:, None] * w), axis=1)
-    return w, lam, iterations, residual, ~active
+    return w, lam, iterations, residual, converged
 
 
 def batch_gm(a: np.ndarray) -> np.ndarray:
@@ -73,8 +88,6 @@ def batch_gm(a: np.ndarray) -> np.ndarray:
 
 def rev_estimate(pcm, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> RevResult:
     """Principal right eigenvector of one PCM (`batch_rev` on a stack of one)."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     w, lam, iterations, residual, converged = batch_rev(_as_matrix(pcm)[None], tol, max_iter)
     if not converged[0]:
         raise ConvergenceError(w[0], float(residual[0]), max_iter)

@@ -172,10 +172,16 @@ class RecordTable:
 
 @dataclass(frozen=True)
 class MsobeResult:
-    """Simulation database plus the tally of non-converged, excluded records."""
+    """Simulation database, the tally of non-converged, excluded records and REV's behaviour on the kept ones.
+
+    ``rev`` holds the mean, 99th percentile (the lower of two neighbours) and
+    maximum of the power-iteration counts and the maximum residual
+    |A w - lambda_max w| over the kept records (None each when none is kept).
+    """
 
     records: RecordTable
     skipped: int
+    rev: dict
 
     def __len__(self):
         return len(self.records)
@@ -213,10 +219,11 @@ class CorrelationSummary:
 def _batch_metrics(a: np.ndarray, v: np.ndarray):
     """All indices and both estimators' errors for a stack of reciprocal PCMs.
 
-    Returns a dict of per-record vectors plus the non-convergence mask.
+    Returns a dict of per-record vectors, REV's power-iteration counts and
+    residuals among them, plus the non-convergence mask.
     """
     n = a.shape[1]
-    w_rev, lam, _, _, converged = batch_rev(a)
+    w_rev, lam, iterations, residual, converged = batch_rev(a)
     w_gm = batch_gm(a)
     ki, ati = batch_ki_ati(a)
     out = {
@@ -228,6 +235,8 @@ def _batch_metrics(a: np.ndarray, v: np.ndarray):
         "re_rev": batch_relative_error(v, w_rev),
         "ae_gm": batch_absolute_error(v, w_gm),
         "re_gm": batch_relative_error(v, w_gm),
+        "rev_iterations": iterations,
+        "rev_residual": residual,
     }
     return out, ~converged
 
@@ -466,7 +475,10 @@ def _segments(lo: int, hi: int, quarter: int, n_models: int):
 
 
 def _msobe_chunk(args):
-    """Columns of records [lo, hi), a union of whole record blocks, and their non-convergence mask."""
+    """Columns of records [lo, hi), a union of whole record blocks, and their non-convergence mask.
+
+    Beside the database fields, the columns hold REV's rev_iterations and rev_residual.
+    """
     (n, lo, hi, total, big, seed, dpv) = args
     assert lo % _BLOCK == 0, "chunks start on a record block"
     n_pairs = n * (n - 1) // 2
@@ -507,6 +519,18 @@ def _msobe_chunk(args):
     return columns, failed
 
 
+def _rev_summary(iterations: np.ndarray, residual: np.ndarray) -> dict:
+    """Power-iteration counts (mean, p99, max) and largest residual of kept records, as JSON-ready numbers."""
+    if not iterations.size:
+        return dict.fromkeys(("iterations_mean", "iterations_p99", "iterations_max", "residual_max"))
+    return {
+        "iterations_mean": float(iterations.mean()),
+        "iterations_p99": int(np.percentile(iterations, 99, method="lower")),
+        "iterations_max": int(iterations.max()),
+        "residual_max": float(residual.max()),
+    }
+
+
 def run_msobe_sf(
     n: int,
     total_matrices: int,
@@ -544,7 +568,8 @@ def run_msobe_sf(
     kept = ~np.concatenate([failed for _, failed in results])
     columns = {name: np.concatenate([c[name] for c, _ in results])[kept] for name in results[0][0]}
     columns.update(n=np.full(kept.sum(), n), seed=np.full(kept.sum(), seed))
-    return MsobeResult(RecordTable(columns), int(kept.size - kept.sum()))
+    rev = _rev_summary(columns.pop("rev_iterations"), columns.pop("rev_residual"))
+    return MsobeResult(RecordTable(columns), int(kept.size - kept.sum()), rev)
 
 
 # ---------------------------------------------------------------------------
@@ -603,10 +628,17 @@ def _checked_table(path, columns: dict) -> RecordTable:
     return RecordTable(cast)
 
 
+def _column_blocks(records: RecordTable):
+    """Columns of each _BLOCK rows as lists of Python scalars, in field order, so a writer holds one block's objects."""
+    for lo in range(0, len(records), _BLOCK):
+        yield [records[name][lo:lo + _BLOCK].tolist() for name in RECORD_FIELDS]
+
+
 def write_records_csv(records: RecordTable, path) -> None:
-    rows = zip(*(records[name].tolist() for name in RECORD_FIELDS))
-    lines = [",".join(RECORD_FIELDS)] + [_CSV_ROW.format(*row) for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w") as fh:
+        fh.write(",".join(RECORD_FIELDS) + "\n")
+        for columns in _column_blocks(records):
+            fh.write("".join([_CSV_ROW.format(*row) + "\n" for row in zip(*columns)]))
 
 
 def read_records_csv(path) -> RecordTable:
@@ -628,12 +660,11 @@ def read_records_csv(path) -> RecordTable:
 
 def write_records_jsonl(records: RecordTable, path) -> None:
     """One JSON object per record; floats as their %.8g text, like the CSV columns."""
-    columns = [
-        [format(x, ".8g") for x in records[name].tolist()] if dtype is np.float64 else records[name].tolist()
-        for name, dtype in _DTYPES.items()
-    ]
     with open(path, "w") as fh:
-        fh.writelines(json.dumps(dict(zip(RECORD_FIELDS, row))) + "\n" for row in zip(*columns))
+        for columns in _column_blocks(records):
+            columns = [[format(x, ".8g") for x in col] if dtype is np.float64 else col
+                       for col, dtype in zip(columns, _DTYPES.values())]
+            fh.write("".join([json.dumps(dict(zip(RECORD_FIELDS, row))) + "\n" for row in zip(*columns)]))
 
 
 def read_records_jsonl(path) -> RecordTable:

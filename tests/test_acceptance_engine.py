@@ -289,6 +289,13 @@ class TestCustomTables:
         with pytest.raises(ValueError, match="method must be 'REV' or 'GM' and loss 'AE' or 'RE'"):
             table_from_records(records, 4, method, loss=loss)
 
+    def test_read_table_refuses_unknown_loss(self, tmp_path, records):
+        path = tmp_path / "table.csv"
+        write_table(table_from_records(records, 4, "REV", loss="AE"), path)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: method must be 'REV' or 'GM' and loss 'AE' "
+                                             "or 'RE', not 'REV' and 'XE'"):
+            read_table(path, loss="XE")
+
     def test_assess_with_custom_table(self, records, rb):
         table = table_from_records(records, 4, "REV", loss="AE")
         verdict = assess_pcm(rb, "REV", threshold=1.0, table=table)

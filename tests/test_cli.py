@@ -10,6 +10,7 @@ import pytest
 from pcmkit import simulate as sim
 from pcmkit.cli import EXIT_DATA, EXIT_OK, EXIT_REJECT, EXIT_USAGE, main
 from pcmkit.core import Pcm, write_pcm
+from pcmkit.prioritize import batch_rev
 from pcmkit.simulate import (
     RECORD_FIELDS,
     RecordTable,
@@ -291,6 +292,29 @@ class TestSimulate:
         assert manifest["config"]["format"] == "csv"
         assert manifest["skipped"] == 400 - len(records)
         assert manifest["rng"] == {"stream": "msobe-block", "block": 1024} == sim.MSOBE_RNG
+
+    def test_msobe_manifest_reports_power_iteration(self, tmp_path, capsys, monkeypatch):
+        argv = ["simulate", "msobe", "--n", "5", "--total", "5000", "--seed", "8"]
+        manifests = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"db{workers}.csv"
+            assert main(argv + ["--workers", workers, "--out", str(out)]) == EXIT_OK
+            manifests.append(json.loads((tmp_path / f"db{workers}.csv.manifest.json").read_text())["rev"])
+        capsys.readouterr()
+        assert manifests[0] == manifests[1]
+        assert (tmp_path / "db1.csv").read_bytes() == (tmp_path / "db2.csv").read_bytes()
+        # The same records' matrices, caught on their way into the kernel, through one direct batch_rev.
+        stacks = []
+        monkeypatch.setattr(sim, "batch_rev", lambda a: stacks.append(a.copy()) or batch_rev(a))
+        sim.run_msobe_sf(5, 5000, seed=8)
+        _, _, iterations, residual, converged = batch_rev(np.concatenate(stacks))
+        kept = iterations[converged]
+        assert manifests[0] == {
+            "iterations_mean": kept.mean(),
+            "iterations_p99": int(np.sort(kept)[int(0.99 * (kept.size - 1))]),
+            "iterations_max": kept.max(),
+            "residual_max": residual[converged].max(),
+        }
 
     def test_msobe_jsonl(self, tmp_path, capsys):
         out = tmp_path / "db.jsonl"

@@ -94,6 +94,73 @@ def test_rev_matches_scalar_loop(n):
         assert iterations[k] == it_ref
 
 
+def saaty_stack(rng, n, size):
+    """Reciprocal matrices with every upper entry drawn from the Saaty scale, as estimate_asi draws them."""
+    iu, ju = np.triu_indices(n, k=1)
+    a = np.ones((size, n, n))
+    a[:, iu, ju] = rng.choice(SAATY_SCALE.as_array(), size=(size, iu.size))
+    a[:, ju, iu] = 1.0 / a[:, iu, ju]
+    return a
+
+
+def assert_rev_record(rev, k, a, max_iter=10_000):
+    """Record k of a batch_rev result is batch_rev of its matrix alone, and follows reference_rev step for step."""
+    for whole, alone in zip(rev, batch_rev(a[k : k + 1], max_iter=max_iter)):
+        assert np.array_equal(whole[k], alone[0])
+    w_ref, lam_ref, it_ref = reference_rev(a[k], max_iter=max_iter)
+    assert np.max(np.abs(rev[0][k] - w_ref)) <= 1e-12 and abs(rev[1][k] - lam_ref) <= 1e-12
+    assert rev[2][k] == it_ref
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_rev_on_spread_iteration_counts(n):
+    """Random Saaty stacks stop records over a wide range of passes; each record is as if alone."""
+    a = saaty_stack(np.random.default_rng(40 + n), n, 120)
+    rev = batch_rev(a)
+    assert rev[4].all() and np.ptp(rev[2]) >= 10
+    for k in range(len(a)):
+        assert_rev_record(rev, k, a)
+
+
+def test_rev_cut_off_record_keeps_its_last_iterate():
+    a = saaty_stack(np.random.default_rng(3), 6, 64)
+    counts = batch_rev(a)[2]
+    slowest = int(np.argmax(counts))
+    max_iter = int(counts[slowest]) - 1
+    assert np.count_nonzero(counts > max_iter) == 1
+    rev = batch_rev(a, max_iter=max_iter)
+    assert np.array_equal(rev[4], counts <= max_iter)
+    assert rev[2][slowest] == max_iter
+    for k in range(len(a)):
+        assert_rev_record(rev, k, a, max_iter)
+
+
+def test_rev_stops_on_its_own_iteration_count():
+    a = saaty_stack(np.random.default_rng(4), 5, 1)
+    k = int(batch_rev(a)[2][0])
+    _, _, iterations, _, converged = batch_rev(a, max_iter=k)
+    assert converged[0] and iterations[0] == k
+    _, _, iterations, _, converged = batch_rev(a, max_iter=k - 1)
+    assert not converged[0] and iterations[0] == k - 1
+
+
+@pytest.mark.parametrize("layout", ["fortran", "strided", "transposed-view"])
+def test_rev_of_non_contiguous_stack_equals_contiguous_copy(layout):
+    a = saaty_stack(np.random.default_rng(5), 7, 96)
+    view = {
+        "fortran": lambda: np.asfortranarray(a),
+        "strided": lambda: a[::3],
+        "transposed-view": lambda: np.ascontiguousarray(a.transpose(0, 2, 1)).transpose(0, 2, 1),
+    }[layout]()
+    assert not view.flags.c_contiguous
+    copy = np.ascontiguousarray(view)
+    rev = batch_rev(view)
+    for got, want in zip(rev, batch_rev(copy)):
+        assert np.array_equal(got, want)
+    for k in range(len(copy)):
+        assert_rev_record(rev, k, copy)
+
+
 @pytest.mark.parametrize("n", range(3, 10))
 def test_asi_matches_per_sample_loop(n):
     sample_size = 60

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pcmkit.core import SAATY_SCALE, PriorityVector, mpr_from_pv
-from pcmkit.prioritize import ConvergenceError, gm_estimate, rev_estimate
+from pcmkit.prioritize import ConvergenceError, batch_rev, gm_estimate, rev_estimate
 
 from conftest import random_reciprocal_pcm
 
@@ -73,3 +73,16 @@ class TestBehaviour:
     def test_convergence_error(self, ra):
         with pytest.raises(ConvergenceError):
             rev_estimate(ra, tol=1e-15, max_iter=2)
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"max_iter": 0}, "max_iter must be at least 1"),
+        ({"max_iter": -3}, "max_iter must be at least 1"),
+        ({"tol": 0.0}, "tol must be positive"),
+        ({"tol": -1e-12}, "tol must be positive"),
+        ({"tol": float("nan")}, "tol must be positive"),
+    ])
+    def test_rejects_bad_iteration_settings(self, ra, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            rev_estimate(ra, **kwargs)
+        with pytest.raises(ValueError, match=message):
+            batch_rev(np.stack([ra.entries] * 3), **kwargs)

@@ -1,11 +1,13 @@
 """Monte-Carlo frameworks: error models, determinism, record IO, sanity sweeps."""
 
 import hashlib
+import json
 import math
 import os
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,7 @@ import scipy.stats
 
 from pcmkit import simulate
 from pcmkit.core import Pcm, PriorityVector, mpr_from_pv, round_matrix_to_scale
+from pcmkit.prioritize import batch_rev
 from pcmkit.simulate import (
     ERROR_NAMES,
     INDEX_NAMES,
@@ -23,6 +26,7 @@ from pcmkit.simulate import (
     BigErrorModel,
     ErrorModel,
     MsobeResult,
+    RecordTable,
     SMALL_ERROR_SUPPORT,
     SimRecord,
     default_error_models,
@@ -223,7 +227,17 @@ class TestBigErrorDatabase:
         a = run_msobe_sf(4, 8192, seed=16, workers=1)
         b = run_msobe_sf(4, 8192, seed=16, workers=3)
         assert a.records == b.records
-        assert a.skipped == b.skipped
+        assert a.skipped == b.skipped and a.rev == b.rev
+
+    def test_rev_summary_when_every_record_is_skipped(self, monkeypatch):
+        def never_converges(a):
+            w, lam, iterations, residual, converged = batch_rev(a)
+            return w, lam, iterations, residual, np.zeros_like(converged)
+
+        monkeypatch.setattr(simulate, "batch_rev", never_converges)
+        res = run_msobe_sf(4, 40, seed=2)
+        assert (len(res), res.skipped) == (0, 40)
+        assert res.rev == dict.fromkeys(("iterations_mean", "iterations_p99", "iterations_max", "residual_max"))
 
     @pytest.mark.parametrize("dpv", [1, 3])
     def test_blocks_do_not_depend_on_workers_or_chunks(self, dpv, monkeypatch, tmp_path):
@@ -360,6 +374,23 @@ class TestRecordIO:
         write_records_csv(records, cpath)
         write_records_jsonl(records, jpath)
         assert read_records_csv(cpath) == read_records_jsonl(jpath)
+
+    @pytest.mark.parametrize("blocks", [0, 1, 2.5])
+    def test_writers_write_blocks_as_all_rows_at_once(self, tmp_path, blocks):
+        """Written a block of rows at a time, both formats hold the bytes of every row formatted at once."""
+        size = int(blocks * simulate._BLOCK)
+        whole = run_msobe_sf(4, 2600, seed=5).records
+        records = RecordTable({name: col[:size] for name, col in whole.columns.items()})
+        assert len(records) == size
+        rows = [astuple(r) for r in records]
+        text = {float: lambda x: format(x, ".8g"), bool: lambda x: str(int(x))}
+        csv = "".join(",".join(text.get(type(x), str)(x) for x in row) + "\n" for row in rows)
+        jsonl = "".join(json.dumps({f: text[float](x) if type(x) is float else x for f, x in zip(RECORD_FIELDS, row)})
+                        + "\n" for row in rows)
+        write_records_csv(records, tmp_path / "db.csv")
+        write_records_jsonl(records, tmp_path / "db.jsonl")
+        assert (tmp_path / "db.csv").read_bytes() == (",".join(RECORD_FIELDS) + "\n" + csv).encode()
+        assert (tmp_path / "db.jsonl").read_bytes() == jsonl.encode()
 
     def test_written_bytes_are_pinned(self, tmp_path):
         """Both formats of one small database, byte for byte: the stream, kernels and text forms together."""
