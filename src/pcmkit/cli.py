@@ -7,6 +7,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import secrets
 import sys
 from pathlib import Path
@@ -64,6 +65,8 @@ def _build_parser() -> _Parser:
     p_sim.add_argument("--workers", type=int, default=1)
     p_sim.add_argument("--format", choices=("csv", "jsonl"), default=None, help="MSOBE database format (csv)")
     p_sim.add_argument("--out", required=True)
+    p_sim.add_argument("--manifest", default=None,
+                       help="manifest path (default: <out>.manifest.json when --out is a regular file)")
 
     p_rep = sub.add_parser("report", help="class-summary table and correlation grid")
     p_rep.add_argument("database_path")
@@ -166,9 +169,19 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _write_manifest(out_path, config: dict, skipped: int, **extra):
+def _write_manifest(args, config: dict, skipped: int, **extra):
+    """Write the manifest to --manifest, else beside --out once that is a regular file.
+
+    A pipe, a device or a link (such as /dev/stdout) gets no manifest beside it.
+    """
+    path = args.manifest
+    if path is None:
+        if not os.path.isfile(args.out) or os.path.islink(args.out):
+            print(f"pcmkit: {args.out} is a pipe, device or link; no manifest written (see --manifest)", file=sys.stderr)
+            return
+        path = str(args.out) + ".manifest.json"
     manifest = {"config": config, "skipped": skipped, **extra}
-    Path(str(out_path) + ".manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    Path(path).write_text(json.dumps(manifest, indent=2) + "\n")
 
 
 def cmd_simulate(args) -> int:
@@ -183,12 +196,12 @@ def cmd_simulate(args) -> int:
             config.update(runs=args.runs, ne=args.ne)
             summary = sim.run_mse_sf(args.n, n_runs=args.runs, n_e=args.ne, seed=seed)
             _emit(json.dumps(summary.as_dict(), indent=2), args.out)
-            _write_manifest(args.out, config, summary.skipped)
+            _write_manifest(args, config, summary.skipped)
         elif args.framework == "nee":
             config.update(nr=args.nr, np=args.n_p)
             summary = sim.run_nee_sf(args.n, n_r=args.nr, n_p=args.n_p, seed=seed)
             _emit(json.dumps(summary.as_dict(), indent=2), args.out)
-            _write_manifest(args.out, config, summary.skipped)
+            _write_manifest(args, config, summary.skipped)
         else:
             fmt = args.format or "csv"
             config.update(format=fmt, total=args.total, big_prob=args.big_prob, workers=args.workers)
@@ -201,7 +214,7 @@ def cmd_simulate(args) -> int:
             )
             writer = sim.write_records_csv if fmt == "csv" else sim.write_records_jsonl
             writer(result.records, args.out)
-            _write_manifest(args.out, config, result.skipped, rng=sim.MSOBE_RNG, rev=result.rev)
+            _write_manifest(args, config, result.skipped, rng=sim.MSOBE_RNG, rev=result.rev)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     except OSError as exc:

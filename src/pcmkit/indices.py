@@ -73,11 +73,15 @@ def triad_values(pcm) -> np.ndarray:
     """
     a = _as_matrix(pcm)
     i, k, j = np.array(list(itertools.combinations(range(a.shape[-1]), 3))).T
-    alpha = a[..., i, k]
+    # min(|1 - beta/prod|, |1 - prod/beta|), each step written over an array it no longer needs.
+    prod = a[..., i, k]
+    prod *= a[..., k, j]  # alpha chi
     beta = a[..., i, j]
-    chi = a[..., k, j]
-    prod = alpha * chi
-    return np.minimum(np.abs(1.0 - beta / prod), np.abs(1.0 - prod / beta))
+    out = np.divide(beta, prod)
+    np.abs(np.subtract(1.0, out, out=out), out=out)
+    np.divide(prod, beta, out=prod)
+    np.abs(np.subtract(1.0, prod, out=prod), out=prod)
+    return np.minimum(out, prod, out=out)
 
 
 def batch_ki_ati(pcm):

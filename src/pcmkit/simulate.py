@@ -6,14 +6,14 @@ MSOBE seeds per block of ``_BLOCK`` records (and of ``_BLOCK`` vectors), not
 per record, and draws the whole block at once.  MSOBE chunks are unions of
 whole blocks and all per-record arithmetic is independent of batch
 composition, so results do not depend on chunk or block-of-runs sizes or
-worker counts.
+worker (thread) counts.
 """
 from __future__ import annotations
 
 import itertools
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import get_type_hints
@@ -297,14 +297,19 @@ _PAIR_ROWS = np.array(
 
 
 # Every stack the frameworks evaluate at once (an MSOBE chunk, an MSE or NEE
-# block of runs) holds at most this many matrices.  A multiple of the MSOBE
-# record block _BLOCK, so that an MSOBE chunk is a union of whole blocks.
-_CHUNK = 4096
+# block of runs) holds at most this many matrix entries (4096 matrices at
+# n=7), so that its working set, about 6 MB, is the same at every order n.
+_STACK_ENTRIES = 4096 * 7 * 7
 
 
-def _run_blocks(n_runs: int, steps: int):
-    """Consecutive ranges of run indices, each holding at most _CHUNK matrices (one run at least)."""
-    size = max(1, _CHUNK // steps)
+def _stack_matrices(n: int) -> int:
+    """The most n-by-n matrices one stack holds."""
+    return _STACK_ENTRIES // (n * n)
+
+
+def _run_blocks(n_runs: int, steps: int, n: int):
+    """Consecutive ranges of run indices, each one stack of at most _stack_matrices(n) matrices (one run at least)."""
+    size = max(1, _stack_matrices(n) // steps)
     return (range(lo, min(lo + size, n_runs)) for lo in range(0, n_runs, size))
 
 
@@ -385,7 +390,7 @@ def run_mse_sf(n: int, n_runs: int = 1000, n_e: int = 25, seed: int = 0) -> Corr
     exponents = np.arange(1, n_e + 1)
 
     def blocks():
-        for block in _run_blocks(n_runs, n_e):
+        for block in _run_blocks(n_runs, n_e, n):
             v = np.empty((len(block), n))
             position = np.empty(len(block), dtype=int)
             eps = np.empty(len(block))
@@ -423,7 +428,7 @@ def run_nee_sf(n: int, n_r: int = 200, n_p: int = 5, seed: int = 0) -> Correlati
 
     def blocks():
         # Run q examines vector q // n_p under its (q % n_p)-th order.
-        for block in _run_blocks(n_r * n_p, k_steps):
+        for block in _run_blocks(n_r * n_p, k_steps, n):
             vector_ids = np.array(block) // n_p
             first = int(vector_ids[0])
             vectors = [_random_pv_array(n, _rng_for(seed, 0, r)) for r in range(first, int(vector_ids[-1]) + 1)]
@@ -474,12 +479,16 @@ def _segments(lo: int, hi: int, quarter: int, n_models: int):
         lo = stop
 
 
-def _msobe_chunk(args):
+def _chunk_records(n: int) -> int:
+    """Records of one MSOBE chunk: the stack budget rounded down to whole record blocks, one block at least."""
+    return max(1, _stack_matrices(n) // _BLOCK) * _BLOCK
+
+
+def _msobe_chunk(n, lo, hi, total, big, seed, dpv):
     """Columns of records [lo, hi), a union of whole record blocks, and their non-convergence mask.
 
     Beside the database fields, the columns hold REV's rev_iterations and rev_residual.
     """
-    (n, lo, hi, total, big, seed, dpv) = args
     assert lo % _BLOCK == 0, "chunks start on a record block"
     n_pairs = n * (n - 1) // 2
     iu, ju = np.triu_indices(n, k=1)
@@ -507,6 +516,7 @@ def _msobe_chunk(args):
     a = np.ones((hi - lo, n, n))
     a[:, iu, ju] = rounded
     a[:, ju, iu] = 1.0 / rounded
+    del factors, rounded  # out of the way of the kernels' temporaries
     metrics, failed = _batch_metrics(a, v)
     names = np.array([m.distribution for m in models], dtype=object)
     columns = dict(
@@ -548,6 +558,10 @@ def run_msobe_sf(
     error from the record's distribution; the upper triangle is rounded to
     SAATY_SCALE and the lower triangle reciprocated.  The matrix count is
     split into equal contiguous blocks across default_error_models(), in order.
+
+    The records are generated in chunks of _chunk_records(n); workers > 1
+    runs them on up to that many threads in this process, never more
+    threads than chunks.
     """
     if n < 4:
         raise ValueError("need n >= 4")
@@ -557,14 +571,16 @@ def run_msobe_sf(
         raise ValueError(f"seed must lie in [0, 2**63), not {seed}")
     if disturbances_per_vector < 1:
         raise ValueError("disturbances_per_vector must be >= 1")
-    bounds = list(range(0, total_matrices, _CHUNK)) + [total_matrices]
-    chunks = [(n, lo, hi, total_matrices, big, seed, disturbances_per_vector)
-              for lo, hi in zip(bounds, bounds[1:])]
+    bounds = list(range(0, total_matrices, _chunk_records(n))) + [total_matrices]
+
+    def chunk(lo, hi):
+        return _msobe_chunk(n, lo, hi, total_matrices, big, seed, disturbances_per_vector)
+
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_msobe_chunk, chunks))
+        with ThreadPoolExecutor(max_workers=min(workers, len(bounds) - 1)) as pool:
+            results = list(pool.map(chunk, bounds, bounds[1:]))
     else:
-        results = [_msobe_chunk(c) for c in chunks]
+        results = list(map(chunk, bounds, bounds[1:]))
     kept = ~np.concatenate([failed for _, failed in results])
     columns = {name: np.concatenate([c[name] for c, _ in results])[kept] for name in results[0][0]}
     columns.update(n=np.full(kept.sum(), n), seed=np.full(kept.sum(), seed))
@@ -577,7 +593,7 @@ def run_msobe_sf(
 
 # Text forms per column dtype: CSV writes a flag as 1 or 0, both formats a float as its %.8g text,
 # JSONL the other fields natively.  A file is read as _READ_DTYPE (flags as numbers), then checked.
-_CSV_ROW = ",".join({np.float64: "{:.8g}", object: "{}"}.get(dtype, "{:d}") for dtype in _DTYPES.values())
+_CSV_ROW = ",".join({np.float64: "%.8g", object: "%s"}.get(dtype, "%d") for dtype in _DTYPES.values()) + "\n"
 _READ_DTYPE = np.dtype([(name, np.float64 if dtype is np.bool_ else dtype) for name, dtype in _DTYPES.items()])
 # The JSON types a JSONL value may have, per column dtype: what the writer writes (floats as text) or a number.
 _JSON_TYPES = {np.int64: ("an integer", {int}), object: ("a string", {str}), np.bool_: ("true or false", {bool}),
@@ -638,7 +654,7 @@ def write_records_csv(records: RecordTable, path) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(RECORD_FIELDS) + "\n")
         for columns in _column_blocks(records):
-            fh.write("".join([_CSV_ROW.format(*row) + "\n" for row in zip(*columns)]))
+            fh.write("".join([_CSV_ROW % row for row in zip(*columns)]))
 
 
 def read_records_csv(path) -> RecordTable:

@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, outputs, manifests."""
 
 import json
+import os
+import threading
 from dataclasses import astuple
 from typing import get_type_hints
 
@@ -295,6 +297,7 @@ class TestSimulate:
 
     def test_msobe_manifest_reports_power_iteration(self, tmp_path, capsys, monkeypatch):
         argv = ["simulate", "msobe", "--n", "5", "--total", "5000", "--seed", "8"]
+        monkeypatch.setattr(sim, "_STACK_ENTRIES", 2 * sim._BLOCK * 5 * 5)  # three chunks
         manifests = []
         for workers in ("1", "2"):
             out = tmp_path / f"db{workers}.csv"
@@ -315,6 +318,36 @@ class TestSimulate:
             "iterations_max": kept.max(),
             "residual_max": residual[converged].max(),
         }
+
+    @pytest.mark.parametrize("framework", ["msobe", "mse"])
+    def test_no_manifest_beside_a_pipe_or_link(self, tmp_path, capsys, framework):
+        """--out a named pipe or a link: no <out>.manifest.json beside it; --manifest writes where it is told."""
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        argv = ["simulate", framework, "--n", "4", "--total", "40", "--runs", "3", "--seed", "2", "--out", str(fifo)]
+        received = []
+        for extra in ([], ["--manifest", str(tmp_path / "run.json")]):
+            reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+            reader.start()
+            code = main(argv + extra)
+            reader.join(timeout=60)
+            assert code == EXIT_OK and not reader.is_alive()
+        err = capsys.readouterr().err
+        assert err == f"pcmkit: {fifo} is a pipe, device or link; no manifest written (see --manifest)\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pipe", "run.json"]
+        manifest = json.loads((tmp_path / "run.json").read_text())
+        assert manifest["config"]["out"] == str(fifo) and manifest["config"]["seed"] == 2
+        assert received[0] == received[1] and received[0]
+        out = tmp_path / "out.txt"
+        assert main(argv[:-1] + [str(out), "--manifest", str(tmp_path / "other.json")]) == EXIT_OK
+        assert out.read_bytes() == received[0]
+        assert json.loads((tmp_path / "other.json").read_text())["skipped"] == manifest["skipped"]
+        assert not (tmp_path / "out.txt.manifest.json").exists()
+        link = tmp_path / "link"  # a link to a regular file, as /dev/stdout is when redirected to one
+        link.symlink_to(out)
+        assert main(argv[:-1] + [str(link)]) == EXIT_OK
+        assert capsys.readouterr().err == f"pcmkit: {link} is a pipe, device or link; no manifest written (see --manifest)\n"
+        assert out.read_bytes() == received[0] and not (tmp_path / "link.manifest.json").exists()
 
     def test_msobe_jsonl(self, tmp_path, capsys):
         out = tmp_path / "db.jsonl"

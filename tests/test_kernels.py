@@ -325,7 +325,7 @@ RUN_FUNCTIONS = {"mse": (simulate.run_mse_sf, reference_mse), "nee": (simulate.r
 @pytest.mark.parametrize("framework, n, sizes, runs, steps", FRAMEWORKS)
 def test_correlation_frameworks_match_per_run_loop(framework, n, sizes, runs, steps):
     run, reference = RUN_FUNCTIONS[framework]
-    assert runs * steps > simulate._CHUNK
+    assert runs * steps > simulate._stack_matrices(n)
     assert_same_summary(run(n, **sizes, seed=4), reference(n, **sizes, seed=4))
 
 
@@ -359,19 +359,19 @@ def test_non_converged_record_skips_its_whole_run(monkeypatch, framework, n, siz
     summary = run(n, **sizes, seed=5)
     monkeypatch.undo()
     assert (summary.runs, summary.skipped) == (runs - 1, 1)
-    # Per block of whole runs (at most _CHUNK matrices): one metrics call,
+    # Per block of whole runs (one stack of at most _stack_matrices(n)): one metrics call,
     # one ranking call and two correlation calls.
     blocks = len(stack_sizes)
     assert sum(stack_sizes) == runs * steps and blocks >= 2
     assert all(size % steps == 0 for size in stack_sizes)
-    assert max(stack_sizes) <= simulate._CHUNK
+    assert max(stack_sizes) <= simulate._stack_matrices(n)
     assert calls == {"average_ranks": blocks, "batch_pearson": 2 * blocks}
     assert_same_summary(summary, reference(n, **sizes, seed=5, skip_run=flagged_run))
 
 
 def test_correlation_memory_does_not_grow_with_runs():
     def peak(n_runs):
-        assert n_runs * 25 > simulate._CHUNK
+        assert n_runs * 25 > simulate._stack_matrices(5)
         tracemalloc.start()
         try:
             simulate.run_mse_sf(5, n_runs=n_runs, n_e=25)

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from dataclasses import astuple
 from pathlib import Path
@@ -223,11 +224,69 @@ class TestBigErrorDatabase:
         res = run_msobe_sf(4, 400, big=BigErrorModel(apply_probability=1.0), seed=15)
         assert all(r.big_error for r in res)
 
-    def test_worker_count_does_not_change_output(self):
+    def test_worker_count_does_not_change_output(self, monkeypatch):
+        # Chunks of two record blocks: four chunks for three threads, which switch as often as they can.
+        monkeypatch.setattr(simulate, "_STACK_ENTRIES", 2 * simulate._BLOCK * 4 * 4)
         a = run_msobe_sf(4, 8192, seed=16, workers=1)
-        b = run_msobe_sf(4, 8192, seed=16, workers=3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            b = run_msobe_sf(4, 8192, seed=16, workers=3)
+        finally:
+            sys.setswitchinterval(interval)
         assert a.records == b.records
         assert a.skipped == b.skipped and a.rev == b.rev
+
+    def test_pool_is_capped_at_the_chunk_count(self, monkeypatch):
+        """A huge --workers starts no more threads than there are chunks (the stub runs each chunk inline)."""
+        pools = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", InlinePool)
+        assert len(run_msobe_sf(4, 8192, seed=16, workers=10**6)) > 0
+        assert len(run_msobe_sf(7, 8192, seed=16, workers=10**6)) > 0
+        assert pools == [1, 2]  # one 12288-record chunk at n=4, two of 4096 at n=7
+
+    @pytest.mark.parametrize("n", range(4, 10))
+    def test_chunks_are_whole_blocks_within_the_entry_budget(self, n, monkeypatch):
+        size = simulate._chunk_records(n)
+        assert size % simulate._BLOCK == 0 and size * n * n <= simulate._STACK_ENTRIES
+        assert (size + simulate._BLOCK) * n * n > simulate._STACK_ENTRIES  # the most whole blocks that fit
+        assert size == {4: 12288, 7: 4096, 9: 2048}.get(n, size)
+        bounds = []
+
+        def record_bounds(n, lo, hi, *rest):
+            bounds.append((lo, hi))
+            return {"rev_iterations": np.ones(hi - lo, int), "rev_residual": np.zeros(hi - lo)}, np.zeros(hi - lo, bool)
+
+        monkeypatch.setattr(simulate, "_msobe_chunk", record_bounds)
+        total = 2 * size + 100
+        run_msobe_sf(n, total, workers=2)
+        assert bounds == [(0, size), (size, 2 * size), (2 * size, total)]
+
+    def test_one_chunk_stays_within_its_memory_budget(self):
+        """Traced peak of one n=7 chunk of 4096 records: two threads hold two such stacks in one process."""
+        args = (simulate.BigErrorModel(), 1, 1)
+        simulate._msobe_chunk(7, 0, 4, 4, *args)  # first-call set-up stays out of the measurement
+        tracemalloc.start()
+        try:
+            simulate._msobe_chunk(7, 0, 4096, 4096, *args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.5 * 2**20
 
     def test_rev_summary_when_every_record_is_skipped(self, monkeypatch):
         def never_converges(a):
@@ -242,14 +301,17 @@ class TestBigErrorDatabase:
     @pytest.mark.parametrize("dpv", [1, 3])
     def test_blocks_do_not_depend_on_workers_or_chunks(self, dpv, monkeypatch, tmp_path):
         # 4100 records: the model quarters (1025 records) end inside record
-        # blocks, and the last block holds 4 records.
+        # blocks, and the last block holds 4 records.  One chunk by default,
+        # then chunks of two blocks (three chunks) and of one block (five).
         a = run_msobe_sf(4, 4100, seed=20, workers=1, disturbances_per_vector=dpv)
-        b = run_msobe_sf(4, 4100, seed=20, workers=2, disturbances_per_vector=dpv)
-        assert a.records == b.records and a.skipped == b.skipped
         assert len(a) + a.skipped == 4100
-        monkeypatch.setattr(simulate, "_CHUNK", 2 * simulate._BLOCK)
+        monkeypatch.setattr(simulate, "_STACK_ENTRIES", 2 * simulate._BLOCK * 4 * 4)
+        b = run_msobe_sf(4, 4100, seed=20, workers=2, disturbances_per_vector=dpv)
         c = run_msobe_sf(4, 4100, seed=20, workers=1, disturbances_per_vector=dpv)
-        assert a.records == c.records and a.skipped == c.skipped
+        monkeypatch.setattr(simulate, "_STACK_ENTRIES", simulate._BLOCK * 4 * 4)
+        d = run_msobe_sf(4, 4100, seed=20, workers=3, disturbances_per_vector=dpv)
+        for other in (b, c, d):
+            assert a.records == other.records and a.skipped == other.skipped
 
         def written(result):
             csv, jsonl = tmp_path / "db.csv", tmp_path / "db.jsonl"
@@ -257,7 +319,7 @@ class TestBigErrorDatabase:
             write_records_jsonl(result.records, jsonl)
             return csv.read_bytes(), jsonl.read_bytes()
 
-        assert written(a) == written(b) == written(c)
+        assert written(a) == written(b) == written(c) == written(d)
 
     def test_record_seed_column_is_the_master_seed(self):
         res = run_msobe_sf(4, 400, seed=21)
@@ -330,6 +392,14 @@ class TestBigErrorDatabase:
     def test_imports_no_scipy(self):
         """A fresh interpreter runs MSOBE-SF without loading any scipy module."""
         code = "import sys, pcmkit; pcmkit.run_msobe_sf(4, 8); print([m for m in sys.modules if m.startswith('scipy')])"
+        env = {**os.environ, "PYTHONPATH": str(Path(simulate.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
+    def test_cli_imports_no_process_pool(self):
+        """A fresh interpreter imports the CLI without multiprocessing: --workers runs threads."""
+        code = ("import sys, pcmkit.cli; "
+                "print([m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules])")
         env = {**os.environ, "PYTHONPATH": str(Path(simulate.__file__).parents[1])}
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
