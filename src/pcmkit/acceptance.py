@@ -98,16 +98,19 @@ class AcceptanceVerdict:
     accepted: bool
 
 
-def _parse_tables(lines) -> dict:
-    """QuantileRows of `_TABLE_HEADER` lines, grouped by (n, method) and numbered from 1 in each group.
+def _parse_tables(lines, loss_column: bool = False) -> dict:
+    """QuantileRows of `_TABLE_HEADER` lines, grouped by (n, method, loss) and numbered from 1 in each group.
 
+    With `loss_column` each line ends in its loss cell (`_LOSS_HEADER`); without it the loss is RE.
     Raises ValueError naming the first row (counted from 1, blank lines skipped) that does not parse.
     """
     tables: dict = {}
     for k, line in enumerate((line for line in lines if line.strip()), 1):
         try:
-            n_s, method, lo, hi, mean_ati, q10, med, q90, mean_err = line.split(",")
-            rows = tables.setdefault((int(n_s), method), [])
+            cells = line.split(",")
+            loss = cells.pop() if loss_column else "RE"
+            n_s, method, lo, hi, mean_ati, q10, med, q90, mean_err = cells
+            rows = tables.setdefault((int(n_s), method, loss), [])
             rows.append(QuantileRow(len(rows) + 1, float(lo), float(hi), float(mean_ati),
                                     float(q10), float(med), float(q90), float(mean_err)))
         except ValueError as exc:
@@ -121,10 +124,10 @@ def _load_builtin() -> dict:
     if digest != BUILTIN_DATA_SHA256:
         raise RuntimeError(f"builtin table data corrupted (sha256 {digest})")
     return {
-        (n, method): QuantileTable(n=n, method=method, loss="RE", rows=tuple(
+        (n, method): QuantileTable(n=n, method=method, loss=loss, rows=tuple(
             replace(row, suspect_mean=(n, method, row.class_index) in _SUSPECT_MEANS) for row in rows
         ))
-        for (n, method), rows in _parse_tables(data.decode().splitlines()[1:]).items()
+        for (n, method, loss), rows in _parse_tables(data.decode().splitlines()[1:]).items()
     }
 
 
@@ -208,30 +211,32 @@ def table_from_records(records, n: int, method: str, loss: str = "RE", n_classes
     return QuantileTable(n=n, method=method, loss=loss, rows=rows)
 
 
-_TABLE_HEADER = "n,method,class_lo,class_hi,mean_ati,q10,median,q90,mean_err"
+_TABLE_HEADER = "n,method,class_lo,class_hi,mean_ati,q10,median,q90,mean_err"  # the builtin's columns
+_LOSS_HEADER = _TABLE_HEADER + ",loss"
 
 
 def write_table(table: QuantileTable, path) -> None:
-    lines = [_TABLE_HEADER]
+    lines = [_LOSS_HEADER]
     for row in table.rows:
         lines.append(
             f"{table.n},{table.method},{row.class_lo:.8g},{row.class_hi:.8g},{row.mean_ati:.8g},"
-            f"{row.q10:.8g},{row.median:.8g},{row.q90:.8g},{row.mean_err:.8g}"
+            f"{row.q10:.8g},{row.median:.8g},{row.q90:.8g},{row.mean_err:.8g},{table.loss}"
         )
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_table(path, loss: str = "RE") -> QuantileTable:
+def read_table(path) -> QuantileTable:
+    """Read a `write_table` file; a file in the builtin's nine columns, without the loss, holds RE."""
     lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != _TABLE_HEADER:
+    if not lines or lines[0] not in (_TABLE_HEADER, _LOSS_HEADER):
         raise ValueError(f"{path}: not a quantile table (bad header)")
     try:
-        tables = _parse_tables(lines[1:])
+        tables = _parse_tables(lines[1:], loss_column=lines[0] == _LOSS_HEADER)
         if not tables:
             raise ValueError("empty quantile table")
         if len(tables) > 1:
-            raise ValueError("rows of more than one (n, method) table")
-        ((n, method), rows), = tables.items()
+            raise ValueError("rows of more than one (n, method, loss) table")
+        ((n, method, loss), rows), = tables.items()
         return QuantileTable(n=n, method=method, loss=loss, rows=tuple(rows))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

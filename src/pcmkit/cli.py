@@ -5,6 +5,7 @@ Exit codes: 0 success/accept, 1 usage error, 2 data error, 3 reject.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -41,7 +42,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of the process, built on first use; parse_args leaves it unchanged, so calls share it."""
     parser = _Parser(prog="pcmkit", description="Pairwise-comparison matrix toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -88,7 +91,10 @@ def _build_parser() -> _Parser:
 
 def _emit(text: str, out_path):
     if out_path:
-        Path(out_path).write_text(text if text.endswith("\n") else text + "\n")
+        try:
+            Path(out_path).write_text(text if text.endswith("\n") else text + "\n")
+        except OSError as exc:
+            raise DataError(f"cannot write output: {exc}") from exc
     else:
         print(text)
 
@@ -112,7 +118,11 @@ def _require_reciprocal(pcm: Pcm):
 
 
 def _resolve_seed(seed):
-    return secrets.randbits(32) if seed is None else seed
+    if seed is None:
+        return secrets.randbits(32)
+    if seed < 0:
+        raise UsageError(f"--seed must be a non-negative integer, not {seed}")
+    return seed
 
 
 def cmd_analyze(args) -> int:

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -189,8 +188,9 @@ def _parse_token(token: str) -> float:
     if "/" in token:
         p, _, q = token.partition("/")
         try:
-            return float(Fraction(int(p), int(q)))
-        except (ValueError, ZeroDivisionError) as exc:
+            # Integer true division rounds p/q correctly however large p and q are; "or 0.0" reads 0/-k as +0.0.
+            return int(p) / int(q) or 0.0
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise PcmFormatError(f"bad fraction token {token!r}") from exc
     try:
         return float(token)

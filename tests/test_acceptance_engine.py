@@ -256,12 +256,24 @@ class TestCustomTables:
         table = table_from_records(records, 4, "GM", loss="AE")
         path = tmp_path / "table.csv"
         write_table(table, path)
-        back = read_table(path, loss="AE")
-        assert back.n == table.n and back.method == table.method
+        back = read_table(path)
+        assert back.n == table.n and back.method == table.method and back.loss == "AE"
         for a, b in zip(table.rows, back.rows):
             assert b.q10 == pytest.approx(a.q10, rel=1e-6)
             assert b.mean_err == pytest.approx(a.mean_err, rel=1e-6)
             assert b.class_hi == a.class_hi or b.class_hi == pytest.approx(a.class_hi, rel=1e-6)
+
+    def test_nine_column_table_reads_as_re(self, tmp_path, records):
+        """A file in the builtin's nine columns holds RE; rows of two losses are two tables."""
+        path = tmp_path / "table.csv"
+        write_table(table_from_records(records, 4, "REV", loss="AE"), path)
+        lines = path.read_text().splitlines()
+        path.write_text("".join(line.rpartition(",")[0] + "\n" for line in lines))
+        assert read_table(path).loss == "RE"
+        path.write_text("".join(line.replace(",AE", ",RE") + "\n" if k > 1 else line + "\n"
+                                for k, line in enumerate(lines)))
+        with pytest.raises(ValueError, match=r"rows of more than one \(n, method, loss\) table"):
+            read_table(path)
 
     def test_read_table_rejects_garbage(self, tmp_path):
         header = "n,method,class_lo,class_hi,mean_ati,q10,median,q90,mean_err\n"
@@ -292,9 +304,10 @@ class TestCustomTables:
     def test_read_table_refuses_unknown_loss(self, tmp_path, records):
         path = tmp_path / "table.csv"
         write_table(table_from_records(records, 4, "REV", loss="AE"), path)
+        path.write_text(path.read_text().replace(",AE\n", ",XE\n"))
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: method must be 'REV' or 'GM' and loss 'AE' "
                                              "or 'RE', not 'REV' and 'XE'"):
-            read_table(path, loss="XE")
+            read_table(path)
 
     def test_assess_with_custom_table(self, records, rb):
         table = table_from_records(records, 4, "REV", loss="AE")

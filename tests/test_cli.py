@@ -151,6 +151,14 @@ class TestUsageErrors:
         assert main(["report", database, "--classes", "2"]) == EXIT_USAGE
         assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize("argv", [["analyze", "{pcm}"], ["simulate", "mse", "--n", "4"],
+                                      ["simulate", "nee", "--n", "4"], ["simulate", "msobe", "--n", "4"]])
+    def test_negative_seed(self, ra_file, tmp_path, capsys, argv):
+        argv = [a.format(pcm=ra_file) for a in argv] + ["--seed", "-1", "--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_USAGE
+        assert assert_one_line_error(capsys) == "pcmkit: --seed must be a non-negative integer, not -1\n"
+        assert not (tmp_path / "out").exists()
+
     def test_bad_true_pv(self, ra_file, capsys):
         assert main(["analyze", ra_file, "--true-pv", "0.5,x,0.2,0.1"]) == EXIT_USAGE
         assert main(["analyze", ra_file, "--true-pv", "0.5,0.3,0.2"]) == EXIT_USAGE
@@ -161,6 +169,21 @@ class TestDataErrors:
     def test_missing_file(self, capsys):
         assert main(["analyze", "/nonexistent/file.csv"]) == EXIT_DATA
         capsys.readouterr()
+
+    def test_unwritable_out(self, ra_file, database, tmp_path, capsys):
+        out = str(tmp_path / "missing" / "x")
+        for argv in (["analyze", ra_file, "--seed", "1"], ["report", database]):
+            assert main(argv + ["--out", out]) == EXIT_DATA
+            assert assert_one_line_error(capsys).startswith("pcmkit: cannot write output: ")
+
+    def test_oversized_fraction_token(self, tmp_path, capsys):
+        """A p/q too large for a float is a bad token, as 1/0 is."""
+        big = "1" + "0" * 400 + "/1"
+        path = tmp_path / "big.csv"
+        path.write_text(f"1,2,{big}\n0.5,1,2\n1/3,0.5,1\n")
+        for argv in (["analyze", str(path)], ["accept", str(path), "--threshold", "1"]):
+            assert main(argv) == EXIT_DATA
+            assert assert_one_line_error(capsys).startswith(f"pcmkit: bad fraction token '{big}'")
 
     def test_malformed_pcm(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
@@ -488,7 +511,7 @@ class TestReportAndAccept:
         code = main(
             ["accept", rb_file, "--threshold", "1", "--table", str(table_path)]
         )
-        capsys.readouterr()
+        assert "estimated AE quantiles" in capsys.readouterr().out
         assert code == EXIT_OK
 
     def test_accept_refuses_a_table_of_the_other_method(self, database, rb_file, tmp_path, capsys):
@@ -522,3 +545,56 @@ class TestReportAndAccept:
     def test_accept_gm_method(self, rb_file, capsys):
         assert main(["accept", rb_file, "--method", "gm", "--threshold", "1", "--quantile", "median"]) == EXIT_OK
         capsys.readouterr()
+
+
+class TestOneProcess:
+    def test_mixed_calls_match_a_fresh_parser(self, database, rb_file, tmp_path, capsys, monkeypatch):
+        """main() parses every call with one cached parser, and each call of a mixed sequence
+        gives the exit code, output and files a freshly built parser gives: no option value
+        (--table, --quantile, --out) leaks into the next call."""
+        from pcmkit import cli
+        from pcmkit.acceptance import table_from_records, write_table
+
+        assert cli._build_parser() is cli._build_parser()
+        table = tmp_path / "ae.csv"
+        write_table(table_from_records(read_records_csv(database), 4, "REV", loss="AE"), table)
+        out = tmp_path / "out.txt"
+        summary = tmp_path / "mse.json"
+        calls = (
+            ["accept", rb_file, "--table", str(table)],  # usage error: no --threshold
+            ["analyze", rb_file, "--seed", "1", "--out", str(out)],
+            ["accept", rb_file, "--threshold", "0.05", "--table", str(table), "--quantile", "median"],
+            ["accept", rb_file, "--threshold", "0.05"],
+            ["analyze", rb_file, "--seed", "1", "--format", "jsonl"],
+            ["report", database, "--format", "csv", "--out", str(out)],
+            ["report", database],
+            ["simulate", "mse", "--n", "4", "--runs", "3", "--ne", "3", "--seed", "2", "--out", str(summary)],
+            ["accept", rb_file, "--threshold", "0.05", "--method", "gm"],
+        )
+
+        def run_all():
+            results = []
+            for argv in calls:
+                for path in (out, summary):
+                    path.unlink(missing_ok=True)
+                code = main(argv)
+                captured = capsys.readouterr()
+                files = [path.read_bytes() if path.exists() else None for path in (out, summary)]
+                results.append((code, captured.out, captured.err, files))
+            return results
+
+        cached = run_all()
+        monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        assert cli._build_parser() is not cli._build_parser()
+        assert run_all() == cached
+
+        codes, stdout, stderr, files = zip(*cached)
+        assert codes == (EXIT_USAGE, EXIT_OK, EXIT_OK, EXIT_REJECT, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_REJECT)
+        assert stderr[0].startswith("pcmkit: ") and stderr[0].count("\n") == 1
+        assert stdout[1] == "" and b"lambda_max" in files[1][0]
+        assert "estimated AE quantiles" in stdout[2] and "(median vs threshold 0.05)" in stdout[2]
+        assert all(s in stdout[3] for s in ("of the REV table", "estimated RE quantiles", "(q90 vs threshold 0.05)"))
+        assert json.loads(stdout[4])["asi_seed"] == 1 and files[4] == [None, None]
+        assert files[5][0].startswith(b"class,lo,hi,") and "spearman" in stdout[6] and files[6] == [None, None]
+        assert json.loads(files[7][1])["framework"] == "mse"
+        assert "of the GM table" in stdout[8] and "estimated RE quantiles" in stdout[8]

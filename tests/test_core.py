@@ -199,3 +199,21 @@ def test_round_to_scale_is_nearest(x):
     # among equally close values the larger one is chosen
     ties = vals[np.abs(np.abs(vals - x) - best) < 1e-12]
     assert r == pytest.approx(ties.max(), abs=1e-12)
+
+
+def test_parse_token_matches_the_fraction_float():
+    """p/q tokens read as float(Fraction(p, q)), sign of zero included; a zero or oversized q-quotient is a bad token."""
+    import random
+    from fractions import Fraction
+
+    from pcmkit.core import _parse_token
+
+    rng = random.Random(12)
+    pairs = [(1, k) for k in range(1, 10)] + [(k, 1) for k in range(1, 10)] + [(0, k) for k in (1, 7, -1, -7)]
+    for bound in (10, 10**15, 10**30):
+        pairs += [(rng.randint(-bound, bound), rng.choice([-1, 1]) * rng.randint(1, bound)) for _ in range(500)]
+    for p, q in pairs:
+        assert _parse_token(f"{p}/{q}").hex() == float(Fraction(p, q)).hex(), (p, q)
+    for token in ("1/0", "1" + "0" * 400 + "/1", "-1" + "0" * 400 + "/3"):
+        with pytest.raises(PcmFormatError, match="^bad fraction token"):
+            _parse_token(token)
