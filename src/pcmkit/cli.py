@@ -229,6 +229,9 @@ def cmd_simulate(args) -> int:
         raise UsageError(str(exc)) from exc
     except OSError as exc:
         raise DataError(f"cannot write output: {exc}") from exc
+    except MemoryError:
+        size = f"--n {args.n}" + (f" --total {args.total}" if args.framework == "msobe" else "")
+        raise UsageError(f"simulate {args.framework} ran out of memory at {size}; try a smaller size") from None
     return EXIT_OK
 
 

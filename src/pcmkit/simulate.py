@@ -658,20 +658,22 @@ def write_records_csv(records: RecordTable, path) -> None:
 
 
 def read_records_csv(path) -> RecordTable:
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0].split(",") != list(RECORD_FIELDS):
-        raise ValueError(f"{path}: not a simulation database (bad header)")
-    body = [line for line in lines[1:] if line.strip()]
-    try:
-        rows = np.loadtxt(body, dtype=_READ_DTYPE, delimiter=",", ndmin=1) if body else np.empty(0, _READ_DTYPE)
-        columns = {name: rows[name] for name in RECORD_FIELDS}
-    except ValueError:  # find the row at fault and name it
-        cells = [line.split(",") for line in body]
-        for row, values in enumerate(cells, 1):
-            if len(values) != len(RECORD_FIELDS):
-                raise ValueError(f"{path}: row {row}: {len(values)} fields, not {len(RECORD_FIELDS)}")
-        columns = dict(zip(RECORD_FIELDS, zip(*cells)))
-    return _checked_table(path, columns)
+    with open(path) as fh:
+        if fh.readline().rstrip("\n").split(",") != list(RECORD_FIELDS):
+            raise ValueError(f"{path}: not a simulation database (bad header)")
+        lines = fh.readlines()
+    if not any(line.strip() for line in lines):  # loadtxt warns on a file with no rows
+        rows = np.empty(0, _READ_DTYPE)
+    else:
+        try:  # loadtxt skips empty lines but not whitespace-only ones
+            rows = np.loadtxt(lines, dtype=_READ_DTYPE, delimiter=",", ndmin=1)
+        except ValueError:  # a row at fault or a whitespace-only line: split the rows as text and check them
+            cells = [line.rstrip("\n").split(",") for line in lines if line.strip()]
+            for row, values in enumerate(cells, 1):
+                if len(values) != len(RECORD_FIELDS):
+                    raise ValueError(f"{path}: row {row}: {len(values)} fields, not {len(RECORD_FIELDS)}")
+            return _checked_table(path, dict(zip(RECORD_FIELDS, zip(*cells))))
+    return _checked_table(path, {name: rows[name] for name in RECORD_FIELDS})
 
 
 def write_records_jsonl(records: RecordTable, path) -> None:

@@ -118,7 +118,7 @@ def make_partition(index_values: Sequence[float], n_classes: int) -> ClassPartit
     arr = np.asarray(index_values, dtype=float)
     if arr.size < n_classes:
         raise PartitionError(f"{arr.size} values cannot fill {n_classes} classes")
-    interior = np.linspace(quantile(arr, 1.0 / n_classes), quantile(arr, 1.0 - 1.0 / n_classes), n_classes - 1)
+    interior = np.linspace(*np.quantile(arr, (1.0 / n_classes, 1.0 - 1.0 / n_classes)), n_classes - 1)
     try:
         return ClassPartition((0.0, *interior, np.inf), n_classes)
     except ValueError as exc:
@@ -160,20 +160,26 @@ def summarize_classes(records, index: str, error: str, n_classes: int = 15) -> l
     counts = np.bincount(classes, minlength=n_classes + 1)[1:]
     if not counts.all():
         raise PartitionError(f"class(es) {(np.flatnonzero(counts == 0) + 1).tolist()} of {n_classes} are empty")
+    # One stable sort by class (a radix sort of the small integer labels)
+    # makes each class a slice holding its records in database order, the
+    # order a per-class mask gives, so every mean and quantile is the same.
+    order = np.argsort(classes.astype(np.min_scalar_type(n_classes)), kind="stable")
+    idx_sorted, err_sorted = idx_vals[order], err_vals[order]
+    ends = np.cumsum(counts).tolist()
     out = []
-    for c in range(1, n_classes + 1):
-        mask = classes == c
-        errs = err_vals[mask]
+    for c, lo, hi in zip(range(1, n_classes + 1), [0, *ends], ends):
+        errs = err_sorted[lo:hi]
+        q10, median, q90 = np.quantile(errs, (0.1, 0.5, 0.9)).tolist()
         out.append(
             ClassSummary(
                 class_index=c,
                 lower=part.boundaries[c - 1],
                 upper=part.boundaries[c],
-                count=int(counts[c - 1]),
-                mean_index_value=float(idx_vals[mask].mean()),
-                q10=quantile(errs, 0.1),
-                median=quantile(errs, 0.5),
-                q90=quantile(errs, 0.9),
+                count=hi - lo,
+                mean_index_value=float(idx_sorted[lo:hi].mean()),
+                q10=q10,
+                median=median,
+                q90=q90,
                 mean_error=float(errs.mean()),
             )
         )

@@ -147,6 +147,20 @@ class TestUsageErrors:
         assert main(argv) == EXIT_USAGE
         assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize("framework, runner, size", [("mse", "run_mse_sf", "--n 300"),
+                                                         ("nee", "run_nee_sf", "--n 300"),
+                                                         ("msobe", "run_msobe_sf", "--n 300 --total 240000")])
+    def test_simulate_out_of_memory(self, tmp_path, capsys, monkeypatch, framework, runner, size):
+        """A run too big for memory exits 1 with one line naming the framework and its size, not a traceback."""
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+        monkeypatch.setattr(sim, runner, exhausted)
+        out = tmp_path / "out"
+        assert main(["simulate", framework, "--n", "300", "--seed", "1", "--out", str(out)]) == EXIT_USAGE
+        assert assert_one_line_error(capsys) == (
+            f"pcmkit: simulate {framework} ran out of memory at {size}; try a smaller size\n")
+        assert not out.exists()
+
     def test_report_too_few_classes(self, database, capsys):
         assert main(["report", database, "--classes", "2"]) == EXIT_USAGE
         assert_one_line_error(capsys)

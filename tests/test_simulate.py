@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from collections import Counter
 from dataclasses import astuple
 from pathlib import Path
@@ -444,6 +445,40 @@ class TestRecordIO:
         write_records_csv(records, cpath)
         write_records_jsonl(records, jpath)
         assert read_records_csv(cpath) == read_records_jsonl(jpath)
+
+    def test_csv_blank_lines_read_as_the_clean_file(self, tmp_path, records):
+        """Empty and whitespace-only lines, between rows and at the end, are skipped; so are CRLF line ends."""
+        clean = tmp_path / "clean.csv"
+        write_records_csv(records, clean)
+        header, *rows = clean.read_text().splitlines()
+        blank = tmp_path / "blank.csv"
+        blank.write_text("\n".join([header, "", rows[0], "  ", "\t", *rows[1:5], "", " ", *rows[5:], "", "   ", ""]))
+        crlf = tmp_path / "crlf.csv"
+        crlf.write_bytes(clean.read_bytes().replace(b"\n", b"\r\n"))
+        assert read_records_csv(blank) == read_records_csv(crlf) == read_records_csv(clean)
+
+    @pytest.mark.parametrize("fault", [{"extra": "7"}, {"distribution": "bogus"}, {"ati": "x"}])
+    def test_csv_bad_row_after_blank_lines_keeps_its_row_number(self, tmp_path, records, fault):
+        """Rows count records from 1; blank lines before the bad row do not count."""
+        write_records_csv(records, tmp_path / "clean.csv")
+        header, *rows = (tmp_path / "clean.csv").read_text().splitlines()
+        row = dict(zip(RECORD_FIELDS, rows[2].split(",")))
+        row.update(fault)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join([header, rows[0], "", "  ", rows[1], " \t ", ",".join(row.values()), *rows[3:]]) + "\n")
+        with pytest.raises(ValueError, match=rf"^{bad}: row 3: "):
+            read_records_csv(bad)
+
+    @pytest.mark.parametrize("body", ["", "\n", "\n  \n\t\n"])
+    def test_csv_header_only_reads_no_records_without_warning(self, tmp_path, body):
+        path = tmp_path / "db.csv"
+        path.write_text(",".join(RECORD_FIELDS) + "\n" + body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            back = read_records_csv(path)
+        assert len(back) == 0
+        assert {name: col.dtype for name, col in back.columns.items()} == {
+            name: np.dtype(dtype) for name, dtype in simulate._DTYPES.items()}
 
     @pytest.mark.parametrize("blocks", [0, 1, 2.5])
     def test_writers_write_blocks_as_all_rows_at_once(self, tmp_path, blocks):

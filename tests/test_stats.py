@@ -1,9 +1,12 @@
 """Statistics helpers against scipy/numpy oracles."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 import scipy.stats
 
+from pcmkit.simulate import ERROR_NAMES, INDEX_NAMES, run_msobe_sf
 from pcmkit.stats import (
     ClassPartition,
     ClassSummary,
@@ -172,3 +175,90 @@ class TestSummaries:
         records = {"ati": np.array([0.1] * 4 + [1.0] * 4), "ae_rev": np.full(8, 0.01)}
         with pytest.raises(PartitionError, match=r"class\(es\) \[1, 3\] of 4 are empty"):
             summarize_classes(records, "ati", "ae_rev", n_classes=4)
+
+
+def mask_loop_summaries(records, index, error, n_classes):
+    """summarize_classes as a mask, two gathers and three quantile calls per class: the reference for the grouped one."""
+    idx_vals = np.asarray(records[index], dtype=float)
+    err_vals = np.asarray(records[error], dtype=float)
+    if idx_vals.size < n_classes:
+        raise PartitionError(f"{idx_vals.size} values cannot fill {n_classes} classes")
+    interior = np.linspace(quantile(idx_vals, 1.0 / n_classes), quantile(idx_vals, 1.0 - 1.0 / n_classes),
+                           n_classes - 1)
+    try:
+        part = ClassPartition((0.0, *interior, np.inf), n_classes)
+    except ValueError as exc:
+        raise PartitionError(f"degenerate sample: {exc}") from None
+    classes = assign_classes(part, idx_vals)
+    counts = np.bincount(classes, minlength=n_classes + 1)[1:]
+    if not counts.all():
+        raise PartitionError(f"class(es) {(np.flatnonzero(counts == 0) + 1).tolist()} of {n_classes} are empty")
+    out = []
+    for c in range(1, n_classes + 1):
+        mask = classes == c
+        errs = err_vals[mask]
+        out.append(ClassSummary(c, part.boundaries[c - 1], part.boundaries[c], int(counts[c - 1]),
+                                float(idx_vals[mask].mean()), quantile(errs, 0.1), quantile(errs, 0.5),
+                                quantile(errs, 0.9), float(errs.mean())))
+    return out
+
+
+def summaries_or_error(summarize, records, index, error, n_classes):
+    """Each summary as a tuple (NaN as the string "nan", so that == compares it), or the PartitionError message."""
+    try:
+        summaries = summarize(records, index, error, n_classes)
+    except PartitionError as exc:
+        return str(exc)
+    return [tuple("nan" if v != v else v for v in astuple(s)) for s in summaries]
+
+
+def tied_sample(seed):
+    """Records of 3-40 classes, both columns rounded to 1-4 decimals (ties, often degenerate or empty classes)
+    and about one error in 500 NaN; returned with the class count."""
+    rng = np.random.default_rng([13, seed])
+    n_classes = int(rng.integers(3, 41))
+    size = int(rng.integers(n_classes, 4000))
+    decimals = int(rng.integers(1, 5))
+    idx = np.round(rng.gamma(2.0, 0.1, size), decimals)
+    err = np.round(rng.exponential(0.05, size), decimals)
+    err[rng.random(size) < 0.002] = np.nan
+    return {"ati": idx, "ae_rev": err}, n_classes
+
+
+class TestGroupedSummaries:
+    """summarize_classes groups records by one stable sort; every value equals the per-class mask loop's."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_samples_match_mask_loop(self, seed):
+        records, n_classes = tied_sample(seed)
+        expected = summaries_or_error(mask_loop_summaries, records, "ati", "ae_rev", n_classes)
+        assert summaries_or_error(summarize_classes, records, "ati", "ae_rev", n_classes) == expected
+
+    def test_random_samples_cover_nan_and_every_partition_error(self):
+        """The random samples above reach what they are for: NaN summaries, and each kind of PartitionError."""
+        seen = set()
+        for seed in range(40):
+            records, n_classes = tied_sample(seed)
+            result = summaries_or_error(summarize_classes, records, "ati", "ae_rev", n_classes)
+            if isinstance(result, str):
+                seen.add("degenerate" if result.startswith("degenerate sample") else "empty")
+            else:
+                seen.add("summary")
+                seen.update("nan" for row in result if "nan" in row)
+        assert seen == {"summary", "nan", "degenerate", "empty"}
+
+    @pytest.mark.parametrize("values", [[0.1, 0.2], [0.5] * 30])
+    def test_small_and_constant_samples_raise_alike(self, values):
+        records = {"ati": np.array(values), "ae_rev": np.full(len(values), 0.01)}
+        expected = summaries_or_error(mask_loop_summaries, records, "ati", "ae_rev", 3)
+        assert isinstance(expected, str)
+        assert summaries_or_error(summarize_classes, records, "ati", "ae_rev", 3) == expected
+
+    @pytest.mark.parametrize("n", [4, 7])
+    def test_msobe_database_matches_mask_loop_for_every_pair(self, n):
+        records = run_msobe_sf(n, 4096, seed=7).records
+        for index in INDEX_NAMES:
+            for error in ERROR_NAMES:
+                for n_classes in (3, 15, 40):
+                    expected = summaries_or_error(mask_loop_summaries, records, index, error, n_classes)
+                    assert summaries_or_error(summarize_classes, records, index, error, n_classes) == expected
