@@ -47,12 +47,10 @@ from .simulate import (
     perturb_entry,
     random_pv,
     read_records_csv,
-    read_records_jsonl,
     run_mse_sf,
     run_msobe_sf,
     run_nee_sf,
     write_records_csv,
-    write_records_jsonl,
 )
 from .stats import (
     ClassPartition,

@@ -66,7 +66,6 @@ def _build_parser() -> _Parser:
     p_sim.add_argument("--total", type=int, default=240_000, help="MSOBE record count")
     p_sim.add_argument("--big-prob", type=float, default=0.75)
     p_sim.add_argument("--workers", type=int, default=1)
-    p_sim.add_argument("--format", choices=("csv", "jsonl"), default=None, help="MSOBE database format (csv)")
     p_sim.add_argument("--out", required=True)
     p_sim.add_argument("--manifest", default=None,
                        help="manifest path (default: <out>.manifest.json when --out is a regular file)")
@@ -197,8 +196,6 @@ def _write_manifest(args, config: dict, skipped: int, **extra):
 def cmd_simulate(args) -> int:
     if min(args.runs, args.ne, args.nr, args.n_p, args.total, args.workers) <= 0:
         raise UsageError("all counts must be positive")
-    if args.format is not None and args.framework != "msobe":
-        raise UsageError(f"--format applies to simulate msobe only; {args.framework} writes one JSON summary")
     seed = _resolve_seed(args.seed)
     config = {"subcommand": f"simulate {args.framework}", "n": args.n, "seed": seed, "out": str(args.out)}
     try:
@@ -213,8 +210,7 @@ def cmd_simulate(args) -> int:
             _emit(json.dumps(summary.as_dict(), indent=2), args.out)
             _write_manifest(args, config, summary.skipped)
         else:
-            fmt = args.format or "csv"
-            config.update(format=fmt, total=args.total, big_prob=args.big_prob, workers=args.workers)
+            config.update(total=args.total, big_prob=args.big_prob, workers=args.workers)
             result = sim.run_msobe_sf(
                 args.n,
                 args.total,
@@ -222,8 +218,7 @@ def cmd_simulate(args) -> int:
                 seed=seed,
                 workers=args.workers,
             )
-            writer = sim.write_records_csv if fmt == "csv" else sim.write_records_jsonl
-            writer(result.records, args.out)
+            sim.write_records_csv(result.records, args.out)
             _write_manifest(args, config, result.skipped, rng=sim.MSOBE_RNG, rev=result.rev)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -239,10 +234,7 @@ def cmd_report(args) -> int:
     if args.classes < 3:
         raise UsageError("--classes must be at least 3")
     try:
-        with open(args.database_path) as fh:  # JSONL rows start with "{"
-            first = next((line.lstrip() for line in fh if line.strip()), "")
-        reader = sim.read_records_jsonl if first.startswith("{") else sim.read_records_csv
-        records = reader(args.database_path)
+        records = sim.read_records_csv(args.database_path)
     except (OSError, ValueError) as exc:
         raise DataError(str(exc)) from exc
     try:

@@ -50,9 +50,13 @@ class PriorityVector:
 
     @classmethod
     def normalized(cls, values) -> "PriorityVector":
-        """Build from any positive vector by dividing through its sum."""
+        """Build from any positive vector by dividing through its sum, which must be finite too."""
         v = np.asarray(values, dtype=float)
-        return cls(v / v.sum())
+        with np.errstate(over="ignore"):
+            total = v.sum()
+        if not (np.all(np.isfinite(v)) and np.all(v > 0) and np.isfinite(total)):
+            raise ValueError("priority weights must be finite and strictly positive")
+        return cls(v / total)
 
     @property
     def n(self) -> int:

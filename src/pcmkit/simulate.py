@@ -11,11 +11,9 @@ worker (thread) counts.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
@@ -41,8 +39,6 @@ __all__ = [
     "run_msobe_sf",
     "write_records_csv",
     "read_records_csv",
-    "write_records_jsonl",
-    "read_records_jsonl",
     "RECORD_FIELDS",
     "MSOBE_RNG",
 ]
@@ -182,12 +178,6 @@ class MsobeResult:
     records: RecordTable
     skipped: int
     rev: dict
-
-    def __len__(self):
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
 
 
 @dataclass(frozen=True)
@@ -591,18 +581,17 @@ def run_msobe_sf(
 # ---------------------------------------------------------------------------
 # database serialization
 
-# Text forms per column dtype: CSV writes a flag as 1 or 0, both formats a float as its %.8g text,
-# JSONL the other fields natively.  A file is read as _READ_DTYPE (flags as numbers), then checked.
+# Text forms per column dtype: a flag as 1 or 0, a float as its %.8g text.  A file is read as
+# _READ_DTYPE (flags as numbers), then checked.
 _CSV_ROW = ",".join({np.float64: "%.8g", object: "%s"}.get(dtype, "%d") for dtype in _DTYPES.values()) + "\n"
 _READ_DTYPE = np.dtype([(name, np.float64 if dtype is np.bool_ else dtype) for name, dtype in _DTYPES.items()])
-# The JSON types a JSONL value may have, per column dtype: what the writer writes (floats as text) or a number.
-_JSON_TYPES = {np.int64: ("an integer", {int}), object: ("a string", {str}), np.bool_: ("true or false", {bool}),
-               np.float64: ("a string or number", {str, int, float})}
 # Value rules per field as (what, test); SI is only finite, because float round-off leaves values like -3e-16.
+# A distribution column is checked by its distinct values, and masked only to find the row of a bad one.
 _CHECKS = {
     "n": ("the order in row 1", lambda col: col == col[:1]),
     **{name: ("non-negative", lambda col: col >= 0) for name in ("vector_id", "perturbation_id", "seed")},
-    "distribution": (f"one of {', '.join(ERROR_DISTRIBUTIONS)}", lambda col: np.isin(col, ERROR_DISTRIBUTIONS)),
+    "distribution": (f"one of {', '.join(ERROR_DISTRIBUTIONS)}",
+                     lambda col: set(col.tolist()) <= set(ERROR_DISTRIBUTIONS) or np.isin(col, ERROR_DISTRIBUTIONS)),
     "big_error": ("0 or 1", lambda col: (col == 0) | (col == 1)),
     "si": ("finite", np.isfinite),
     **{name: ("finite and non-negative", lambda col: np.isfinite(col) & (col >= 0))
@@ -610,13 +599,12 @@ _CHECKS = {
 }
 
 
-def _cast(values, dtype, ndim: int):
-    """values as an array of dtype with ndim dimensions, or None if they are not one."""
+def _cast(values, dtype):
+    """values (text or numbers) as an array of dtype, or None if they are not one."""
     try:
-        out = np.asarray(values, dtype)
-    except (TypeError, ValueError, OverflowError):
+        return np.asarray(values, dtype)
+    except (ValueError, OverflowError):
         return None
-    return out if out.ndim == ndim else None
 
 
 def _checked_table(path, columns: dict) -> RecordTable:
@@ -629,14 +617,14 @@ def _checked_table(path, columns: dict) -> RecordTable:
     cast = {}
     for name, dtype in _DTYPES.items():
         values, read = columns[name], _READ_DTYPE[name]
-        col = _cast(values, read, 1)
+        col = _cast(values, read)
         if col is None:
-            row = next(k for k, x in enumerate(values) if _cast(x, read, 0) is None)
+            row = next(k for k, x in enumerate(values) if _cast(x, read) is None)
             raise ValueError(f"{path}: row {row + 1}: bad {name} value {values[row]!r}")
         if name in _CHECKS:
             what, check = _CHECKS[name]
             ok = check(col)
-            if not ok.all():
+            if not np.all(ok):
                 row = int(np.argmin(ok))
                 value = col[row] if dtype is object else f"{col[row]:g}"
                 raise ValueError(f"{path}: row {row + 1}: {name} is {value}, not {what}")
@@ -644,16 +632,12 @@ def _checked_table(path, columns: dict) -> RecordTable:
     return RecordTable(cast)
 
 
-def _column_blocks(records: RecordTable):
-    """Columns of each _BLOCK rows as lists of Python scalars, in field order, so a writer holds one block's objects."""
-    for lo in range(0, len(records), _BLOCK):
-        yield [records[name][lo:lo + _BLOCK].tolist() for name in RECORD_FIELDS]
-
-
 def write_records_csv(records: RecordTable, path) -> None:
+    """The header, then _BLOCK rows at a time, so the writer holds one block's Python scalars."""
     with open(path, "w") as fh:
         fh.write(",".join(RECORD_FIELDS) + "\n")
-        for columns in _column_blocks(records):
+        for lo in range(0, len(records), _BLOCK):
+            columns = [records[name][lo:lo + _BLOCK].tolist() for name in RECORD_FIELDS]
             fh.write("".join([_CSV_ROW % row for row in zip(*columns)]))
 
 
@@ -674,31 +658,3 @@ def read_records_csv(path) -> RecordTable:
                     raise ValueError(f"{path}: row {row}: {len(values)} fields, not {len(RECORD_FIELDS)}")
             return _checked_table(path, dict(zip(RECORD_FIELDS, zip(*cells))))
     return _checked_table(path, {name: rows[name] for name in RECORD_FIELDS})
-
-
-def write_records_jsonl(records: RecordTable, path) -> None:
-    """One JSON object per record; floats as their %.8g text, like the CSV columns."""
-    with open(path, "w") as fh:
-        for columns in _column_blocks(records):
-            columns = [[format(x, ".8g") for x in col] if dtype is np.float64 else col
-                       for col, dtype in zip(columns, _DTYPES.values())]
-            fh.write("".join([json.dumps(dict(zip(RECORD_FIELDS, row))) + "\n" for row in zip(*columns)]))
-
-
-def read_records_jsonl(path) -> RecordTable:
-    rows = []
-    for row, line in enumerate((line for line in Path(path).read_text().splitlines() if line.strip()), 1):
-        try:
-            record = json.loads(line)
-        except ValueError as exc:
-            raise ValueError(f"{path}: row {row}: not JSON ({exc})") from None
-        if not isinstance(record, dict) or record.keys() != _DTYPES.keys():
-            raise ValueError(f"{path}: row {row}: the fields are not {','.join(RECORD_FIELDS)}")
-        rows.append(record)
-    columns = {name: [record[name] for record in rows] for name in RECORD_FIELDS}
-    for name, dtype in _DTYPES.items():
-        what, types = _JSON_TYPES[dtype]
-        if not set(map(type, columns[name])) <= types:
-            row = next(k for k, x in enumerate(columns[name]) if type(x) not in types)
-            raise ValueError(f"{path}: row {row + 1}: {name} is {json.dumps(columns[name][row])}, not {what}")
-    return _checked_table(path, columns)

@@ -1,0 +1,25 @@
+"""The public names: every module's __all__ resolves and every star import works."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import pcmkit
+
+MODULES = sorted(info.name for info in pkgutil.iter_modules(pcmkit.__path__, "pcmkit."))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_all_entry_resolves(name):
+    module = importlib.import_module(name)
+    assert [entry for entry in getattr(module, "__all__", ()) if not hasattr(module, entry)] == []
+    namespace = {}
+    exec(f"from {name} import *", namespace)
+    assert set(getattr(module, "__all__", ())) <= namespace.keys()
+
+
+def test_package_star_import():
+    namespace = {}
+    exec("from pcmkit import *", namespace)
+    assert {"run_msobe_sf", "read_records_csv", "write_records_csv", "summarize_classes"} <= namespace.keys()

@@ -2,9 +2,11 @@
 
 import json
 import os
+import subprocess
+import sys
 import threading
 from dataclasses import astuple
-from typing import get_type_hints
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,9 +20,7 @@ from pcmkit.simulate import (
     RecordTable,
     SimRecord,
     read_records_csv,
-    read_records_jsonl,
     write_records_csv,
-    write_records_jsonl,
 )
 
 from pcmkit.stats import pearson, spearman, summarize_classes
@@ -49,12 +49,12 @@ def assert_one_line_error(capsys):
     return err
 
 
-def write_database(path, ati_values, writer=write_records_csv):
+def write_database(path, ati_values):
     """A database whose records differ only in their vector ids and ATI values."""
     template = SimRecord(4, 0, 0, "gamma", False, 0.1, 0.1, 0.5, 0.1, 0.01, 0.05, 0.01, 0.05, 1)
     columns = {name: np.full(len(ati_values), value) for name, value in zip(RECORD_FIELDS, astuple(template))}
     columns.update(vector_id=np.arange(len(ati_values)), ati=np.asarray(ati_values, dtype=float))
-    writer(RecordTable(columns), path)
+    write_records_csv(RecordTable(columns), path)
     return str(path)
 
 
@@ -79,37 +79,21 @@ BAD_ROWS = (
     {"seed": "-1"},
 )
 
-# The JSONL writer writes these fields as strings (floats as their text), the others as JSON values.
-STRING_FIELDS = {name for name, typ in get_type_hints(SimRecord).items() if typ in (float, str)}
-
-
-def json_value(field, text):
-    """A BAD_ROWS cell in JSONL: the text as a string where the writer writes one, else the JSON it spells."""
-    if field in STRING_FIELDS:
-        return text
-    try:
-        return json.loads(text)
-    except ValueError:
-        return text
-
-
-def assert_bad_row_3_is_named(tmp_path, capsys, name, writer):
+def assert_bad_row_3_is_named(tmp_path, capsys):
     """Each BAD_ROWS fault in row 3 of an otherwise valid database: report exits 2 naming file and row."""
-    good = write_database(tmp_path / name, np.linspace(0.1, 1.0, 30), writer)
+    good = write_database(tmp_path / "db.csv", np.linspace(0.1, 1.0, 30))
     assert main(["report", good, "--classes", "3"]) == EXIT_OK
     capsys.readouterr()
-    jsonl = name.endswith(".jsonl")
-    lines = (tmp_path / name).read_text().splitlines()
-    k = 2 if jsonl else 3  # CSV line 0 is the header
+    lines = (tmp_path / "db.csv").read_text().splitlines()
     for fault in BAD_ROWS:
-        row = json.loads(lines[k]) if jsonl else dict(zip(RECORD_FIELDS, lines[k].split(",")))
+        row = dict(zip(RECORD_FIELDS, lines[3].split(",")))  # line 0 is the header
         for field, text in fault.items():
             if text is None:
                 del row[field]
             else:
-                row[field] = json_value(field, text) if jsonl else text
-        bad = tmp_path / f"bad-{name}"
-        bad.write_text("\n".join(lines[:k] + [json.dumps(row) if jsonl else ",".join(row.values())] + lines[k + 1:]))
+                row[field] = text
+        bad = tmp_path / "bad-db.csv"
+        bad.write_text("\n".join(lines[:3] + [",".join(row.values())] + lines[4:]))
         assert main(["report", str(bad), "--classes", "3"]) == EXIT_DATA, fault
         assert assert_one_line_error(capsys).startswith(f"pcmkit: {bad}: row 3: "), fault
 
@@ -178,6 +162,15 @@ class TestUsageErrors:
         assert main(["analyze", ra_file, "--true-pv", "0.5,0.3,0.2"]) == EXIT_USAGE
         capsys.readouterr()
 
+    @pytest.mark.parametrize("true_pv", ["0,0,0,0", "inf,1,1,1", "1e308,1e308,1e308,1e308"])
+    def test_true_pv_that_cannot_be_normalized(self, ra_file, true_pv):
+        """A zero, infinite or overflowing sum is one error line on stderr, with no numpy warning before it."""
+        env = {**os.environ, "PYTHONPATH": str(Path(sim.__file__).parents[1])}
+        argv = [sys.executable, "-m", "pcmkit.cli", "analyze", ra_file, "--seed", "1", "--true-pv", true_pv]
+        run = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+        assert run.returncode == EXIT_USAGE and run.stdout == ""
+        assert run.stderr == "pcmkit: bad --true-pv: priority weights must be finite and strictly positive\n"
+
 
 class TestDataErrors:
     def test_missing_file(self, capsys):
@@ -233,14 +226,21 @@ class TestDataErrors:
         path.write_text("not,a,database\n")
         assert main(["report", str(path)]) == EXIT_DATA
         capsys.readouterr()
-        assert_bad_row_3_is_named(tmp_path, capsys, "db.csv", write_records_csv)
+        assert_bad_row_3_is_named(tmp_path, capsys)
 
     def test_report_on_json_lines_that_are_not_records(self, tmp_path, capsys):
-        path = tmp_path / "other.jsonl"
-        path.write_text('{"a": 1}\n')
-        assert main(["report", str(path)]) == EXIT_DATA
-        assert_one_line_error(capsys)
-        assert_bad_row_3_is_named(tmp_path, capsys, "db.jsonl", write_records_jsonl)
+        """JSON lines are not a simulation database, records among them too (one object per record, floats as
+        their text): report exits 2 with one line naming the file, and prints no table."""
+        record = SimRecord(4, 0, 0, "gamma", False, 0.1, 0.1, 0.5, 0.1, 0.01, 0.05, 0.01, 0.05, 1)
+        row = {name: format(x, ".8g") if type(x) is float else x for name, x in zip(RECORD_FIELDS, astuple(record))}
+        path = tmp_path / "db.jsonl"
+        for text in ('{"a": 1}\n', "".join(json.dumps({**row, "vector_id": k}) + "\n" for k in range(30))):
+            path.write_text(text)
+            for fmt in ("table", "csv"):
+                assert main(["report", str(path), "--classes", "3", "--format", fmt]) == EXIT_DATA
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err == f"pcmkit: {path}: not a simulation database (bad header)\n"
 
     def test_report_degenerate_partition(self, tmp_path, capsys):
         path = write_database(tmp_path / "flat.csv", [0.3] * 20)
@@ -328,7 +328,7 @@ class TestSimulate:
         manifest = json.loads((tmp_path / "db.csv.manifest.json").read_text())
         assert manifest["config"]["n"] == 4
         assert manifest["config"]["seed"] == 3
-        assert manifest["config"]["format"] == "csv"
+        assert "format" not in manifest["config"]
         assert manifest["skipped"] == 400 - len(records)
         assert manifest["rng"] == {"stream": "msobe-block", "block": 1024} == sim.MSOBE_RNG
 
@@ -386,28 +386,6 @@ class TestSimulate:
         assert capsys.readouterr().err == f"pcmkit: {link} is a pipe, device or link; no manifest written (see --manifest)\n"
         assert out.read_bytes() == received[0] and not (tmp_path / "link.manifest.json").exists()
 
-    def test_msobe_jsonl(self, tmp_path, capsys):
-        out = tmp_path / "db.jsonl"
-        code = main(
-            [
-                "simulate",
-                "msobe",
-                "--n",
-                "4",
-                "--total",
-                "400",
-                "--seed",
-                "3",
-                "--format",
-                "jsonl",
-                "--out",
-                str(out),
-            ]
-        )
-        capsys.readouterr()
-        assert code == EXIT_OK
-        assert len(read_records_jsonl(out)) >= 399
-
     def test_msobe_seed_beyond_int64_is_rejected(self, tmp_path, capsys):
         out = tmp_path / "db.csv"
         argv = ["simulate", "msobe", "--n", "4", "--total", "8", "--seed", str(2**63), "--out", str(out)]
@@ -423,14 +401,14 @@ class TestSimulate:
         capsys.readouterr()
         assert set(read_records_csv(out)["seed"].tolist()) == {2**63 - 1}
 
-    @pytest.mark.parametrize("framework", ["mse", "nee"])
+    @pytest.mark.parametrize("framework", ["mse", "nee", "msobe"])
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_format_is_for_msobe_only(self, tmp_path, capsys, framework, fmt):
-        out = tmp_path / "summary.json"
-        code = main(["simulate", framework, "--n", "4", "--runs", "3", "--nr", "3", "--format", fmt, "--out", str(out)])
-        err = capsys.readouterr().err
-        assert code == EXIT_USAGE
-        assert err.startswith("pcmkit: --format") and err.count("\n") == 1
+        """simulate has no --format: msobe writes CSV only, mse and nee one JSON summary."""
+        out = tmp_path / "out"
+        argv = ["simulate", framework, "--n", "4", "--runs", "3", "--nr", "3", "--total", "40", "--seed", "1"]
+        assert main(argv + ["--format", fmt, "--out", str(out)]) == EXIT_USAGE
+        assert assert_one_line_error(capsys) == f"pcmkit: unrecognized arguments: --format {fmt}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("framework", ["mse", "nee"])
@@ -490,17 +468,6 @@ class TestReportAndAccept:
         assert capsys.readouterr().out.splitlines()[-4:] == ["q10,,", "median,,", "q90,,", "mean_error,,"]
         assert main(["report", flat, "--classes", "3"]) == EXIT_OK
         assert capsys.readouterr().out.count("undefined") == 8
-
-    def test_report_reads_jsonl(self, database, tmp_path, capsys):
-        jsonl = tmp_path / "db.jsonl"
-        argv = ["simulate", "msobe", "--n", "4", "--total", "2000", "--seed", "4"]
-        assert main(argv + ["--format", "jsonl", "--out", str(jsonl)]) == EXIT_OK
-        capsys.readouterr()
-        for fmt in ("table", "csv"):
-            assert main(["report", database, "--format", fmt]) == EXIT_OK
-            from_csv = capsys.readouterr().out
-            assert main(["report", str(jsonl), "--format", fmt]) == EXIT_OK
-            assert capsys.readouterr().out == from_csv
 
     def test_report_csv_to_file(self, database, tmp_path, capsys):
         out = tmp_path / "rep.csv"

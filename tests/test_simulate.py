@@ -1,7 +1,6 @@
 """Monte-Carlo frameworks: error models, determinism, record IO, sanity sweeps."""
 
 import hashlib
-import json
 import math
 import os
 import subprocess
@@ -35,12 +34,10 @@ from pcmkit.simulate import (
     perturb_entry,
     random_pv,
     read_records_csv,
-    read_records_jsonl,
     run_mse_sf,
     run_msobe_sf,
     run_nee_sf,
     write_records_csv,
-    write_records_jsonl,
 )
 
 
@@ -202,13 +199,13 @@ class TestBigErrorDatabase:
     def test_record_fields_and_quarter_split(self):
         res = run_msobe_sf(4, 800, seed=13)
         assert isinstance(res, MsobeResult)
-        assert len(res) + res.skipped == 800
-        dist_counts = Counter(r.distribution for r in res)
+        assert len(res.records) + res.skipped == 800
+        dist_counts = Counter(r.distribution for r in res.records)
         names = [m.distribution for m in default_error_models()]
         assert set(dist_counts) == set(names)
         for name in names:
             assert abs(dist_counts[name] - 200) <= res.skipped
-        for rec in list(res)[:5]:
+        for rec in list(res.records)[:5]:
             assert isinstance(rec, SimRecord)
             assert rec.n == 4
             for f in RECORD_FIELDS:
@@ -216,14 +213,14 @@ class TestBigErrorDatabase:
 
     def test_big_error_fraction(self):
         res = run_msobe_sf(4, 8000, seed=14)
-        frac = np.mean([r.big_error for r in res])
+        frac = np.mean([r.big_error for r in res.records])
         assert frac == pytest.approx(0.75, abs=0.02)
 
     def test_big_error_probability_override(self):
         res = run_msobe_sf(4, 400, big=BigErrorModel(apply_probability=0.0), seed=15)
-        assert not any(r.big_error for r in res)
+        assert not any(r.big_error for r in res.records)
         res = run_msobe_sf(4, 400, big=BigErrorModel(apply_probability=1.0), seed=15)
-        assert all(r.big_error for r in res)
+        assert all(r.big_error for r in res.records)
 
     def test_worker_count_does_not_change_output(self, monkeypatch):
         # Chunks of two record blocks: four chunks for three threads, which switch as often as they can.
@@ -256,8 +253,8 @@ class TestBigErrorDatabase:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(simulate, "ThreadPoolExecutor", InlinePool)
-        assert len(run_msobe_sf(4, 8192, seed=16, workers=10**6)) > 0
-        assert len(run_msobe_sf(7, 8192, seed=16, workers=10**6)) > 0
+        assert len(run_msobe_sf(4, 8192, seed=16, workers=10**6).records) > 0
+        assert len(run_msobe_sf(7, 8192, seed=16, workers=10**6).records) > 0
         assert pools == [1, 2]  # one 12288-record chunk at n=4, two of 4096 at n=7
 
     @pytest.mark.parametrize("n", range(4, 10))
@@ -296,7 +293,7 @@ class TestBigErrorDatabase:
 
         monkeypatch.setattr(simulate, "batch_rev", never_converges)
         res = run_msobe_sf(4, 40, seed=2)
-        assert (len(res), res.skipped) == (0, 40)
+        assert (len(res.records), res.skipped) == (0, 40)
         assert res.rev == dict.fromkeys(("iterations_mean", "iterations_p99", "iterations_max", "residual_max"))
 
     @pytest.mark.parametrize("dpv", [1, 3])
@@ -305,7 +302,7 @@ class TestBigErrorDatabase:
         # blocks, and the last block holds 4 records.  One chunk by default,
         # then chunks of two blocks (three chunks) and of one block (five).
         a = run_msobe_sf(4, 4100, seed=20, workers=1, disturbances_per_vector=dpv)
-        assert len(a) + a.skipped == 4100
+        assert len(a.records) + a.skipped == 4100
         monkeypatch.setattr(simulate, "_STACK_ENTRIES", 2 * simulate._BLOCK * 4 * 4)
         b = run_msobe_sf(4, 4100, seed=20, workers=2, disturbances_per_vector=dpv)
         c = run_msobe_sf(4, 4100, seed=20, workers=1, disturbances_per_vector=dpv)
@@ -315,22 +312,20 @@ class TestBigErrorDatabase:
             assert a.records == other.records and a.skipped == other.skipped
 
         def written(result):
-            csv, jsonl = tmp_path / "db.csv", tmp_path / "db.jsonl"
-            write_records_csv(result.records, csv)
-            write_records_jsonl(result.records, jsonl)
-            return csv.read_bytes(), jsonl.read_bytes()
+            write_records_csv(result.records, tmp_path / "db.csv")
+            return (tmp_path / "db.csv").read_bytes()
 
         assert written(a) == written(b) == written(c) == written(d)
 
     def test_record_seed_column_is_the_master_seed(self):
         res = run_msobe_sf(4, 400, seed=21)
-        assert {r.seed for r in res} == {21}
-        assert all(type(r.seed) is int for r in res)
+        assert {r.seed for r in res.records} == {21}
+        assert all(type(r.seed) is int for r in res.records)
 
     def test_record_replays_from_seed_index_and_block(self):
         """Record 3075 of 4100 from its block's stream alone: the stream definition, pinned."""
         seed, total, idx = 23, 4100, 3075
-        rec = list(run_msobe_sf(4, total, seed=seed))[idx]
+        rec = list(run_msobe_sf(4, total, seed=seed).records)[idx]
         block, row = divmod(idx, simulate._BLOCK)  # block 3 = records 3072..4095
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1, block)))
         models = default_error_models()
@@ -367,12 +362,12 @@ class TestBigErrorDatabase:
 
     def test_shared_vector_groups(self):
         res = run_msobe_sf(4, 400, seed=17, disturbances_per_vector=4)
-        ids = [r.vector_id for r in res]
+        ids = [r.vector_id for r in res.records]
         counts = Counter(ids)
         assert max(counts.values()) <= 4
         # perturbation ids cycle within a group
         by_vec = {}
-        for r in res:
+        for r in res.records:
             by_vec.setdefault(r.vector_id, []).append(r.perturbation_id)
         assert any(sorted(v) == [0, 1, 2, 3] for v in by_vec.values())
 
@@ -384,7 +379,7 @@ class TestBigErrorDatabase:
 
     def test_indices_are_plausible(self):
         res = run_msobe_sf(5, 400, seed=18)
-        for r in res:
+        for r in res.records:
             assert 0.0 <= r.ati <= r.ki < 1.0
             assert r.si >= -1e-12
             assert r.gi >= 0.0
@@ -423,29 +418,6 @@ class TestRecordIO:
             for f in ("si", "gi", "ki", "ati") + ERROR_NAMES:
                 assert getattr(b, f) == pytest.approx(getattr(a, f), rel=1e-6)
 
-    def test_jsonl_round_trip(self, tmp_path, records):
-        path = tmp_path / "db.jsonl"
-        write_records_jsonl(records, path)
-        back = read_records_jsonl(path)
-        assert len(back) == len(records)
-        for a, b in zip(records, back):
-            assert (a.n, a.vector_id, a.perturbation_id, a.distribution, a.big_error, a.seed) == (
-                b.n,
-                b.vector_id,
-                b.perturbation_id,
-                b.distribution,
-                b.big_error,
-                b.seed,
-            )
-            for f in ("si", "gi", "ki", "ati") + ERROR_NAMES:
-                assert getattr(b, f) == pytest.approx(getattr(a, f), rel=1e-6)
-
-    def test_csv_and_jsonl_agree(self, tmp_path, records):
-        cpath, jpath = tmp_path / "db.csv", tmp_path / "db.jsonl"
-        write_records_csv(records, cpath)
-        write_records_jsonl(records, jpath)
-        assert read_records_csv(cpath) == read_records_jsonl(jpath)
-
     def test_csv_blank_lines_read_as_the_clean_file(self, tmp_path, records):
         """Empty and whitespace-only lines, between rows and at the end, are skipped; so are CRLF line ends."""
         clean = tmp_path / "clean.csv"
@@ -482,7 +454,7 @@ class TestRecordIO:
 
     @pytest.mark.parametrize("blocks", [0, 1, 2.5])
     def test_writers_write_blocks_as_all_rows_at_once(self, tmp_path, blocks):
-        """Written a block of rows at a time, both formats hold the bytes of every row formatted at once."""
+        """Written a block of rows at a time, the CSV file holds the bytes of every row formatted at once."""
         size = int(blocks * simulate._BLOCK)
         whole = run_msobe_sf(4, 2600, seed=5).records
         records = RecordTable({name: col[:size] for name, col in whole.columns.items()})
@@ -490,20 +462,12 @@ class TestRecordIO:
         rows = [astuple(r) for r in records]
         text = {float: lambda x: format(x, ".8g"), bool: lambda x: str(int(x))}
         csv = "".join(",".join(text.get(type(x), str)(x) for x in row) + "\n" for row in rows)
-        jsonl = "".join(json.dumps({f: text[float](x) if type(x) is float else x for f, x in zip(RECORD_FIELDS, row)})
-                        + "\n" for row in rows)
         write_records_csv(records, tmp_path / "db.csv")
-        write_records_jsonl(records, tmp_path / "db.jsonl")
         assert (tmp_path / "db.csv").read_bytes() == (",".join(RECORD_FIELDS) + "\n" + csv).encode()
-        assert (tmp_path / "db.jsonl").read_bytes() == jsonl.encode()
 
     def test_written_bytes_are_pinned(self, tmp_path):
-        """Both formats of one small database, byte for byte: the stream, kernels and text forms together."""
+        """One small database, byte for byte: the stream, kernels and text forms together."""
         records = run_msobe_sf(4, 400, seed=3).records
         write_records_csv(records, tmp_path / "db.csv")
-        write_records_jsonl(records, tmp_path / "db.jsonl")
-        digests = [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in ("db.csv", "db.jsonl")]
-        assert digests == [
-            "a525c8536bf6b1b70d56e369fc8538f5afc010bf3084e7d4cb90b18cae96e0ce",
-            "6f12a118414d0885facc36f9249a5823f93abe560b831e31079c69f28421510b",
-        ]
+        digest = hashlib.sha256((tmp_path / "db.csv").read_bytes()).hexdigest()
+        assert digest == "a525c8536bf6b1b70d56e369fc8538f5afc010bf3084e7d4cb90b18cae96e0ce"
