@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Pcm
+from .core import Pcm, _read_text
 from .indices import compute_ati
 from .stats import ClassPartition, assign_classes, summarize_classes
 
@@ -227,7 +227,7 @@ def write_table(table: QuantileTable, path) -> None:
 
 def read_table(path) -> QuantileTable:
     """Read a `write_table` file; a file in the builtin's nine columns, without the loss, holds RE."""
-    lines = Path(path).read_text().splitlines()
+    lines = _read_text(path).splitlines()
     if not lines or lines[0] not in (_TABLE_HEADER, _LOSS_HEADER):
         raise ValueError(f"{path}: not a quantile table (bad header)")
     try:

@@ -202,10 +202,19 @@ def _parse_token(token: str) -> float:
         raise PcmFormatError(f"bad numeric token {token!r}") from exc
 
 
+def _read_text(path, error=ValueError) -> str:
+    """The file's text; a file that is not UTF-8 raises `error` naming it and its first bad byte."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text (byte {data[exc.start]:#04x} at position {exc.start})") from None
+
+
 def read_pcm(path) -> Pcm:
     """Read a PCM from CSV text; tokens are decimals or exact fractions p/q."""
     rows = []
-    for line in Path(path).read_text().splitlines():
+    for line in _read_text(path, PcmFormatError).splitlines():
         if not line.strip():
             continue
         rows.append([_parse_token(tok) for tok in line.split(",")])

@@ -18,7 +18,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .core import Pcm, PriorityVector, round_matrix_to_scale, _as_matrix
+from .core import Pcm, PriorityVector, round_matrix_to_scale, _as_matrix, _read_text
 from .indices import batch_gi, batch_ki_ati, batch_si
 from .loss import batch_absolute_error, batch_relative_error
 from .prioritize import batch_gm, batch_rev
@@ -642,15 +642,19 @@ def write_records_csv(records: RecordTable, path) -> None:
 
 
 def read_records_csv(path) -> RecordTable:
-    with open(path) as fh:
-        if fh.readline().rstrip("\n").split(",") != list(RECORD_FIELDS):
-            raise ValueError(f"{path}: not a simulation database (bad header)")
-        lines = fh.readlines()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            if fh.readline().rstrip("\n").split(",") != list(RECORD_FIELDS):
+                raise ValueError(f"{path}: not a simulation database (bad header)")
+            lines = fh.readlines()
+    except UnicodeDecodeError:  # its position counts from the chunk read; decode the whole file to name the byte
+        _read_text(path)
+        raise
     if not any(line.strip() for line in lines):  # loadtxt warns on a file with no rows
         rows = np.empty(0, _READ_DTYPE)
     else:
         try:  # loadtxt skips empty lines but not whitespace-only ones
-            rows = np.loadtxt(lines, dtype=_READ_DTYPE, delimiter=",", ndmin=1)
+            rows = np.loadtxt(lines, dtype=_READ_DTYPE, delimiter=",", comments=None, ndmin=1)
         except ValueError:  # a row at fault or a whitespace-only line: split the rows as text and check them
             cells = [line.rstrip("\n").split(",") for line in lines if line.strip()]
             for row, values in enumerate(cells, 1):

@@ -95,6 +95,30 @@ def quantile(sample: Sequence[float], p: float) -> float:
     return float(np.quantile(arr, p))
 
 
+def _linear_quantiles(values, ordered, starts, counts, q) -> np.ndarray:
+    """np.quantile(values[s:s + m], q) of each slice as one (slices, len(q)) array, bit for bit.
+
+    `ordered` holds the same slices, each sorted (NaN last); the steps are
+    numpy's "linear" method.
+    """
+    rank = (counts[:, None] - 1) * np.asarray(q)
+    # A rank at or past the last place reads the last value twice, with weight rank + 1.
+    top = rank >= counts[:, None] - 1
+    prev = np.where(top, -1, np.floor(rank))
+    lo = starts[:, None] + np.where(top, counts[:, None] - 1, prev).astype(np.intp)
+    a, b, t = ordered[lo], ordered[np.where(top, lo, lo + 1)], rank - prev
+    diff = b - a
+    out = a + diff * t
+    np.subtract(b, diff * (1 - t), out=out, where=t >= 0.5)
+    last = ordered[starts + counts - 1]
+    nan = np.isnan(last)
+    out[nan] = last[nan][:, None]  # a slice holding NaN has that NaN as every quantile
+    # A zero read between zeros takes its sign from where np.quantile's partition puts -0.0 and 0.0.
+    for c in np.flatnonzero((out == 0).any(axis=1)):
+        out[c] = np.quantile(values[starts[c]:starts[c] + counts[c]], q)
+    return out
+
+
 @dataclass(frozen=True)
 class ClassPartition:
     """Split of [0, inf) into n_classes half-open intervals; boundaries increase strictly from 0 to +inf."""
@@ -118,7 +142,9 @@ def make_partition(index_values: Sequence[float], n_classes: int) -> ClassPartit
     arr = np.asarray(index_values, dtype=float)
     if arr.size < n_classes:
         raise PartitionError(f"{arr.size} values cannot fill {n_classes} classes")
-    interior = np.linspace(*np.quantile(arr, (1.0 / n_classes, 1.0 - 1.0 / n_classes)), n_classes - 1)
+    q = np.array((1.0 / n_classes, 1.0 - 1.0 / n_classes))
+    bounds = _linear_quantiles(arr, np.sort(arr), np.zeros(1, np.intp), np.array([arr.size]), q)[0]
+    interior = np.linspace(*bounds, n_classes - 1)
     try:
         return ClassPartition((0.0, *interior, np.inf), n_classes)
     except ValueError as exc:
@@ -164,23 +190,19 @@ def summarize_classes(records, index: str, error: str, n_classes: int = 15) -> l
     # makes each class a slice holding its records in database order, the
     # order a per-class mask gives, so every mean and quantile is the same.
     order = np.argsort(classes.astype(np.min_scalar_type(n_classes)), kind="stable")
-    idx_sorted, err_sorted = idx_vals[order], err_vals[order]
-    ends = np.cumsum(counts).tolist()
-    out = []
-    for c, lo, hi in zip(range(1, n_classes + 1), [0, *ends], ends):
-        errs = err_sorted[lo:hi]
-        q10, median, q90 = np.quantile(errs, (0.1, 0.5, 0.9)).tolist()
-        out.append(
-            ClassSummary(
-                class_index=c,
-                lower=part.boundaries[c - 1],
-                upper=part.boundaries[c],
-                count=hi - lo,
-                mean_index_value=float(idx_sorted[lo:hi].mean()),
-                q10=q10,
-                median=median,
-                q90=q90,
-                mean_error=float(errs.mean()),
-            )
-        )
-    return out
+    idx_grouped, err_grouped = idx_vals[order], err_vals[order]
+    err_ordered = err_grouped.copy()
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    means = []
+    for lo, hi in zip(starts.tolist(), ends.tolist()):
+        # np.add.reduce(x) / x.size is what x.mean() computes
+        means.append((np.add.reduce(idx_grouped[lo:hi]) / (hi - lo), np.add.reduce(err_grouped[lo:hi]) / (hi - lo)))
+        err_ordered[lo:hi].sort()
+    quantiles = _linear_quantiles(err_grouped, err_ordered, starts, counts, (0.1, 0.5, 0.9))
+    return [
+        ClassSummary(c, part.boundaries[c - 1], part.boundaries[c], count, float(mean_idx), q10, median, q90,
+                     float(mean_err))
+        for c, count, (mean_idx, mean_err), (q10, median, q90) in zip(
+            range(1, n_classes + 1), counts.tolist(), means, quantiles.tolist())
+    ]

@@ -183,6 +183,18 @@ class TestDataErrors:
             assert main(argv + ["--out", out]) == EXIT_DATA
             assert assert_one_line_error(capsys).startswith("pcmkit: cannot write output: ")
 
+    def test_file_that_is_not_utf8_is_named(self, tmp_path, rb_file, capsys):
+        """100 random bytes as a PCM, a table or a database: exit 2 with one line naming the file and the byte."""
+        data = np.random.default_rng(5).bytes(100)
+        with pytest.raises(UnicodeDecodeError):
+            data.decode()
+        path = tmp_path / "noise.csv"
+        path.write_bytes(data)
+        for argv in (["analyze", str(path)], ["accept", rb_file, "--threshold", "1", "--table", str(path)],
+                     ["report", str(path)]):
+            assert main(argv) == EXIT_DATA, argv
+            assert assert_one_line_error(capsys).startswith(f"pcmkit: {path}: not UTF-8 text (byte 0x"), argv
+
     def test_oversized_fraction_token(self, tmp_path, capsys):
         """A p/q too large for a float is a bad token, as 1/0 is."""
         big = "1" + "0" * 400 + "/1"
@@ -241,6 +253,15 @@ class TestDataErrors:
                 captured = capsys.readouterr()
                 assert captured.out == ""
                 assert captured.err == f"pcmkit: {path}: not a simulation database (bad header)\n"
+
+    def test_report_reads_hash_as_data(self, tmp_path, capsys):
+        """'#' starts no comment in a database: a row ending in one, or a note line between rows, is a bad row."""
+        lines = Path(write_database(tmp_path / "db.csv", np.linspace(0.1, 1.0, 8))).read_text().splitlines()
+        bad = tmp_path / "bad.csv"
+        for text in ([*lines[:4], lines[4] + " # edited by hand", *lines[5:]], [*lines[:4], "# a note", *lines[4:]]):
+            bad.write_text("\n".join(text) + "\n")
+            assert main(["report", str(bad), "--classes", "3"]) == EXIT_DATA
+            assert assert_one_line_error(capsys).startswith(f"pcmkit: {bad}: row 4: ")
 
     def test_report_degenerate_partition(self, tmp_path, capsys):
         path = write_database(tmp_path / "flat.csv", [0.3] * 20)

@@ -441,6 +441,22 @@ class TestRecordIO:
         with pytest.raises(ValueError, match=rf"^{bad}: row 3: "):
             read_records_csv(bad)
 
+    def test_csv_hash_is_data_and_a_clean_file_reads_back_unchanged(self, tmp_path, records):
+        """'#' is a value the reader refuses, not a comment; a file without one writes back byte for byte."""
+        clean = tmp_path / "clean.csv"
+        write_records_csv(records, clean)
+        again = tmp_path / "again.csv"
+        write_records_csv(read_records_csv(clean), again)
+        assert again.read_bytes() == clean.read_bytes()
+        header, *rows = clean.read_text().splitlines()
+        bad = tmp_path / "bad.csv"
+        for text, message in (([header, *rows[:2], rows[2] + " # edited by hand", *rows[3:]],
+                               "row 3: bad seed value '19 # edited by hand'"),
+                              ([header, *rows[:3], "# a note", *rows[3:]], f"row 4: 1 fields, not {len(RECORD_FIELDS)}")):
+            bad.write_text("\n".join(text) + "\n")
+            with pytest.raises(ValueError, match=rf"^{bad}: {message}$"):
+                read_records_csv(bad)
+
     @pytest.mark.parametrize("body", ["", "\n", "\n  \n\t\n"])
     def test_csv_header_only_reads_no_records_without_warning(self, tmp_path, body):
         path = tmp_path / "db.csv"

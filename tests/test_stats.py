@@ -5,6 +5,8 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pcmkit.simulate import ERROR_NAMES, INDEX_NAMES, run_msobe_sf
 from pcmkit.stats import (
@@ -21,6 +23,7 @@ from pcmkit.stats import (
     spearman_or_nan,
     summarize_classes,
 )
+from pcmkit.stats import _linear_quantiles
 
 
 def loop_average_ranks(x):
@@ -262,3 +265,59 @@ class TestGroupedSummaries:
                 for n_classes in (3, 15, 40):
                     expected = summaries_or_error(mask_loop_summaries, records, index, error, n_classes)
                     assert summaries_or_error(summarize_classes, records, index, error, n_classes) == expected
+
+
+# Values that tie heavily, with both zeros, both infinities and NaN, mixed with any finite float.
+SAMPLE_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.25, np.inf, -np.inf, np.nan]),
+                          st.floats(allow_nan=False, allow_infinity=False))
+
+
+def quantile_partition(values, n_classes):
+    """make_partition with its bounds from np.quantile: the reference for the sorted read."""
+    arr = np.asarray(values, dtype=float)
+    if arr.size < n_classes:
+        raise PartitionError(f"{arr.size} values cannot fill {n_classes} classes")
+    interior = np.linspace(*np.quantile(arr, (1.0 / n_classes, 1.0 - 1.0 / n_classes)), n_classes - 1)
+    try:
+        return ClassPartition((0.0, *interior, np.inf), n_classes)
+    except ValueError as exc:
+        raise PartitionError(f"degenerate sample: {exc}") from None
+
+
+def partition_or_error(partition, values, n_classes):
+    try:
+        return partition(values, n_classes).boundaries
+    except PartitionError as exc:
+        return str(exc)
+
+
+class TestLinearQuantiles:
+    """The one-step quantile read equals np.quantile's "linear" method bit for bit, sign of zero and NaN included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(SAMPLE_VALUES, min_size=1, max_size=60), min_size=1, max_size=15))
+    @example([[-0.0], [0.0], [np.inf], [np.nan], [-0.0, 0.0, 0.0, -0.0, -0.0], [1.0, np.nan, -1.0], [-np.inf, np.inf]])
+    def test_classes_match_numpy(self, samples):
+        counts = np.array([len(sample) for sample in samples])
+        starts = np.cumsum(counts) - counts
+        values = np.concatenate([np.array(sample, dtype=float) for sample in samples])
+        ordered = values.copy()
+        for lo, m in zip(starts, counts):
+            ordered[lo:lo + m].sort()
+        with np.errstate(invalid="ignore"):
+            got = _linear_quantiles(values, ordered, starts, counts, (0.1, 0.5, 0.9))
+            for sample, row in zip(samples, got):
+                expected = np.quantile(np.array(sample, dtype=float), (0.1, 0.5, 0.9))
+                assert np.array_equal(row, expected, equal_nan=True), (sample, row, expected)
+                assert (np.signbit(row) == np.signbit(expected)).all(), (sample, row, expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.lists(st.one_of(SAMPLE_VALUES, st.floats(0, 1)), max_size=80),
+                     st.builds(lambda v, m: [v] * m, SAMPLE_VALUES, st.integers(0, 80))),
+           st.integers(3, 20))
+    @example([0.1, 0.2, np.nan, 0.4, 0.5, 0.6], 3)
+    @example([-0.0, 0.0] * 10, 4)
+    def test_partition_matches_numpy_bounds(self, values, n_classes):
+        with np.errstate(invalid="ignore"):
+            expected = partition_or_error(quantile_partition, values, n_classes)
+            assert partition_or_error(make_partition, values, n_classes) == expected
