@@ -40,13 +40,23 @@ def batch_rev(a: np.ndarray, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_M
     Starts from the uniform vector and renormalizes by the component sum at
     each step.  Each pass iterates only the records still moving, held as a
     compacted C-contiguous stack: a record stops the moment every component
-    of its successive-iterate difference is within tol, and its weights,
-    iteration count and convergence flag are written out on that pass, so its
-    result never depends on the rest of the stack.  A record still moving
-    after max_iter passes keeps its last iterate.  lambda_max is the mean of
-    the Rayleigh ratios (A w)_i / w_i.  Returns weights (b, n) and, per
-    record, lambda_max, iterations, the residual max |A w - lambda_max w| and
-    whether it converged.
+    of its successive-iterate difference is within tol, and its weights and
+    iteration count are written out on that pass, so its result never
+    depends on the rest of the stack.  A record still moving after max_iter
+    passes keeps its last iterate.  lambda_max is the mean of the Rayleigh
+    ratios (A w)_i / w_i.  Returns weights (b, n) and, per record,
+    lambda_max, iterations, the residual max |A w - lambda_max w| and whether
+    it converged.
+
+    Both per-record reductions of a pass run across records, on a
+    component-major (n, active) copy of the product: the normaliser adds the
+    components left to right, one vector add per component (the order numpy's
+    row sum takes below 8 terms), and the convergence test ands the n
+    component tests.  A reduction along a row of only n values would pay
+    numpy's per-row set-up, and numpy's row sum from 8 terms on is pairwise,
+    in an order that follows the memory layout.  The einsum itself keeps its
+    C-contiguous (active, n, n) and (active, n) operands, because its
+    summation order also follows their layout.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, not {max_iter}")
@@ -56,24 +66,29 @@ def batch_rev(a: np.ndarray, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_M
     b, n, _ = a.shape
     w = np.full((b, n), 1.0 / n)
     iterations = np.full(b, max_iter)
-    converged = np.zeros(b, dtype=bool)
     a_act, w_act, idx = a, w, np.arange(b)
+    wt = w.T  # the active iterate, component-major
     it = 0
     while idx.size and it < max_iter:
         it += 1
-        y = np.einsum("bij,bj->bi", a_act, w_act)
-        y /= y.sum(axis=1, keepdims=True)
-        done = (np.abs(y - w_act) <= tol).all(axis=1)
-        w_act = y
+        yt = np.einsum("bij,bj->bi", a_act, w_act).T.copy()
+        total = yt[0].copy()
+        for component in yt[1:]:
+            total += component
+        yt /= total
+        done = np.logical_and.reduce(np.abs(yt - wt) <= tol, axis=0)
+        wt = yt
         if done.any():
             stop, keep = idx[done], ~done
-            w[stop] = y[done]
+            w[stop] = yt[:, done].T
             iterations[stop] = it
-            converged[stop] = True
-            idx, w_act = idx[keep], y[keep]
+            idx, wt = idx[keep], yt[:, keep]
             del a_act  # the old active copy goes before the new one is gathered, so at most one exists
             a_act = a[idx]
+        w_act = np.ascontiguousarray(wt.T)
     w[idx] = w_act
+    converged = np.ones(b, dtype=bool)
+    converged[idx] = False
     aw = np.einsum("bij,bj->bi", a, w)
     lam = np.mean(aw / w, axis=1)
     residual = np.max(np.abs(aw - lam[:, None] * w), axis=1)

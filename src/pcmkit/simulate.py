@@ -22,7 +22,7 @@ from .core import Pcm, PriorityVector, round_matrix_to_scale, _as_matrix, _read_
 from .indices import batch_gi, batch_ki_ati, batch_si
 from .loss import batch_absolute_error, batch_relative_error
 from .prioritize import batch_gm, batch_rev
-from .stats import average_ranks, batch_pearson
+from .stats import average_ranks, pearson_pairs
 
 __all__ = [
     "ErrorModel",
@@ -341,8 +341,7 @@ def _correlate_blocks(framework: str, n: int, blocks) -> CorrelationSummary:
         metrics, failed = _batch_metrics(a.reshape(-1, n, n), np.repeat(v, steps, axis=0))
         ok = ~failed.reshape(b, steps).any(axis=1)
         rows = np.stack([metrics[name].reshape(b, steps) for name in TRACKED_NAMES] + [target], axis=1)[ok]
-        ranks = average_ranks(rows)
-        coeffs = np.stack([batch_pearson(ranks[:, x], ranks[:, y]), batch_pearson(rows[:, x], rows[:, y])])
+        coeffs = np.stack([pearson_pairs(average_ranks(rows), x, y), pearson_pairs(rows, x, y)])
         valid = ~np.isnan(coeffs)
         # Added left to right, one run after another, so the means do not depend on the block size.
         terms = np.concatenate([sums[:, None], np.where(valid, coeffs, 0.0)], axis=1)

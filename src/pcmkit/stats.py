@@ -12,6 +12,7 @@ __all__ = [
     "ClassPartition",
     "ClassSummary",
     "batch_pearson",
+    "pearson_pairs",
     "pearson",
     "spearman",
     "quantile",
@@ -30,14 +31,25 @@ class PartitionError(ValueError):
     """The sample cannot be split into the requested quantile classes."""
 
 
+def pearson_pairs(rows, x, y) -> np.ndarray:
+    """Pearson coefficients of the row pairs (x[p], y[p]) of a (..., rows, L) stack, as (..., pairs).
+
+    Each row is centred and normed once, however many pairs it is in, and a
+    pair gives what the two rows give alone; NaN where a row has zero variance.
+    """
+    d = rows - rows.mean(axis=-1, keepdims=True)
+    ss = (d * d).sum(axis=-1)
+    denom = np.sqrt(ss[..., x] * ss[..., y])
+    products = np.take(d, x, axis=-2)
+    products *= np.take(d, y, axis=-2)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        r = np.where(denom == 0, np.nan, products.sum(axis=-1) / denom)
+    return np.clip(r, -1.0, 1.0)
+
+
 def batch_pearson(x, y) -> np.ndarray:
     """Pearson coefficients of paired rows (last axis); NaN where a row has zero variance."""
-    xd = x - x.mean(axis=-1, keepdims=True)
-    yd = y - y.mean(axis=-1, keepdims=True)
-    denom = np.sqrt((xd * xd).sum(axis=-1) * (yd * yd).sum(axis=-1))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        r = np.where(denom == 0, np.nan, (xd * yd).sum(axis=-1) / denom)
-    return np.clip(r, -1.0, 1.0)
+    return pearson_pairs(np.stack(np.broadcast_arrays(x, y), axis=-2), [0], [1])[..., 0]
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:

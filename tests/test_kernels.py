@@ -17,7 +17,7 @@ from pcmkit.core import SAATY_SCALE, SaatyScale, round_matrix_to_scale
 from pcmkit.indices import batch_gi, batch_ki_ati, batch_si, estimate_asi, triad_values
 from pcmkit.loss import batch_absolute_error, batch_relative_error
 from pcmkit.prioritize import batch_gm, batch_rev
-from pcmkit.stats import average_ranks, batch_pearson
+from pcmkit.stats import average_ranks, batch_pearson, pearson_pairs
 
 STACK = 48
 
@@ -101,6 +101,59 @@ def saaty_stack(rng, n, size):
     a[:, iu, ju] = rng.choice(SAATY_SCALE.as_array(), size=(size, iu.size))
     a[:, ju, iu] = 1.0 / a[:, iu, ju]
     return a
+
+
+def row_wise_rev(a, normaliser, tol=1e-12, max_iter=10_000):
+    """batch_rev with each pass reducing along every record's row: einsum, y / normaliser(y), row-wise all."""
+    a = np.ascontiguousarray(a)
+    b, n, _ = a.shape
+    w = np.full((b, n), 1.0 / n)
+    iterations = np.full(b, max_iter)
+    converged = np.zeros(b, dtype=bool)
+    a_act, w_act, idx = a, w, np.arange(b)
+    for it in range(1, max_iter + 1):
+        y = np.einsum("bij,bj->bi", a_act, w_act)
+        y /= normaliser(y)
+        done = (np.abs(y - w_act) <= tol).all(axis=1)
+        w[idx[done]], iterations[idx[done]], converged[idx[done]] = y[done], it, True
+        idx, w_act = idx[~done], y[~done]
+        a_act = a[idx]
+        if not idx.size:
+            break
+    w[idx] = w_act
+    aw = np.einsum("bij,bj->bi", a, w)
+    lam = np.mean(aw / w, axis=1)
+    residual = np.max(np.abs(aw - lam[:, None] * w), axis=1)
+    return w, lam, iterations, residual, converged
+
+
+def row_sum(y):
+    """numpy's row sum: left to right below 8 terms, pairwise from 8 on."""
+    return y.sum(axis=1, keepdims=True)
+
+
+def left_to_right(y):
+    return np.cumsum(y, axis=1)[:, -1:]
+
+
+def rev_cases(n):
+    """Random and Saaty stacks of order n, whole and as one-record stacks, with and without a max_iter cut-off."""
+    rng = np.random.default_rng(70 + n)
+    for a in (random_stack(rng, n, STACK), saaty_stack(rng, n, 120)):
+        cut = max(1, int(np.median(batch_rev(a)[2])) - 1)
+        for stack in (a, a[:1], a[-1:]):
+            for max_iter in (10_000, cut):
+                yield stack, max_iter
+
+
+@pytest.mark.parametrize(
+    "n, normaliser", [(n, row_sum) for n in range(1, 8)] + [(n, left_to_right) for n in range(8, 11)]
+)
+def test_rev_equals_row_wise_passes(n, normaliser):
+    """Up to 7 components batch_rev repeats row-sum passes bit for bit; from 8 on it still adds left to right."""
+    for a, max_iter in rev_cases(n):
+        for got, want in zip(batch_rev(a, max_iter=max_iter), row_wise_rev(a, normaliser, max_iter=max_iter)):
+            assert np.array_equal(got, want)
 
 
 def assert_rev_record(rev, k, a, max_iter=10_000):
@@ -217,6 +270,32 @@ def test_correlation_rows_equal_each_row_alone():
     for k in range(x.shape[0]):
         assert np.array_equal(r[k], batch_pearson(x[k], y[k]), equal_nan=True)
         assert np.array_equal(ranks[k], average_ranks(x[k]))
+
+
+def gathered_pearson(x, y):
+    """Pearson coefficients of paired rows, each pair centred and normed on its own."""
+    xd = x - x.mean(axis=-1, keepdims=True)
+    yd = y - y.mean(axis=-1, keepdims=True)
+    denom = np.sqrt((xd * xd).sum(axis=-1) * (yd * yd).sum(axis=-1))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        r = np.where(denom == 0, np.nan, (xd * yd).sum(axis=-1) / denom)
+    return np.clip(r, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("runs", [1, 40])
+def test_pearson_pairs_equal_gathered_pairs(runs):
+    """The tally's pairs of tracked rows, values and ranks, with ties and a constant row, as each pair alone."""
+    rng = np.random.default_rng(runs)
+    x, y = simulate._PAIR_ROWS
+    values = rng.integers(0, 6, size=(runs, len(simulate.TRACKED_NAMES) + 1, 25)).astype(float)
+    values[:, 4:] += rng.normal(size=values[:, 4:].shape)
+    values[0, 2] = 2.0  # zero variance: NaN in every pair that holds the row
+    for rows in (values, average_ranks(values)):
+        got = pearson_pairs(rows, x, y)
+        assert got.shape == (runs, x.size)
+        assert np.isnan(got[0, (x == 2) | (y == 2)]).all() and not np.isnan(got[0, (x != 2) & (y != 2)]).any()
+        assert np.array_equal(got, gathered_pearson(rows[:, x], rows[:, y]), equal_nan=True)
+        assert np.array_equal(got, batch_pearson(rows[:, x], rows[:, y]), equal_nan=True)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +421,7 @@ def test_non_converged_record_skips_its_whole_run(monkeypatch, framework, n, siz
         stack_sizes.append(len(a))
         return metrics, failed
 
-    calls = {"average_ranks": 0, "batch_pearson": 0}
+    calls = {"average_ranks": 0, "pearson_pairs": 0}
 
     def counted(name):
         function = getattr(simulate, name)
@@ -360,12 +439,12 @@ def test_non_converged_record_skips_its_whole_run(monkeypatch, framework, n, siz
     monkeypatch.undo()
     assert (summary.runs, summary.skipped) == (runs - 1, 1)
     # Per block of whole runs (one stack of at most _stack_matrices(n)): one metrics call,
-    # one ranking call and two correlation calls.
+    # one ranking call and two correlation calls, over the ranks and over the values.
     blocks = len(stack_sizes)
     assert sum(stack_sizes) == runs * steps and blocks >= 2
     assert all(size % steps == 0 for size in stack_sizes)
     assert max(stack_sizes) <= simulate._stack_matrices(n)
-    assert calls == {"average_ranks": blocks, "batch_pearson": 2 * blocks}
+    assert calls == {"average_ranks": blocks, "pearson_pairs": 2 * blocks}
     assert_same_summary(summary, reference(n, **sizes, seed=5, skip_run=flagged_run))
 
 
