@@ -16,7 +16,6 @@ from .core import (
     Pcm,
     PcmFormatError,
     PriorityVector,
-    SaatyScale,
     is_consistent,
     is_reciprocal,
     mpr_from_pv,
@@ -44,7 +43,6 @@ from .simulate import (
     RecordTable,
     SimRecord,
     default_error_models,
-    perturb_entry,
     random_pv,
     read_records_csv,
     run_mse_sf,
@@ -59,7 +57,6 @@ from .stats import (
     PartitionError,
     make_partition,
     pearson,
-    quantile,
     spearman,
     summarize_classes,
 )

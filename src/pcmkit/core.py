@@ -1,7 +1,7 @@
 """Core pairwise-comparison matrix (PCM) types, predicates and scale rounding."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +9,6 @@ import numpy as np
 __all__ = [
     "PriorityVector",
     "Pcm",
-    "SaatyScale",
     "SAATY_SCALE",
     "PcmFormatError",
     "is_reciprocal",
@@ -98,34 +97,8 @@ def _as_matrix(pcm) -> np.ndarray:
     return np.asarray(pcm, dtype=float)
 
 
-_SAATY_DEFAULT = tuple(1.0 / k for k in range(9, 1, -1)) + tuple(
-    float(k) for k in range(1, 10)
-)
-
-
-@dataclass(frozen=True)
-class SaatyScale:
-    """The 17-value judgment scale {1/9, ..., 1/2, 1, 2, ..., 9}."""
-
-    values: tuple = _SAATY_DEFAULT
-
-    def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
-        if any(b <= a for a, b in zip(vals, vals[1:])):
-            raise ValueError("scale values must be strictly increasing")
-        for v in vals:
-            if v > 1 and not any(abs(u * v - 1.0) < 1e-12 for u in vals):
-                raise ValueError(f"scale value {v} lacks its reciprocal")
-        object.__setattr__(self, "values", vals)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-SAATY_SCALE = SaatyScale()
+# The 17-value judgment scale {1/9, ..., 1/2, 1, 2, ..., 9}, increasing.
+SAATY_SCALE = _frozen_array([1.0 / k for k in range(9, 1, -1)] + [float(k) for k in range(1, 10)])
 
 
 def is_reciprocal(pcm, tol: float = 1e-9) -> bool:
@@ -152,39 +125,47 @@ def mpr_from_pv(v: PriorityVector) -> Pcm:
     return Pcm(w[:, None] / w[None, :])
 
 
-def round_matrix_to_scale(values: np.ndarray, scale: SaatyScale = SAATY_SCALE) -> np.ndarray:
-    """Nearest scale value to each of an array of positive values, ties broken upward."""
+def round_matrix_to_scale(values: np.ndarray) -> np.ndarray:
+    """Nearest SAATY_SCALE value to each of an array of positive values, ties broken upward."""
     arr = np.asarray(values, dtype=float)
     if not np.all(arr > 0):
         raise ValueError("can only round positive values")
-    vals = scale.as_array()
+    vals = SAATY_SCALE
     # Only the two scale values around x can be nearest (the end pair outside
     # the scale's range); "<=" breaks a tie toward the upper one.
     k = np.clip(np.searchsorted(vals, arr, side="right") - 1, 0, len(vals) - 2)
     return vals[k + (np.abs(vals[k + 1] - arr) <= np.abs(arr - vals[k]))]
 
 
-def round_pcm(pcm, scale: SaatyScale = SAATY_SCALE) -> Pcm:
-    """Round the upper triangle to the scale and reciprocate the lower one."""
-    a = _as_matrix(pcm).copy()
-    n = a.shape[0]
+def _from_upper(upper: np.ndarray, n: int) -> np.ndarray:
+    """Reciprocal n-by-n matrices over upper's leading axes: unit diagonal, upper
+    triangle from upper's last axis in np.triu_indices order, reciprocals below."""
     iu, ju = np.triu_indices(n, k=1)
-    a[iu, ju] = round_matrix_to_scale(a[iu, ju], scale)
-    a[ju, iu] = 1.0 / a[iu, ju]
-    np.fill_diagonal(a, 1.0)
-    return Pcm(a)
+    a = np.ones(upper.shape[:-1] + (n, n))
+    a[..., iu, ju] = upper
+    a[..., ju, iu] = 1.0 / upper
+    return a
+
+
+def round_pcm(pcm) -> Pcm:
+    """Round the upper triangle to the scale and reciprocate the lower one."""
+    a = _as_matrix(pcm)
+    n = a.shape[0]
+    if a.shape != (n, n):
+        raise ValueError("PCM must be a square matrix")
+    iu, ju = np.triu_indices(n, k=1)
+    return Pcm(_from_upper(round_matrix_to_scale(a[iu, ju]), n))
 
 
 _FRACTION_STRINGS = {1.0 / k: f"1/{k}" for k in range(2, 10)}
 
 
 def _format_entry(x: float) -> str:
-    for value, text in _FRACTION_STRINGS.items():
-        if abs(x - value) < 1e-12:
-            return text
-    if abs(x - round(x)) < 1e-12:
-        return str(int(round(x)))
-    return f"{x:.6g}"
+    """The token read_pcm reads back as x exactly: 1/k or an integer where x is one, else repr."""
+    x = float(x)
+    if x in _FRACTION_STRINGS:
+        return _FRACTION_STRINGS[x]
+    return str(int(x)) if x.is_integer() else repr(x)
 
 
 def _parse_token(token: str) -> float:
@@ -230,6 +211,7 @@ def read_pcm(path) -> Pcm:
 
 
 def write_pcm(pcm, path) -> None:
+    """Write a PCM as CSV text that read_pcm reads back bit for bit."""
     a = _as_matrix(pcm)
     lines = [",".join(_format_entry(x) for x in row) for row in a]
     Path(path).write_text("\n".join(lines) + "\n")

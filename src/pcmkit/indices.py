@@ -7,7 +7,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import SAATY_SCALE, PriorityVector, _as_matrix
+from .core import SAATY_SCALE, PriorityVector, _as_matrix, _from_upper
 from .prioritize import ConvergenceError, RevResult, batch_gm, batch_rev, gm_estimate, rev_estimate
 
 __all__ = [
@@ -103,10 +103,7 @@ def estimate_asi(n: int, sample_size: int = 500, seed: int = 0) -> float:
     if sample_size < 1:
         raise ValueError("need sample_size >= 1")
     rng = np.random.default_rng(seed)
-    iu, ju = np.triu_indices(n, k=1)
-    a = np.ones((sample_size, n, n))
-    a[:, iu, ju] = rng.choice(SAATY_SCALE.as_array(), size=(sample_size, iu.size))
-    a[:, ju, iu] = 1.0 / a[:, iu, ju]
+    a = _from_upper(rng.choice(SAATY_SCALE, size=(sample_size, n * (n - 1) // 2)), n)
     w, lam, iterations, residual, converged = batch_rev(a)
     if not converged.all():
         k = int(np.argmin(converged))

@@ -18,7 +18,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .core import Pcm, PriorityVector, round_matrix_to_scale, _as_matrix, _read_text
+from .core import PriorityVector, round_matrix_to_scale, _from_upper, _read_text
 from .indices import batch_gi, batch_ki_ati, batch_si
 from .loss import batch_absolute_error, batch_relative_error
 from .prioritize import batch_gm, batch_rev
@@ -33,7 +33,6 @@ __all__ = [
     "CorrelationSummary",
     "default_error_models",
     "random_pv",
-    "perturb_entry",
     "run_mse_sf",
     "run_nee_sf",
     "run_msobe_sf",
@@ -252,18 +251,6 @@ def random_pv(n: int, rng) -> PriorityVector:
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     return PriorityVector(_random_pv_array(n, rng))
-
-
-def perturb_entry(m, i: int, j: int, factor: float) -> Pcm:
-    """Multiply the upper-triangle entry (i, j) by factor and reciprocate (j, i)."""
-    if i >= j:
-        raise ValueError("need an upper-triangle position i < j")
-    if factor <= 0:
-        raise ValueError("factor must be positive")
-    a = _as_matrix(m).copy()
-    a[i, j] *= factor
-    a[j, i] = 1.0 / a[i, j]
-    return Pcm(a)
 
 
 # ---------------------------------------------------------------------------
@@ -501,11 +488,8 @@ def _msobe_chunk(n, lo, hi, total, big, seed, dpv):
             big_flags[rows] = applied
             model_ids[rows] = model
     v = _vector_rows(n, seed, vector_ids)
-    rounded = round_matrix_to_scale(v[:, iu] / v[:, ju] * factors)
-    a = np.ones((hi - lo, n, n))
-    a[:, iu, ju] = rounded
-    a[:, ju, iu] = 1.0 / rounded
-    del factors, rounded  # out of the way of the kernels' temporaries
+    a = _from_upper(round_matrix_to_scale(v[:, iu] / v[:, ju] * factors), n)
+    del factors  # out of the way of the kernels' temporaries
     metrics, failed = _batch_metrics(a, v)
     names = np.array([m.distribution for m in models], dtype=object)
     columns = dict(

@@ -1,4 +1,4 @@
-"""Correlation coefficients, empirical quantiles and index-value class binning."""
+"""Correlation coefficients and index-value class binning with per-class quantiles."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -15,7 +15,6 @@ __all__ = [
     "pearson_pairs",
     "pearson",
     "spearman",
-    "quantile",
     "average_ranks",
     "make_partition",
     "assign_classes",
@@ -95,16 +94,6 @@ def spearman_or_nan(x: Sequence[float], y: Sequence[float]) -> float:
         return spearman(x, y)
     except DegenerateDataError:
         return float("nan")
-
-
-def quantile(sample: Sequence[float], p: float) -> float:
-    """Empirical quantile by linear interpolation at h = (N-1)p + 1."""
-    arr = np.asarray(sample, dtype=float)
-    if arr.size == 0:
-        raise ValueError("empty sample")
-    if not 0 < p < 1:
-        raise ValueError("p must lie strictly between 0 and 1")
-    return float(np.quantile(arr, p))
 
 
 def _linear_quantiles(values, ordered, starts, counts, q) -> np.ndarray:

@@ -27,7 +27,6 @@ from pcmkit.prioritize import gm_estimate, rev_estimate
 from pcmkit.simulate import (
     ERROR_NAMES,
     INDEX_NAMES,
-    perturb_entry,
     run_mse_sf,
     run_msobe_sf,
     run_nee_sf,
@@ -353,7 +352,7 @@ def test_index_properties_random_pcms():
     """
     failures = []
     rng = np.random.default_rng(2024)
-    scale_vals = SAATY_SCALE.as_array()
+    scale_vals = SAATY_SCALE
     bad_ati_le_ki = bad_nonneg = bad_perm = bad_eig = 0
     for k in range(10_000):
         n = 3 + k % 7  # orders 3..9
@@ -402,7 +401,10 @@ def test_index_properties_random_pcms():
     # one disturbed entry: n-2 inconsistent triads, each with TI = 1 - 1/1.5
     for n in range(3, 10):
         v = PriorityVector.normalized(rng.uniform(0.2, 1.0, size=n))
-        m = perturb_entry(mpr_from_pv(v), 0, 1, 1.5)
+        a = mpr_from_pv(v).entries.copy()
+        a[0, 1] *= 1.5
+        a[1, 0] = 1 / a[0, 1]
+        m = Pcm(a)
         inconsistent = int(np.count_nonzero(triad_values(m) > 1e-12))
         ati, ki = compute_ati(m), compute_ki(m)
         share = (n - 2) / math.comb(n, 3)

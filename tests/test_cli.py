@@ -13,7 +13,7 @@ import pytest
 
 from pcmkit import simulate as sim
 from pcmkit.cli import EXIT_DATA, EXIT_OK, EXIT_REJECT, EXIT_USAGE, main
-from pcmkit.core import Pcm, write_pcm
+from pcmkit.core import Pcm, PriorityVector, mpr_from_pv, write_pcm
 from pcmkit.prioritize import batch_rev
 from pcmkit.simulate import (
     RECORD_FIELDS,
@@ -328,6 +328,15 @@ class TestAnalyze:
         out = tmp_path / "report.txt"
         assert main(["analyze", ra_file, "--seed", "1", "--out", str(out)]) == EXIT_OK
         assert "lambda_max" in out.read_text()
+
+    def test_consistent_matrix_file(self, tmp_path, capsys):
+        """A consistent matrix off the scale, written by write_pcm, reads back reciprocal and scores zero."""
+        path = tmp_path / "m.csv"
+        write_pcm(mpr_from_pv(PriorityVector.normalized([0.41, 0.27, 0.19, 0.13])), path)
+        assert main(["analyze", str(path), "--seed", "1", "--format", "jsonl"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["ki"] == pytest.approx(0.0, abs=1e-12)
+        assert main(["accept", str(path), "--threshold", "1"]) == EXIT_OK
 
     def test_seed_reproducibility(self, ra_file, capsys):
         main(["analyze", ra_file, "--seed", "7", "--format", "jsonl"])

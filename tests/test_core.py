@@ -10,7 +10,6 @@ from pcmkit.core import (
     Pcm,
     PcmFormatError,
     PriorityVector,
-    SaatyScale,
     is_consistent,
     is_reciprocal,
     mpr_from_pv,
@@ -95,8 +94,13 @@ class TestPcm:
 class TestScaleRounding:
     def test_default_scale_contents(self):
         expected = sorted([1 / k for k in range(2, 10)] + [float(k) for k in range(1, 10)])
-        assert list(SAATY_SCALE.values) == pytest.approx(expected)
-        assert len(SAATY_SCALE.values) == 17
+        assert list(SAATY_SCALE) == pytest.approx(expected)
+        assert len(SAATY_SCALE) == 17
+        with pytest.raises(ValueError):
+            SAATY_SCALE[0] = 2.0  # read-only
+        assert np.all(np.diff(SAATY_SCALE) > 0)
+        # every value's reciprocal is on the scale too
+        assert np.abs(1.0 / SAATY_SCALE[:, None] - SAATY_SCALE).min(axis=1).max() < 1e-12
 
     @pytest.mark.parametrize(
         "x,expected",
@@ -137,13 +141,8 @@ class TestScaleRounding:
         assert r.entries[0, 1] == 7.0
         assert r.entries[1, 0] == pytest.approx(1 / 7, abs=1e-15)
         assert is_reciprocal(r, tol=1e-15)
-
-    def test_custom_scale(self):
-        scale = SaatyScale((0.25, 0.5, 1.0, 2.0, 4.0))
-        assert round_matrix_to_scale(3.0, scale) == 4.0  # tie upward
-        assert round_matrix_to_scale(100.0, scale) == 4.0
-        with pytest.raises(ValueError):
-            SaatyScale((0.5, 1.0, 4.0))  # 4 lacks its reciprocal
+        with pytest.raises(ValueError, match="square"):
+            round_pcm(np.full((3, 4), 2.0))
 
 
 class TestPcmIO:
@@ -178,21 +177,35 @@ class TestPcmIO:
     @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=3, max_value=7))
     @settings(max_examples=25, deadline=None)
     def test_write_read_round_trip_random(self, seed, n):
+        """Scale-valued and off-scale reciprocal matrices read back bit for bit."""
         import tempfile
         from pathlib import Path
 
         rng = np.random.default_rng(seed)
-        m = random_reciprocal_pcm(rng, n, SAATY_SCALE.as_array())
+        off_scale = np.exp(rng.uniform(-5.0, 5.0, size=n))
         with tempfile.TemporaryDirectory() as d:
             path = Path(d) / "m.csv"
+            for m in (random_reciprocal_pcm(rng, n, SAATY_SCALE), random_reciprocal_pcm(rng, n, off_scale)):
+                write_pcm(m, path)
+                assert np.array_equal(read_pcm(path).entries, m.entries)
+
+    def test_consistent_matrices_round_trip_exactly(self, tmp_path):
+        """mpr_from_pv matrices, whose entries are off the scale, read back bit for bit and stay consistent."""
+        rng = np.random.default_rng(5)
+        path = tmp_path / "m.csv"
+        vectors = [[0.41, 0.27, 0.19, 0.13]] + [rng.uniform(0.05, 1.0, size=n) for n in range(3, 10) for _ in range(20)]
+        for values in vectors:
+            m = mpr_from_pv(PriorityVector.normalized(values))
             write_pcm(m, path)
-            assert read_pcm(path).entries == pytest.approx(m.entries, abs=1e-12)
+            back = read_pcm(path)
+            assert np.array_equal(back.entries, m.entries)
+            assert is_reciprocal(back) and is_consistent(back)
 
 
 @given(st.floats(min_value=0.01, max_value=100.0, allow_nan=False))
 @settings(max_examples=200, deadline=None)
 def test_round_to_scale_is_nearest(x):
-    vals = SAATY_SCALE.as_array()
+    vals = SAATY_SCALE
     r = round_matrix_to_scale(x)
     best = np.min(np.abs(vals - x))
     assert abs(r - x) == pytest.approx(best, abs=1e-12)

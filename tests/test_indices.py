@@ -48,7 +48,7 @@ class TestTriads:
     def test_triad_count(self):
         for n in range(3, 9):
             rng = np.random.default_rng(n)
-            m = random_reciprocal_pcm(rng, n, SAATY_SCALE.as_array())
+            m = random_reciprocal_pcm(rng, n, SAATY_SCALE)
             assert triad_values(m).size == math.comb(n, 3)
 
     def test_triad_inconsistency_examples(self):
@@ -71,7 +71,7 @@ class TestTriads:
         # TI = min of |1-r| and |1-1/r| is always in [0, 1)
         rng = np.random.default_rng(7)
         for n in (4, 6):
-            m = random_reciprocal_pcm(rng, n, SAATY_SCALE.as_array())
+            m = random_reciprocal_pcm(rng, n, SAATY_SCALE)
             tv = triad_values(m)
             assert np.all(tv >= 0.0) and np.all(tv < 1.0)
 
@@ -80,7 +80,7 @@ class TestPermutationInvariance:
     @pytest.mark.parametrize("seed", range(5))
     def test_indices_invariant(self, seed):
         rng = np.random.default_rng(seed)
-        m = random_reciprocal_pcm(rng, 5, SAATY_SCALE.as_array())
+        m = random_reciprocal_pcm(rng, 5, SAATY_SCALE)
         perm = rng.permutation(5)
         p = Pcm(np.array(m.entries)[np.ix_(perm, perm)])
         assert compute_si(p) == pytest.approx(compute_si(m), abs=1e-9)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from pcmkit import simulate
-from pcmkit.core import SAATY_SCALE, SaatyScale, round_matrix_to_scale
+from pcmkit.core import SAATY_SCALE, round_matrix_to_scale
 from pcmkit.indices import batch_gi, batch_ki_ati, batch_si, estimate_asi, triad_values
 from pcmkit.loss import batch_absolute_error, batch_relative_error
 from pcmkit.prioritize import batch_gm, batch_rev
@@ -26,7 +26,7 @@ def random_stack(rng, n, size):
     """Reciprocal matrices; even records scale-valued, odd ones continuous."""
     iu, ju = np.triu_indices(n, k=1)
     upper = rng.uniform(0.2, 5.0, size=(size, iu.size))
-    upper[::2] = rng.choice(SAATY_SCALE.as_array(), size=upper[::2].shape)
+    upper[::2] = rng.choice(SAATY_SCALE, size=upper[::2].shape)
     a = np.ones((size, n, n))
     a[:, iu, ju] = upper
     a[:, ju, iu] = 1.0 / upper
@@ -98,7 +98,7 @@ def saaty_stack(rng, n, size):
     """Reciprocal matrices with every upper entry drawn from the Saaty scale, as estimate_asi draws them."""
     iu, ju = np.triu_indices(n, k=1)
     a = np.ones((size, n, n))
-    a[:, iu, ju] = rng.choice(SAATY_SCALE.as_array(), size=(size, iu.size))
+    a[:, iu, ju] = rng.choice(SAATY_SCALE, size=(size, iu.size))
     a[:, ju, iu] = 1.0 / a[:, iu, ju]
     return a
 
@@ -222,23 +222,21 @@ def test_asi_matches_per_sample_loop(n):
     total = 0.0
     for _ in range(sample_size):
         a = np.ones((n, n))
-        a[iu, ju] = rng.choice(SAATY_SCALE.as_array(), size=iu.size)
+        a[iu, ju] = rng.choice(SAATY_SCALE, size=iu.size)
         a[ju, iu] = 1.0 / a[iu, ju]
         total += (reference_rev(a)[1] - n) / (n - 1)
     assert abs(estimate_asi(n, sample_size, seed=7) - total / sample_size) <= 1e-12
 
 
-def reference_round(values, scale):
+def reference_round(values, vals):
     """Nearest scale value by a broadcast argmin; on the reversed distances it picks the upper of a tie."""
-    vals = scale.as_array()
     d = np.abs(np.asarray(values, dtype=float)[..., None] - vals)
     return vals[(len(vals) - 1) - np.argmin(d[..., ::-1], axis=-1)]
 
 
-@pytest.mark.parametrize("scale", [SAATY_SCALE, SaatyScale((0.2, 0.25, 0.5, 1.0, 2.0, 4.0, 5.0))], ids=["saaty", "custom"])
-def test_rounding_equals_argmin_reference(scale):
+@pytest.mark.parametrize("vals", [SAATY_SCALE], ids=["saaty"])
+def test_rounding_equals_argmin_reference(vals):
     rng = np.random.default_rng(11)
-    vals = scale.as_array()
     mids = (vals[1:] + vals[:-1]) / 2
     cases = [
         np.exp(rng.uniform(-3.0, 3.0, size=(4096, 21))),
@@ -249,9 +247,9 @@ def test_rounding_equals_argmin_reference(scale):
         np.array([1e-300, 1e-3, vals[0] / 2, vals[-1] * 2, 1e300, np.inf]),
     ]
     for x in cases:
-        assert np.array_equal(round_matrix_to_scale(x, scale), reference_round(x, scale))
+        assert np.array_equal(round_matrix_to_scale(x), reference_round(x, vals))
     tie = np.abs(vals[1:] - mids) == np.abs(mids - vals[:-1])  # exact in floating point
-    assert tie.any() and np.array_equal(round_matrix_to_scale(mids[tie], scale), vals[1:][tie])
+    assert tie.any() and np.array_equal(round_matrix_to_scale(mids[tie]), vals[1:][tie])
 
 
 def test_rounding_rejects_nan():

@@ -40,7 +40,7 @@ class TestAgainstEigensolver:
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
     def test_random_reciprocal_matrices(self, n, seed):
         rng = np.random.default_rng(1000 + seed)
-        m = random_reciprocal_pcm(rng, n, SAATY_SCALE.as_array())
+        m = random_reciprocal_pcm(rng, n, SAATY_SCALE)
         lam, w = eig_oracle(np.array(m.entries))
         res = rev_estimate(m)
         assert res.lambda_max == pytest.approx(lam, abs=1e-7)

@@ -16,7 +16,7 @@ import pytest
 import scipy.stats
 
 from pcmkit import simulate
-from pcmkit.core import Pcm, PriorityVector, mpr_from_pv, round_matrix_to_scale
+from pcmkit.core import PriorityVector, mpr_from_pv, round_matrix_to_scale
 from pcmkit.prioritize import batch_rev
 from pcmkit.simulate import (
     ERROR_NAMES,
@@ -31,7 +31,6 @@ from pcmkit.simulate import (
     SMALL_ERROR_SUPPORT,
     SimRecord,
     default_error_models,
-    perturb_entry,
     random_pv,
     read_records_csv,
     run_mse_sf,
@@ -136,18 +135,6 @@ class TestRandomPv:
         rng = np.random.default_rng(2)
         draws = np.array([random_pv(4, rng).weights for _ in range(30_000)])
         assert draws.mean(axis=0) == pytest.approx(np.full(4, 0.25), abs=0.01)
-
-
-class TestPerturbEntry:
-    def test_reciprocal_update(self, mpr_v1):
-        p = perturb_entry(mpr_v1, 0, 1, 2.0)
-        assert isinstance(p, Pcm)
-        assert p.entries[0, 1] == pytest.approx(mpr_v1.entries[0, 1] * 2.0)
-        assert p.entries[1, 0] == pytest.approx(1.0 / p.entries[0, 1])
-        # other entries untouched
-        mask = np.ones((4, 4), dtype=bool)
-        mask[0, 1] = mask[1, 0] = False
-        assert p.entries[mask] == pytest.approx(mpr_v1.entries[mask])
 
 
 class TestSingleErrorSweep:

@@ -18,7 +18,6 @@ from pcmkit.stats import (
     average_ranks,
     make_partition,
     pearson,
-    quantile,
     spearman,
     spearman_or_nan,
     summarize_classes,
@@ -82,23 +81,6 @@ class TestCorrelations:
             spearman([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
         assert np.isnan(spearman_or_nan([2.0, 2.0, 2.0], [1.0, 2.0, 3.0]))
         assert spearman_or_nan([1.0, 2.0], [1.0, 2.0]) == pytest.approx(1.0)
-
-
-class TestQuantile:
-    @pytest.mark.parametrize("q", [0.1, 1 / 15, 0.5, 0.9, 14 / 15])
-    def test_matches_numpy_linear_interpolation(self, q):
-        rng = np.random.default_rng(3)
-        x = rng.normal(size=101)
-        assert quantile(x, q) == pytest.approx(np.quantile(x, q), abs=1e-12)
-
-    def test_small_sample(self):
-        assert quantile([3.0, 1.0, 2.0], 0.5) == 2.0
-        assert quantile([3.0, 1.0], 0.25) == pytest.approx(1.5)
-
-    def test_rejects_degenerate_p(self):
-        for p in (0.0, 1.0, -0.1, 1.5):
-            with pytest.raises(ValueError):
-                quantile([1.0, 2.0, 3.0], p)
 
 
 class TestPartition:
@@ -186,8 +168,8 @@ def mask_loop_summaries(records, index, error, n_classes):
     err_vals = np.asarray(records[error], dtype=float)
     if idx_vals.size < n_classes:
         raise PartitionError(f"{idx_vals.size} values cannot fill {n_classes} classes")
-    interior = np.linspace(quantile(idx_vals, 1.0 / n_classes), quantile(idx_vals, 1.0 - 1.0 / n_classes),
-                           n_classes - 1)
+    interior = np.linspace(float(np.quantile(idx_vals, 1.0 / n_classes)),
+                           float(np.quantile(idx_vals, 1.0 - 1.0 / n_classes)), n_classes - 1)
     try:
         part = ClassPartition((0.0, *interior, np.inf), n_classes)
     except ValueError as exc:
@@ -201,8 +183,8 @@ def mask_loop_summaries(records, index, error, n_classes):
         mask = classes == c
         errs = err_vals[mask]
         out.append(ClassSummary(c, part.boundaries[c - 1], part.boundaries[c], int(counts[c - 1]),
-                                float(idx_vals[mask].mean()), quantile(errs, 0.1), quantile(errs, 0.5),
-                                quantile(errs, 0.9), float(errs.mean())))
+                                float(idx_vals[mask].mean()), float(np.quantile(errs, 0.1)),
+                                float(np.quantile(errs, 0.5)), float(np.quantile(errs, 0.9)), float(errs.mean())))
     return out
 
 
