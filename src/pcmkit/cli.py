@@ -203,12 +203,12 @@ def cmd_simulate(args) -> int:
             config.update(runs=args.runs, ne=args.ne)
             summary = sim.run_mse_sf(args.n, n_runs=args.runs, n_e=args.ne, seed=seed)
             _emit(json.dumps(summary.as_dict(), indent=2), args.out)
-            _write_manifest(args, config, summary.skipped)
+            _write_manifest(args, config, summary.skipped, rng=sim.RUN_RNG)
         elif args.framework == "nee":
             config.update(nr=args.nr, np=args.n_p)
             summary = sim.run_nee_sf(args.n, n_r=args.nr, n_p=args.n_p, seed=seed)
             _emit(json.dumps(summary.as_dict(), indent=2), args.out)
-            _write_manifest(args, config, summary.skipped)
+            _write_manifest(args, config, summary.skipped, rng=sim.RUN_RNG)
         else:
             config.update(total=args.total, big_prob=args.big_prob, workers=args.workers)
             result = sim.run_msobe_sf(

@@ -1,15 +1,17 @@
 """Random judgment-error models and the three Monte Carlo simulation frameworks.
 
-The frameworks are deterministic functions of a master seed.  Every MSE or
-NEE run derives its own generator from ``SeedSequence(seed, spawn_key=...)``;
-MSOBE seeds per block of ``_BLOCK`` records (and of ``_BLOCK`` vectors), not
-per record, and draws the whole block at once.  MSOBE chunks are unions of
-whole blocks and all per-record arithmetic is independent of batch
-composition, so results do not depend on chunk or block-of-runs sizes or
-worker (thread) counts.
+The frameworks are deterministic functions of a master seed.  Every
+framework seeds per block of ``_BLOCK`` vectors, records or runs, never per
+record or run, and draws what the block's members need at once, so a member's
+inputs depend only on the seed, its index and ``_BLOCK``.  MSOBE chunks are
+unions of whole blocks, MSE and NEE read their blocks in order across their
+stacks of runs, and all per-record arithmetic is independent of batch
+composition, so results do not depend on chunk or stack sizes or worker
+(thread) counts.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -40,6 +42,7 @@ __all__ = [
     "read_records_csv",
     "RECORD_FIELDS",
     "MSOBE_RNG",
+    "RUN_RNG",
 ]
 
 SMALL_ERROR_SUPPORT = (0.5, 1.5)  # D_S
@@ -253,6 +256,67 @@ def random_pv(n: int, rng) -> PriorityVector:
     return PriorityVector(_random_pv_array(n, rng))
 
 
+# The random streams.  Vector block vb draws the (_BLOCK, n) exponentials
+# behind vectors vb*_BLOCK onwards from _rng_for(seed, _VECTOR_KEY, vb).
+# MSOBE record block b (records b*_BLOCK up to the next block or the total)
+# draws from _rng_for(seed, _RECORD_KEY, b): at each error-model boundary
+# inside the block it starts a segment of k records and draws, in this order,
+# k big-error flags, k big-error positions, k big-error factors and the
+# (k, pairs) small-error factors.  MSE or NEE run block rb (runs rb*_BLOCK up
+# to the next block or the call's run count) draws one row of uniforms per
+# run, as one row-major (runs, width) array, from _rng_for(seed, _RECORD_KEY,
+# rb); run q's row does not depend on how many runs follow it.  Given the
+# run's configuration, a record or run is replayed from the master seed, its
+# index and _BLOCK.
+_BLOCK = 1024
+_VECTOR_KEY, _RECORD_KEY = 0, 1
+MSOBE_RNG = {"stream": "msobe-block", "block": _BLOCK}
+RUN_RNG = {"stream": "run-block", "block": _BLOCK}
+
+
+def _vector_rows(n: int, seed: int, vector_ids: np.ndarray) -> np.ndarray:
+    """The simplex-uniform true vectors of ascending vector ids, read from their vector blocks."""
+    first, last = int(vector_ids[0]) // _BLOCK, int(vector_ids[-1]) // _BLOCK
+    e = np.concatenate(
+        [_rng_for(seed, _VECTOR_KEY, vb).standard_exponential((_BLOCK, n)) for vb in range(first, last + 1)]
+    )
+    return (e / e.sum(axis=1, keepdims=True))[vector_ids - first * _BLOCK]
+
+
+def _run_inputs(n: int, seed: int, n_runs: int, width: int, runs_per_vector: int = 1):
+    """The reader of an MSE or NEE call's run inputs, for stacks of runs taken in ascending order.
+
+    inputs(runs), for a range of run indices, gives each run's true vector
+    (run q examines vector q // runs_per_vector) and its row of `width`
+    uniforms from its run block.  Each block holds only the rows the call
+    needs.  The reader keeps the last block of each stream, so a call builds
+    each block's generator once.
+    """
+    n_vectors = -(-n_runs // runs_per_vector)
+
+    @functools.lru_cache(maxsize=1)
+    def vector_block(vb):
+        return _vector_rows(n, seed, np.arange(vb * _BLOCK, min((vb + 1) * _BLOCK, n_vectors)))
+
+    @functools.lru_cache(maxsize=1)
+    def run_block(rb):
+        return _rng_for(seed, _RECORD_KEY, rb).random((min(_BLOCK, n_runs - rb * _BLOCK), width))
+
+    def rows(block, lo, hi):
+        """Rows lo..hi-1 of a stream whose block b holds its rows from b*_BLOCK on."""
+        return np.concatenate(
+            [block(b)[max(lo - b * _BLOCK, 0):hi - b * _BLOCK] for b in range(lo // _BLOCK, (hi - 1) // _BLOCK + 1)]
+        )
+
+    def inputs(runs: range):
+        vector_ids = np.arange(runs.start, runs.stop) // runs_per_vector
+        first = int(vector_ids[0])
+        v = rows(vector_block, first, int(vector_ids[-1]) + 1)[vector_ids - first]
+        return v, rows(run_block, runs.start, runs.stop)
+
+    return inputs
+
+
 # ---------------------------------------------------------------------------
 # MSE-SF: magnitude of a single error
 
@@ -357,6 +421,9 @@ def run_mse_sf(n: int, n_runs: int = 1000, n_e: int = 25, seed: int = 0) -> Corr
     random upper-triangle position, eps uniform on [1.01, 1.075]; at step k
     the chosen entry carries the cumulative factor eps^k.  Correlations are
     taken against the error vector (eps, eps^2, ..., eps^n_e).
+
+    Run r examines vector r and reads two uniforms from its run block (see
+    RUN_RNG): the first picks the position, the second gives eps.
     """
     if n < 4:
         raise ValueError("need n >= 4")
@@ -364,17 +431,14 @@ def run_mse_sf(n: int, n_runs: int = 1000, n_e: int = 25, seed: int = 0) -> Corr
         raise ValueError("need n_e >= 2")
     n_pairs = n * (n - 1) // 2
     exponents = np.arange(1, n_e + 1)
+    lo, hi = MSE_EPS_RANGE
+    inputs = _run_inputs(n, seed, n_runs, 2)
 
     def blocks():
-        for block in _run_blocks(n_runs, n_e, n):
-            v = np.empty((len(block), n))
-            position = np.empty(len(block), dtype=int)
-            eps = np.empty(len(block))
-            for k, r in enumerate(block):
-                rng = _rng_for(seed, r)
-                v[k] = _random_pv_array(n, rng)
-                position[k] = rng.integers(n_pairs)
-                eps[k] = rng.uniform(*MSE_EPS_RANGE)
+        for runs in _run_blocks(n_runs, n_e, n):
+            v, u = inputs(runs)
+            position = (u[:, 0] * n_pairs).astype(np.intp)
+            eps = lo + (hi - lo) * u[:, 1]
             factors = eps[:, None] ** exponents
             hit = np.arange(n_pairs) == position[:, None, None]
             yield _disturbed_stack(v, hit, factors[..., None]), v, factors
@@ -395,26 +459,25 @@ def run_nee_sf(n: int, n_r: int = 200, n_p: int = 5, seed: int = 0) -> Correlati
     orders; the disturbance factor is uniform on [1.1, 1.8].  After each
     disturbed entry the indices and estimate errors are recorded and finally
     correlated against the running error count 1..n(n-1)/2.
+
+    Run q examines vector q // n_p and reads n(n-1)/2 + 1 uniforms from its
+    run block (see RUN_RNG): the entries are disturbed in the order their
+    uniforms ascend, and the last uniform gives eps.
     """
     if n < 4:
         raise ValueError("need n >= 4")
     k_steps = n * (n - 1) // 2
     steps = np.arange(k_steps)
     counts = np.arange(1, k_steps + 1, dtype=float)
+    lo, hi = NEE_EPS_RANGE
+    inputs = _run_inputs(n, seed, n_r * n_p, k_steps + 1, runs_per_vector=n_p)
 
     def blocks():
-        # Run q examines vector q // n_p under its (q % n_p)-th order.
-        for block in _run_blocks(n_r * n_p, k_steps, n):
-            vector_ids = np.array(block) // n_p
-            first = int(vector_ids[0])
-            vectors = [_random_pv_array(n, _rng_for(seed, 0, r)) for r in range(first, int(vector_ids[-1]) + 1)]
-            v = np.array(vectors)[vector_ids - first]
-            disturbed_at = np.empty((len(block), k_steps), dtype=int)  # step that disturbs each entry
-            eps = np.empty(len(block))
-            for k, q in enumerate(block):
-                rng = _rng_for(seed, 1, *divmod(q, n_p))
-                disturbed_at[k] = np.argsort(rng.permutation(k_steps))
-                eps[k] = rng.uniform(*NEE_EPS_RANGE)
+        for runs in _run_blocks(n_r * n_p, k_steps, n):
+            v, u = inputs(runs)
+            order = np.argsort(u[:, :k_steps], axis=1, kind="stable")
+            disturbed_at = np.argsort(order, axis=1)  # step that disturbs each entry
+            eps = lo + (hi - lo) * u[:, k_steps]
             hit = disturbed_at[:, None, :] <= steps[:, None]
             yield _disturbed_stack(v, hit, eps[:, None, None]), v, np.broadcast_to(counts, hit.shape[:2])
 
@@ -423,27 +486,6 @@ def run_nee_sf(n: int, n_r: int = 200, n_p: int = 5, seed: int = 0) -> Correlati
 
 # ---------------------------------------------------------------------------
 # MSOBE-SF: many small errors, possibly one big error, scale rounding
-
-# The MSOBE random stream.  Record block b (records b*_BLOCK up to the next
-# block or the total) draws from _rng_for(seed, _RECORD_KEY, b): at each
-# error-model boundary inside the block it starts a segment of k records and
-# draws, in this order, k big-error flags, k big-error positions, k big-error
-# factors and the (k, pairs) small-error factors.  Vector block vb draws the
-# (_BLOCK, n) exponentials behind vectors vb*_BLOCK onwards from
-# _rng_for(seed, _VECTOR_KEY, vb).  Given the run's configuration, a record
-# is replayed from the master seed, its index and _BLOCK.
-_BLOCK = 1024
-_VECTOR_KEY, _RECORD_KEY = 0, 1
-MSOBE_RNG = {"stream": "msobe-block", "block": _BLOCK}
-
-
-def _vector_rows(n: int, seed: int, vector_ids: np.ndarray) -> np.ndarray:
-    """The simplex-uniform true vectors of ascending vector ids, read from their vector blocks."""
-    first, last = int(vector_ids[0]) // _BLOCK, int(vector_ids[-1]) // _BLOCK
-    e = np.concatenate(
-        [_rng_for(seed, _VECTOR_KEY, vb).standard_exponential((_BLOCK, n)) for vb in range(first, last + 1)]
-    )
-    return (e / e.sum(axis=1, keepdims=True))[vector_ids - first * _BLOCK]
 
 
 def _segments(lo: int, hi: int, quarter: int, n_models: int):

@@ -197,9 +197,9 @@ def test_equal_error_count_sweep_mean_correlations():
 
     run_nee_sf applies one shared factor eps in [1.1, 1.8] cumulatively over a
     random order of all upper-triangle entries.  Its mean KI-vs-count
-    coefficients are 0.169 (n=4) and 0.334 (n=7), where the frozen table
+    coefficients are 0.170 (n=4) and 0.328 (n=7), where the frozen table
     wants -0.025 and 0.005; single runs do go negative (per-run minimum
-    -0.878 at n=4, -0.626 at n=7), only the mean is positive.  40 of the 48
+    -0.926 at n=4, -0.522 at n=7), only the mean is positive.  39 of the 48
     frozen coefficients miss by more than 0.05.  Five other readings of the
     disturbance scheme (random eps or 1/eps per entry, independent eps per
     entry, a fresh random subset per count, positions drawn with replacement,

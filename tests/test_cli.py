@@ -447,7 +447,8 @@ class TestSimulate:
         assert main(["simulate", framework, "--n", "4", "--runs", "3", "--nr", "3", "--seed", "1", "--out", str(out)]) == EXIT_OK
         capsys.readouterr()
         manifest = json.loads((tmp_path / "summary.json.manifest.json").read_text())
-        assert "format" not in manifest["config"] and "rng" not in manifest
+        assert "format" not in manifest["config"]
+        assert manifest["rng"] == {"stream": "run-block", "block": 1024} == sim.RUN_RNG
         assert json.loads(out.read_text())["framework"] == framework
 
     def test_mse_summary(self, tmp_path, capsys):

@@ -334,53 +334,80 @@ class ReferenceTally:
         return dict(runs=runs, skipped=skipped, min_spearman=minima, **means)
 
 
-def reference_mse(n, n_runs, n_e, seed=0, skip_run=None):
-    """run_mse_sf as one _batch_metrics call per run; skip_run is dropped as if it failed."""
+BLOCK = 1024  # runs or vectors per generator
+
+
+def block_rng(seed, key, block):
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(key, block)))
+
+
+def true_vector(n, seed, vector):
+    """Vector `vector` of the stream: a row of its vector block's exponentials, normalised."""
+    e = block_rng(seed, 0, vector // BLOCK).standard_exponential((BLOCK, n))[vector % BLOCK]
+    return e / e.sum()
+
+
+def run_uniforms(seed, run, width):
+    """Run `run`'s row of its run block's row-major uniforms, drawn only up to that row."""
+    row = run % BLOCK
+    return block_rng(seed, 1, run // BLOCK).random((row + 1, width))[row]
+
+
+def mse_run(n, n_e, seed, r):
+    """Run r of run_mse_sf: its (n_e, n, n) stack, true vector and error magnitudes, one entry set at a time."""
     pairs = list(itertools.combinations(range(n), 2))
+    v = true_vector(n, seed, r)
+    u = run_uniforms(seed, r, 2)
+    i, j = pairs[int(u[0] * len(pairs))]
+    lo, hi = simulate.MSE_EPS_RANGE
+    eps = lo + (hi - lo) * u[1]
+    m = v[:, None] / v[None, :]
+    factors = eps ** np.arange(1, n_e + 1)
+    a = np.broadcast_to(m, (n_e, n, n)).copy()
+    a[:, i, j] = m[i, j] * factors
+    a[:, j, i] = 1.0 / a[:, i, j]
+    return a, v, factors
+
+
+def nee_run(n, n_p, seed, q):
+    """Run q of run_nee_sf (vector q // n_p), disturbing one entry per step in a loop."""
+    pairs = list(itertools.combinations(range(n), 2))
+    k_steps = len(pairs)
+    v = true_vector(n, seed, q // n_p)
+    u = run_uniforms(seed, q, k_steps + 1)
+    lo, hi = simulate.NEE_EPS_RANGE
+    eps = lo + (hi - lo) * u[-1]
+    m = v[:, None] / v[None, :]
+    a = np.empty((k_steps, n, n))
+    cur = m.copy()
+    for step, t in enumerate(np.argsort(u[:-1], kind="stable")):
+        i, j = pairs[int(t)]
+        cur[i, j] = m[i, j] * eps
+        cur[j, i] = 1.0 / cur[i, j]
+        a[step] = cur
+    return a, v, np.arange(1.0, k_steps + 1)
+
+
+def reference_tally(runs, skip_run):
+    """One _batch_metrics call per run of (a, v, target); skip_run is dropped as if it failed."""
     tally, skipped = ReferenceTally(), 0
-    for r in range(n_runs):
-        rng = simulate._rng_for(seed, r)
-        v = simulate._random_pv_array(n, rng)
-        i, j = pairs[int(rng.integers(len(pairs)))]
-        eps = rng.uniform(*simulate.MSE_EPS_RANGE)
-        m = v[:, None] / v[None, :]
-        factors = eps ** np.arange(1, n_e + 1)
-        a = np.broadcast_to(m, (n_e, n, n)).copy()
-        a[:, i, j] = m[i, j] * factors
-        a[:, j, i] = 1.0 / a[:, i, j]
-        vectors, failed = simulate._batch_metrics(a, np.broadcast_to(v, (n_e, n)))
+    for r, (a, v, target) in enumerate(runs):
+        vectors, failed = simulate._batch_metrics(a, np.broadcast_to(v, (len(a), len(v))))
         if failed.any() or r == skip_run:
             skipped += 1
             continue
-        tally.add(vectors, factors)
-    return tally.summary(n_runs - skipped, skipped)
+        tally.add(vectors, target)
+    return tally.summary(r + 1 - skipped, skipped)
+
+
+def reference_mse(n, n_runs, n_e, seed=0, skip_run=None):
+    """run_mse_sf one run at a time."""
+    return reference_tally((mse_run(n, n_e, seed, r) for r in range(n_runs)), skip_run)
 
 
 def reference_nee(n, n_r, n_p, seed=0, skip_run=None):
-    """run_nee_sf disturbing one entry per step in a loop; run r * n_p + p is order p of vector r."""
-    pairs = list(itertools.combinations(range(n), 2))
-    k_steps = len(pairs)
-    tally, skipped = ReferenceTally(), 0
-    for r in range(n_r):
-        v = simulate._random_pv_array(n, simulate._rng_for(seed, 0, r))
-        m = v[:, None] / v[None, :]
-        for p in range(n_p):
-            rng = simulate._rng_for(seed, 1, r, p)
-            perm = rng.permutation(k_steps)
-            eps = rng.uniform(*simulate.NEE_EPS_RANGE)
-            a = np.empty((k_steps, n, n))
-            cur = m.copy()
-            for step, t in enumerate(perm):
-                i, j = pairs[int(t)]
-                cur[i, j] = m[i, j] * eps
-                cur[j, i] = 1.0 / cur[i, j]
-                a[step] = cur
-            vectors, failed = simulate._batch_metrics(a, np.broadcast_to(v, (k_steps, n)))
-            if failed.any() or r * n_p + p == skip_run:
-                skipped += 1
-                continue
-            tally.add(vectors, np.arange(1.0, k_steps + 1))
-    return tally.summary(n_r * n_p - skipped, skipped)
+    """run_nee_sf one run at a time; run r * n_p + p is order p of vector r."""
+    return reference_tally((nee_run(n, n_p, seed, q) for q in range(n_r * n_p)), skip_run)
 
 
 def assert_same_summary(summary, reference):
@@ -444,6 +471,18 @@ def test_non_converged_record_skips_its_whole_run(monkeypatch, framework, n, siz
     assert max(stack_sizes) <= simulate._stack_matrices(n)
     assert calls == {"average_ranks": blocks, "pearson_pairs": 2 * blocks}
     assert_same_summary(summary, reference(n, **sizes, seed=5, skip_run=flagged_run))
+
+
+@pytest.mark.parametrize("framework", ["mse", "nee"])
+def test_run_replays_from_its_blocks_generators(monkeypatch, framework):
+    """Run 1030 of an 1105-run call from its run block's and vector block's generators alone: the stream, pinned."""
+    monkeypatch.setattr(simulate, "_correlate_blocks", lambda framework, n, blocks: list(blocks))
+    if framework == "mse":
+        blocks, want = simulate.run_mse_sf(4, n_runs=1105, n_e=3, seed=8), mse_run(4, 3, 8, 1030)
+    else:
+        blocks, want = simulate.run_nee_sf(4, n_r=221, n_p=5, seed=8), nee_run(4, 5, 8, 1030)
+    for parts, value in zip(zip(*blocks), want):  # the stack, the true vectors, the driving variable
+        assert np.array_equal(np.concatenate(parts)[1030], value)
 
 
 def test_correlation_memory_does_not_grow_with_runs():

@@ -182,6 +182,91 @@ class TestEqualErrorSweep:
             assert np.isfinite(s.spearman[name]) or np.isnan(s.spearman[name])
 
 
+# (run function, sizes, runs, vectors, steps per run) at n=4: more than one run block each.
+RUN_CALLS = {
+    "mse": (run_mse_sf, dict(n_runs=1100, n_e=2), 1100, 1100, 2),
+    "nee": (run_nee_sf, dict(n_r=221, n_p=5), 1105, 221, 6),
+}
+
+
+def drain(framework, n, blocks):
+    """Build a call's stacks without their metrics."""
+    for _ in blocks:
+        pass
+
+
+def disturbances(monkeypatch, run, n, **sizes):
+    """The hit masks and factors of every stack of one call, concatenated over its stacks."""
+    calls = []
+    disturbed_stack = simulate._disturbed_stack
+
+    def recorded(v, hit, factors):
+        calls.append((hit, factors))
+        return disturbed_stack(v, hit, factors)
+
+    monkeypatch.setattr(simulate, "_disturbed_stack", recorded)
+    monkeypatch.setattr(simulate, "_correlate_blocks", drain)
+    run(n, **sizes, seed=31)
+    return (np.concatenate(parts) for parts in zip(*calls))
+
+
+def assert_uniform(counts, p):
+    """Every cell of a table of counts lies within 5 sigma of a binomial mean with probability p."""
+    total = counts.sum(axis=0)
+    sigma = np.sqrt(total * p * (1 - p))
+    assert np.all(np.abs(counts - total * p) <= 5 * sigma), counts
+
+
+class TestRunStreams:
+    """MSE-SF and NEE-SF draw every run's inputs from its block's generators."""
+
+    @pytest.mark.parametrize("framework", RUN_CALLS)
+    @pytest.mark.parametrize("runs_per_stack", [300, 7])
+    def test_stack_budgets_change_nothing(self, framework, runs_per_stack, monkeypatch):
+        run, sizes, runs, _, steps = RUN_CALLS[framework]
+        whole = run(4, **sizes, seed=30)
+        monkeypatch.setattr(simulate, "_STACK_ENTRIES", runs_per_stack * steps * 4 * 4)
+        stacks = list(simulate._run_blocks(runs, steps, 4))
+        assert len(stacks[0]) == runs_per_stack and runs % runs_per_stack
+        assert any(s.start < simulate._BLOCK < s.stop for s in stacks)  # one stack straddles two run blocks
+        assert run(4, **sizes, seed=30) == whole
+
+    @pytest.mark.parametrize("framework", RUN_CALLS)
+    def test_one_seed_sequence_per_block(self, framework, monkeypatch):
+        run, sizes, runs, vectors, steps = RUN_CALLS[framework]
+        built = []
+        seed_sequence = np.random.SeedSequence
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return seed_sequence(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", counted)
+        monkeypatch.setattr(simulate, "_STACK_ENTRIES", 300 * steps * 4 * 4)  # several stacks per block
+        run(4, **sizes, seed=32)
+        assert len(built) <= math.ceil(runs / simulate._BLOCK) + math.ceil(vectors / simulate._BLOCK)
+
+    def test_nee_orders_are_uniform_permutations(self, monkeypatch):
+        k = 6  # entries of an order-4 matrix
+        hit, factors = disturbances(monkeypatch, run_nee_sf, 4, n_r=4000, n_p=5)
+        assert hit.shape == (20000, k, k)
+        assert np.array_equal(hit.sum(axis=2), np.broadcast_to(np.arange(1, k + 1), (20000, k)))
+        assert np.all(hit[:, 1:] >= hit[:, :-1])  # a disturbed entry stays disturbed
+        step = k - hit.sum(axis=1)  # (run, entry): the step that disturbs the entry
+        assert np.array_equal(np.sort(step, axis=1), np.broadcast_to(np.arange(k), (20000, k)))
+        assert_uniform(np.stack([np.bincount(step[:, e], minlength=k) for e in range(k)]), 1 / k)
+        eps = factors[:, 0, 0]
+        assert np.all((NEE_EPS_RANGE[0] <= eps) & (eps < NEE_EPS_RANGE[1]))
+
+    def test_mse_positions_are_uniform(self, monkeypatch):
+        pairs = 10  # entries of an order-5 matrix
+        hit, factors = disturbances(monkeypatch, run_mse_sf, 5, n_runs=20000, n_e=2)
+        assert hit.shape == (20000, 1, pairs) and np.all(hit.sum(axis=2) == 1)
+        assert_uniform(np.bincount(hit[:, 0].argmax(axis=1), minlength=pairs), 1 / pairs)
+        eps = factors[:, 0, 0]
+        assert np.all((MSE_EPS_RANGE[0] <= eps) & (eps < MSE_EPS_RANGE[1]))
+
+
 class TestBigErrorDatabase:
     def test_record_fields_and_quarter_split(self):
         res = run_msobe_sf(4, 800, seed=13)
