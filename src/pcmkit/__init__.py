@@ -43,7 +43,6 @@ from .simulate import (
     RecordTable,
     SimRecord,
     default_error_models,
-    random_pv,
     read_records_csv,
     run_mse_sf,
     run_msobe_sf,

@@ -3,15 +3,14 @@
 The frameworks are deterministic functions of a master seed.  Every
 framework seeds per block of ``_BLOCK`` vectors, records or runs, never per
 record or run, and draws what the block's members need at once, so a member's
-inputs depend only on the seed, its index and ``_BLOCK``.  MSOBE chunks are
-unions of whole blocks, MSE and NEE read their blocks in order across their
-stacks of runs, and all per-record arithmetic is independent of batch
-composition, so results do not depend on chunk or stack sizes or worker
-(thread) counts.
+inputs depend only on the seed, its index and ``_BLOCK``.  All three read
+their blocks through one reader, ``_blocks``: MSOBE chunks are unions of
+whole record blocks, MSE and NEE cut each run block into stacks of runs, and
+all per-record arithmetic is independent of batch composition, so results do
+not depend on chunk or stack sizes or worker (thread) counts.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -20,7 +19,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .core import PriorityVector, round_matrix_to_scale, _from_upper, _read_text
+from .core import round_matrix_to_scale, _from_upper, _read_text
 from .indices import batch_gi, batch_ki_ati, batch_si
 from .loss import batch_absolute_error, batch_relative_error
 from .prioritize import batch_gm, batch_rev
@@ -34,7 +33,6 @@ __all__ = [
     "MsobeResult",
     "CorrelationSummary",
     "default_error_models",
-    "random_pv",
     "run_mse_sf",
     "run_nee_sf",
     "run_msobe_sf",
@@ -241,21 +239,6 @@ def _rng_for(seed: int, *spawn_key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=spawn_key))
 
 
-def _random_pv_array(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform draw from the probability simplex via normalized exponentials."""
-    e = rng.standard_exponential(n)
-    return e / e.sum()
-
-
-def random_pv(n: int, rng) -> PriorityVector:
-    """Simplex-uniform random priority vector; rng is a Generator or a seed."""
-    if n < 3:
-        raise ValueError("need n >= 3")
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
-    return PriorityVector(_random_pv_array(n, rng))
-
-
 # The random streams.  Vector block vb draws the (_BLOCK, n) exponentials
 # behind vectors vb*_BLOCK onwards from _rng_for(seed, _VECTOR_KEY, vb).
 # MSOBE record block b (records b*_BLOCK up to the next block or the total)
@@ -267,54 +250,32 @@ def random_pv(n: int, rng) -> PriorityVector:
 # run, as one row-major (runs, width) array, from _rng_for(seed, _RECORD_KEY,
 # rb); run q's row does not depend on how many runs follow it.  Given the
 # run's configuration, a record or run is replayed from the master seed, its
-# index and _BLOCK.
+# index and _BLOCK.  A member block reads exactly one vector block: with
+# per_vector members per vector, vector block vb starts at member
+# vb*_BLOCK*per_vector, a member block start.
 _BLOCK = 1024
 _VECTOR_KEY, _RECORD_KEY = 0, 1
 MSOBE_RNG = {"stream": "msobe-block", "block": _BLOCK}
 RUN_RNG = {"stream": "run-block", "block": _BLOCK}
 
 
-def _vector_rows(n: int, seed: int, vector_ids: np.ndarray) -> np.ndarray:
-    """The simplex-uniform true vectors of ascending vector ids, read from their vector blocks."""
-    first, last = int(vector_ids[0]) // _BLOCK, int(vector_ids[-1]) // _BLOCK
-    e = np.concatenate(
-        [_rng_for(seed, _VECTOR_KEY, vb).standard_exponential((_BLOCK, n)) for vb in range(first, last + 1)]
-    )
-    return (e / e.sum(axis=1, keepdims=True))[vector_ids - first * _BLOCK]
+def _blocks(n: int, seed: int, lo: int, hi: int, per_vector: int):
+    """Each block of members (records or runs) in [lo, hi), lo a block start, in order.
 
-
-def _run_inputs(n: int, seed: int, n_runs: int, width: int, runs_per_vector: int = 1):
-    """The reader of an MSE or NEE call's run inputs, for stacks of runs taken in ascending order.
-
-    inputs(runs), for a range of run indices, gives each run's true vector
-    (run q examines vector q // runs_per_vector) and its row of `width`
-    uniforms from its run block.  Each block holds only the rows the call
-    needs.  The reader keeps the last block of each stream, so a call builds
-    each block's generator once.
+    Yields (b_lo, b_hi, the block's generator, its members' true vectors), where
+    member i examines vector i // per_vector.  It keeps the last vector block
+    read, so each vector block's generator is built once per reader.
     """
-    n_vectors = -(-n_runs // runs_per_vector)
-
-    @functools.lru_cache(maxsize=1)
-    def vector_block(vb):
-        return _vector_rows(n, seed, np.arange(vb * _BLOCK, min((vb + 1) * _BLOCK, n_vectors)))
-
-    @functools.lru_cache(maxsize=1)
-    def run_block(rb):
-        return _rng_for(seed, _RECORD_KEY, rb).random((min(_BLOCK, n_runs - rb * _BLOCK), width))
-
-    def rows(block, lo, hi):
-        """Rows lo..hi-1 of a stream whose block b holds its rows from b*_BLOCK on."""
-        return np.concatenate(
-            [block(b)[max(lo - b * _BLOCK, 0):hi - b * _BLOCK] for b in range(lo // _BLOCK, (hi - 1) // _BLOCK + 1)]
-        )
-
-    def inputs(runs: range):
-        vector_ids = np.arange(runs.start, runs.stop) // runs_per_vector
-        first = int(vector_ids[0])
-        v = rows(vector_block, first, int(vector_ids[-1]) + 1)[vector_ids - first]
-        return v, rows(run_block, runs.start, runs.stop)
-
-    return inputs
+    assert lo % _BLOCK == 0, "reads start on a member block"
+    vb = -1
+    for b_lo in range(lo, hi, _BLOCK):
+        b_hi = min(b_lo + _BLOCK, hi)
+        vector_ids = np.arange(b_lo, b_hi) // per_vector
+        if vector_ids[0] // _BLOCK != vb:
+            vb = vector_ids[0] // _BLOCK
+            e = _rng_for(seed, _VECTOR_KEY, vb).standard_exponential((_BLOCK, n))
+            vectors = e / e.sum(axis=1, keepdims=True)
+        yield b_lo, b_hi, _rng_for(seed, _RECORD_KEY, b_lo // _BLOCK), vectors[vector_ids - vb * _BLOCK]
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +299,7 @@ _PAIR_ROWS = np.array(
 
 
 # Every stack the frameworks evaluate at once (an MSOBE chunk, an MSE or NEE
-# block of runs) holds at most this many matrix entries (4096 matrices at
+# stack of runs) holds at most this many matrix entries (4096 matrices at
 # n=7), so that its working set, about 6 MB, is the same at every order n.
 _STACK_ENTRIES = 4096 * 7 * 7
 
@@ -348,10 +309,18 @@ def _stack_matrices(n: int) -> int:
     return _STACK_ENTRIES // (n * n)
 
 
-def _run_blocks(n_runs: int, steps: int, n: int):
-    """Consecutive ranges of run indices, each one stack of at most _stack_matrices(n) matrices (one run at least)."""
+def _run_stacks(n: int, seed: int, n_runs: int, width: int, steps: int, runs_per_vector: int = 1):
+    """An MSE or NEE call's runs in order, as stacks of (true vectors, rows of `width` uniforms).
+
+    Each run block draws its runs' rows as one row-major (runs, width) array
+    and is cut into stacks of at most _stack_matrices(n) matrices (one run at
+    least), so no stack crosses a run block.
+    """
     size = max(1, _stack_matrices(n) // steps)
-    return (range(lo, min(lo + size, n_runs)) for lo in range(0, n_runs, size))
+    for b_lo, b_hi, rng, v in _blocks(n, seed, 0, n_runs, runs_per_vector):
+        u = rng.random((b_hi - b_lo, width))
+        for lo in range(0, b_hi - b_lo, size):
+            yield v[lo:lo + size], u[lo:lo + size]
 
 
 def _disturbed_stack(v: np.ndarray, hit: np.ndarray, factors: np.ndarray) -> np.ndarray:
@@ -429,14 +398,14 @@ def run_mse_sf(n: int, n_runs: int = 1000, n_e: int = 25, seed: int = 0) -> Corr
         raise ValueError("need n >= 4")
     if n_e < 2:
         raise ValueError("need n_e >= 2")
+    if n_runs < 1:
+        raise ValueError("need n_runs >= 1")
     n_pairs = n * (n - 1) // 2
     exponents = np.arange(1, n_e + 1)
     lo, hi = MSE_EPS_RANGE
-    inputs = _run_inputs(n, seed, n_runs, 2)
 
     def blocks():
-        for runs in _run_blocks(n_runs, n_e, n):
-            v, u = inputs(runs)
+        for v, u in _run_stacks(n, seed, n_runs, 2, n_e):
             position = (u[:, 0] * n_pairs).astype(np.intp)
             eps = lo + (hi - lo) * u[:, 1]
             factors = eps[:, None] ** exponents
@@ -466,15 +435,15 @@ def run_nee_sf(n: int, n_r: int = 200, n_p: int = 5, seed: int = 0) -> Correlati
     """
     if n < 4:
         raise ValueError("need n >= 4")
+    if min(n_r, n_p) < 1:
+        raise ValueError("need n_r >= 1 and n_p >= 1")
     k_steps = n * (n - 1) // 2
     steps = np.arange(k_steps)
     counts = np.arange(1, k_steps + 1, dtype=float)
     lo, hi = NEE_EPS_RANGE
-    inputs = _run_inputs(n, seed, n_r * n_p, k_steps + 1, runs_per_vector=n_p)
 
     def blocks():
-        for runs in _run_blocks(n_r * n_p, k_steps, n):
-            v, u = inputs(runs)
+        for v, u in _run_stacks(n, seed, n_r * n_p, k_steps + 1, k_steps, runs_per_vector=n_p):
             order = np.argsort(u[:, :k_steps], axis=1, kind="stable")
             disturbed_at = np.argsort(order, axis=1)  # step that disturbs each entry
             eps = lo + (hi - lo) * u[:, k_steps]
@@ -507,19 +476,18 @@ def _msobe_chunk(n, lo, hi, total, big, seed, dpv):
 
     Beside the database fields, the columns hold REV's rev_iterations and rev_residual.
     """
-    assert lo % _BLOCK == 0, "chunks start on a record block"
     n_pairs = n * (n - 1) // 2
     iu, ju = np.triu_indices(n, k=1)
     idx = np.arange(lo, hi)
-    vector_ids = idx // dpv
+    v = np.empty((hi - lo, n))
     factors = np.empty((hi - lo, n_pairs))
     big_flags = np.empty(hi - lo, dtype=bool)
     model_ids = np.empty(hi - lo, dtype=np.intp)
     models = default_error_models()
     quarter = total // len(models)
-    for b_lo in range(lo, hi, _BLOCK):
-        rng = _rng_for(seed, _RECORD_KEY, b_lo // _BLOCK)
-        for s_lo, s_hi, model in _segments(b_lo, min(b_lo + _BLOCK, hi), quarter, len(models)):
+    for b_lo, b_hi, rng, block_v in _blocks(n, seed, lo, hi, dpv):
+        v[b_lo - lo:b_hi - lo] = block_v
+        for s_lo, s_hi, model in _segments(b_lo, b_hi, quarter, len(models)):
             k, rows = s_hi - s_lo, slice(s_lo - lo, s_hi - lo)
             applied = rng.random(k) < big.apply_probability
             big_pos = rng.integers(n_pairs, size=k)
@@ -529,13 +497,12 @@ def _msobe_chunk(n, lo, hi, total, big, seed, dpv):
             factors[rows] = f
             big_flags[rows] = applied
             model_ids[rows] = model
-    v = _vector_rows(n, seed, vector_ids)
     a = _from_upper(round_matrix_to_scale(v[:, iu] / v[:, ju] * factors), n)
     del factors  # out of the way of the kernels' temporaries
     metrics, failed = _batch_metrics(a, v)
     names = np.array([m.distribution for m in models], dtype=object)
     columns = dict(
-        vector_id=vector_ids,
+        vector_id=idx // dpv,
         perturbation_id=idx % dpv,
         distribution=names[model_ids],
         big_error=big_flags,

@@ -16,7 +16,7 @@ import pytest
 import scipy.stats
 
 from pcmkit import simulate
-from pcmkit.core import PriorityVector, mpr_from_pv, round_matrix_to_scale
+from pcmkit.core import mpr_from_pv, round_matrix_to_scale
 from pcmkit.prioritize import batch_rev
 from pcmkit.simulate import (
     ERROR_NAMES,
@@ -31,7 +31,6 @@ from pcmkit.simulate import (
     SMALL_ERROR_SUPPORT,
     SimRecord,
     default_error_models,
-    random_pv,
     read_records_csv,
     run_mse_sf,
     run_msobe_sf,
@@ -125,18 +124,6 @@ class TestErrorModels:
             BigErrorModel(lo, hi, p)
 
 
-class TestRandomPv:
-    def test_is_valid_vector(self):
-        pv = random_pv(5, np.random.default_rng(0))
-        assert isinstance(pv, PriorityVector)
-        assert pv.n == 5
-
-    def test_component_means_are_symmetric(self):
-        rng = np.random.default_rng(2)
-        draws = np.array([random_pv(4, rng).weights for _ in range(30_000)])
-        assert draws.mean(axis=0) == pytest.approx(np.full(4, 0.25), abs=0.01)
-
-
 class TestSingleErrorSweep:
     def test_summary_shape_and_determinism(self):
         a = run_mse_sf(4, n_runs=20, n_e=10, seed=9)
@@ -181,6 +168,21 @@ class TestEqualErrorSweep:
         for name in INDEX_NAMES + ERROR_NAMES:
             assert np.isfinite(s.spearman[name]) or np.isnan(s.spearman[name])
 
+    @pytest.mark.parametrize(
+        "run, sizes",
+        [
+            (run_mse_sf, dict(n_runs=0)),
+            (run_mse_sf, dict(n_runs=-3)),
+            (run_nee_sf, dict(n_r=200, n_p=0)),
+            (run_nee_sf, dict(n_r=0, n_p=5)),
+            (run_nee_sf, dict(n_r=-2, n_p=5)),
+        ],
+        ids=["mse-0", "mse-negative", "nee-np-0", "nee-nr-0", "nee-nr-negative"],
+    )
+    def test_run_counts_below_one_raise(self, run, sizes):
+        with pytest.raises(ValueError, match=">= 1"):
+            run(4, **sizes)
+
 
 # (run function, sizes, runs, vectors, steps per run) at n=4: more than one run block each.
 RUN_CALLS = {
@@ -217,31 +219,79 @@ def assert_uniform(counts, p):
     assert np.all(np.abs(counts - total * p) <= 5 * sigma), counts
 
 
+def recorded_stacks(monkeypatch):
+    """The (stack, true vectors, driving variable) triples that _correlate_blocks receives, in order."""
+    stacks = []
+    correlate_blocks = simulate._correlate_blocks
+
+    def recorded(framework, n, blocks):
+        def read():
+            for stack in blocks:
+                stacks.append(stack)
+                yield stack
+
+        return correlate_blocks(framework, n, read())
+
+    monkeypatch.setattr(simulate, "_correlate_blocks", recorded)
+    return stacks
+
+
+def true_vectors(seed, count):
+    """Vectors 0..count-1 of the order-4 vector stream, read from their vector blocks' generators."""
+    e = np.concatenate([
+        np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, vb))).standard_exponential((simulate._BLOCK, 4))
+        for vb in range(math.ceil(count / simulate._BLOCK))
+    ])[:count]
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def seed_sequences(monkeypatch):
+    """The argument tuples of every SeedSequence built from now on."""
+    built = []
+    seed_sequence = np.random.SeedSequence
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return seed_sequence(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", counted)
+    return built
+
+
 class TestRunStreams:
     """MSE-SF and NEE-SF draw every run's inputs from its block's generators."""
 
     @pytest.mark.parametrize("framework", RUN_CALLS)
     @pytest.mark.parametrize("runs_per_stack", [300, 7])
     def test_stack_budgets_change_nothing(self, framework, runs_per_stack, monkeypatch):
-        run, sizes, runs, _, steps = RUN_CALLS[framework]
-        whole = run(4, **sizes, seed=30)
-        monkeypatch.setattr(simulate, "_STACK_ENTRIES", runs_per_stack * steps * 4 * 4)
-        stacks = list(simulate._run_blocks(runs, steps, 4))
-        assert len(stacks[0]) == runs_per_stack and runs % runs_per_stack
-        assert any(s.start < simulate._BLOCK < s.stop for s in stacks)  # one stack straddles two run blocks
-        assert run(4, **sizes, seed=30) == whole
-
-    @pytest.mark.parametrize("framework", RUN_CALLS)
-    def test_one_seed_sequence_per_block(self, framework, monkeypatch):
         run, sizes, runs, vectors, steps = RUN_CALLS[framework]
-        built = []
-        seed_sequence = np.random.SeedSequence
+        stacks = recorded_stacks(monkeypatch)
+        whole = run(4, **sizes, seed=30)
+        whole_stacks = stacks[:]
+        stacks.clear()
+        monkeypatch.setattr(simulate, "_STACK_ENTRIES", runs_per_stack * steps * 4 * 4)
+        assert run(4, **sizes, seed=30) == whole
+        lengths = np.array([len(v) for _, v, _ in stacks])
+        stops = np.cumsum(lengths)
+        starts = stops - lengths
+        assert lengths[0] == runs_per_stack and runs % runs_per_stack
+        assert lengths.max() <= runs_per_stack and stops[-1] == runs
+        assert np.all(starts // simulate._BLOCK == (stops - 1) // simulate._BLOCK)  # each stack in one run block
+        assert list(lengths[stops == simulate._BLOCK]) == [simulate._BLOCK % runs_per_stack]  # block 0 ends short
+        # The stacks cover the runs in order: the default budget's stacks, and each run's true vector.
+        for parts, whole_parts in zip(zip(*stacks), zip(*whole_stacks)):
+            assert np.array_equal(np.concatenate(parts), np.concatenate(whole_parts))
+        want = true_vectors(30, vectors)[np.arange(runs) // (runs // vectors)]
+        assert np.array_equal(np.concatenate([v for _, v, _ in stacks]), want)
 
-        def counted(*args, **kwargs):
-            built.append(args)
-            return seed_sequence(*args, **kwargs)
-
-        monkeypatch.setattr(np.random, "SeedSequence", counted)
+    @pytest.mark.parametrize(
+        "run, sizes, runs, vectors, steps",
+        # The last call's first vector block spans three run blocks.
+        [*RUN_CALLS.values(), (run_nee_sf, dict(n_r=1100, n_p=3), 3300, 1100, 6)],
+        ids=[*RUN_CALLS, "nee-shared-vector-block"],
+    )
+    def test_one_seed_sequence_per_block(self, run, sizes, runs, vectors, steps, monkeypatch):
+        built = seed_sequences(monkeypatch)
         monkeypatch.setattr(simulate, "_STACK_ENTRIES", 300 * steps * 4 * 4)  # several stacks per block
         run(4, **sizes, seed=32)
         assert len(built) <= math.ceil(runs / simulate._BLOCK) + math.ceil(vectors / simulate._BLOCK)
@@ -420,17 +470,16 @@ class TestBigErrorDatabase:
         assert rec == want
 
     def test_no_per_record_seeding(self, monkeypatch):
-        built = []
-        seed_sequence = np.random.SeedSequence
-
-        def counted(*args, **kwargs):
-            built.append(args)
-            return seed_sequence(*args, **kwargs)
-
-        monkeypatch.setattr(np.random, "SeedSequence", counted)
+        built = seed_sequences(monkeypatch)
         run_msobe_sf(4, 8192, seed=22)
         # one record block and one vector block per _BLOCK records
         assert len(built) <= 2 * math.ceil(8192 / simulate._BLOCK) + 2
+
+    def test_one_seed_sequence_per_block_with_shared_vectors(self, monkeypatch):
+        built = seed_sequences(monkeypatch)
+        run_msobe_sf(4, 8200, seed=22, disturbances_per_vector=3)  # one chunk at n=4
+        # 9 record blocks; vectors 0..2733 lie in 3 vector blocks, each spanning up to 3 record blocks
+        assert len(built) <= 9 + 3
 
     def test_shared_vector_groups(self):
         res = run_msobe_sf(4, 400, seed=17, disturbances_per_vector=4)
