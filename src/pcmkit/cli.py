@@ -44,7 +44,10 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def _build_parser() -> _Parser:
-    """The one parser of the process, built on first use; parse_args leaves it unchanged, so calls share it."""
+    """The one parser of the process, built on first use; parse_args leaves it unchanged, so calls share it.
+
+    Its `commands` attribute maps each subcommand's name to that subcommand's own parser.
+    """
     parser = _Parser(prog="pcmkit", description="Pairwise-comparison matrix toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -85,6 +88,7 @@ def _build_parser() -> _Parser:
     p_acc.add_argument("--quantile", choices=acc.QUANTILE_CHOICES, default="q90")
     p_acc.add_argument("--table", default=None, help="custom quantile table CSV")
 
+    parser.commands = sub.choices
     return parser
 
 
@@ -144,7 +148,7 @@ def cmd_analyze(args) -> int:
         "gm_estimate": list(gm.weights),
         **report.as_dict(),
     }
-    if args.true_pv:
+    if args.true_pv is not None:
         try:
             v = PriorityVector.normalized([float(t) for t in args.true_pv.split(",")])
         except ValueError as exc:
@@ -210,6 +214,8 @@ def cmd_simulate(args) -> int:
             _emit(json.dumps(summary.as_dict(), indent=2), args.out)
             _write_manifest(args, config, summary.skipped, rng=sim.RUN_RNG)
         else:
+            if not 0 <= args.big_prob <= 1:
+                raise UsageError(f"--big-prob must lie in [0, 1], not {args.big_prob}")
             config.update(total=args.total, big_prob=args.big_prob, workers=args.workers)
             result = sim.run_msobe_sf(
                 args.n,
@@ -308,9 +314,18 @@ def cmd_accept(args) -> int:
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        # A known subcommand goes straight to its own parser, which gives the same namespace
+        # and messages without the full parser's pass over argv; the full parser answers the rest.
+        command = parser.commands.get(argv[0]) if argv else None
+        if command is None:
+            args = parser.parse_args(argv)
+        else:
+            args = command.parse_args(argv[1:])
+            args.command = argv[0]
         if args.command == "analyze":
             return cmd_analyze(args)
         if args.command == "simulate":

@@ -41,10 +41,11 @@ class PriorityVector:
         w = _frozen_array(self.weights)
         if w.ndim != 1 or w.size < 3:
             raise ValueError("priority vector needs at least 3 components")
-        if not np.all(np.isfinite(w)) or np.any(w <= 0):
+        if not (np.isfinite(w) & (w > 0)).all():
             raise ValueError("priority weights must be finite and strictly positive")
-        if abs(w.sum() - 1.0) > 1e-9:
-            raise ValueError(f"priority weights must sum to 1, got {w.sum()!r}")
+        total = w.sum()
+        if abs(total - 1.0) > 1e-9:
+            raise ValueError(f"priority weights must sum to 1, got {total!r}")
         object.__setattr__(self, "weights", w)
 
     @classmethod
@@ -80,9 +81,9 @@ class Pcm:
             raise ValueError("PCM must be a square matrix")
         if a.shape[0] < 3:
             raise ValueError("PCM order must be at least 3")
-        if not np.all(np.isfinite(a)) or np.any(a <= 0):
+        if not (np.isfinite(a) & (a > 0)).all():
             raise ValueError("PCM entries must be finite and strictly positive")
-        if np.max(np.abs(np.diag(a) - 1.0)) > 1e-12:
+        if abs(a.diagonal() - 1.0).max() > 1e-12:
             raise ValueError("PCM diagonal entries must equal 1")
         object.__setattr__(self, "entries", a)
 
@@ -183,9 +184,14 @@ def _parse_token(token: str) -> float:
         raise PcmFormatError(f"bad numeric token {token!r}") from exc
 
 
+# The float of each of the 17 scale tokens, as _parse_token reads it; read_pcm looks these up.
+_SCALE_TOKENS = {t: _parse_token(t) for t in [f"1/{k}" for k in range(2, 10)] + [str(k) for k in range(1, 10)]}
+
+
 def _read_text(path, error=ValueError) -> str:
     """The file's text; a file that is not UTF-8 raises `error` naming it and its first bad byte."""
-    data = Path(path).read_bytes()
+    with open(path, "rb") as f:
+        data = f.read()
     try:
         return data.decode()
     except UnicodeDecodeError as exc:
@@ -193,12 +199,23 @@ def _read_text(path, error=ValueError) -> str:
 
 
 def read_pcm(path) -> Pcm:
-    """Read a PCM from CSV text; tokens are decimals or exact fractions p/q."""
+    """Read a PCM from CSV text; tokens are decimals or exact fractions p/q.
+
+    A bad token is named with its row (counting non-blank lines) and column, from 1.
+    """
     rows = []
     for line in _read_text(path, PcmFormatError).splitlines():
         if not line.strip():
             continue
-        rows.append([_parse_token(tok) for tok in line.split(",")])
+        tokens = line.split(",")
+        row = list(map(_SCALE_TOKENS.get, tokens))
+        if None in row:
+            for c, tok in enumerate(tokens):
+                try:
+                    row[c] = _parse_token(tok)
+                except PcmFormatError as exc:
+                    raise PcmFormatError(f"{path}: row {len(rows) + 1}, column {c + 1}: {exc}") from None
+        rows.append(row)
     if not rows:
         raise PcmFormatError(f"{path}: empty PCM file")
     n = len(rows)

@@ -1,6 +1,7 @@
 """Inconsistency indices: SI, CR (via sampled ASI), GI, triad-based KI and ATI."""
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional
@@ -65,6 +66,14 @@ def batch_gi(a: np.ndarray, w: np.ndarray):
     return 2.0 / ((n - 1) * (n - 2)) * _sum_in_order(terms)
 
 
+@functools.cache
+def _triad_indices(n: int) -> tuple:
+    """Read-only index arrays i, k, j of the C(n,3) triads i < k < j, in itertools.combinations order."""
+    ikj = np.array(list(itertools.combinations(range(n), 3))).T
+    ikj.setflags(write=False)
+    return tuple(ikj)
+
+
 def triad_values(pcm) -> np.ndarray:
     """Triad inconsistency over all C(n,3) upper-triangle triads, over the last two axes.
 
@@ -72,7 +81,7 @@ def triad_values(pcm) -> np.ndarray:
     min(|1 - beta/(alpha chi)|, |1 - alpha chi/beta|), zero iff beta == alpha chi.
     """
     a = _as_matrix(pcm)
-    i, k, j = np.array(list(itertools.combinations(range(a.shape[-1]), 3))).T
+    i, k, j = _triad_indices(a.shape[-1])
     # min(|1 - beta/prod|, |1 - prod/beta|), each step written over an array it no longer needs.
     prod = a[..., i, k]
     prod *= a[..., k, j]  # alpha chi

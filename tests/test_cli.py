@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pcmkit import cli
 from pcmkit import simulate as sim
 from pcmkit.cli import EXIT_DATA, EXIT_OK, EXIT_REJECT, EXIT_USAGE, main
 from pcmkit.core import Pcm, PriorityVector, mpr_from_pv, write_pcm
@@ -126,10 +127,13 @@ class TestUsageErrors:
         assert_one_line_error(capsys)
 
     def test_big_error_probability_out_of_range(self, tmp_path, capsys):
-        out = str(tmp_path / "db.csv")
-        argv = ["simulate", "msobe", "--n", "4", "--total", "8", "--big-prob", "7", "--out", out]
-        assert main(argv) == EXIT_USAGE
-        assert_one_line_error(capsys)
+        """The error names the flag and its value, not the error model's repr; nothing is written."""
+        out = tmp_path / "db.csv"
+        for value in ("7", "2", "-0.5", "nan"):
+            argv = ["simulate", "msobe", "--n", "4", "--total", "8", "--big-prob", value, "--out", str(out)]
+            assert main(argv) == EXIT_USAGE
+            assert assert_one_line_error(capsys) == f"pcmkit: --big-prob must lie in [0, 1], not {float(value)}\n"
+            assert not out.exists()
 
     @pytest.mark.parametrize("framework, runner, size", [("mse", "run_mse_sf", "--n 300"),
                                                          ("nee", "run_nee_sf", "--n 300"),
@@ -161,6 +165,9 @@ class TestUsageErrors:
         assert main(["analyze", ra_file, "--true-pv", "0.5,x,0.2,0.1"]) == EXIT_USAGE
         assert main(["analyze", ra_file, "--true-pv", "0.5,0.3,0.2"]) == EXIT_USAGE
         capsys.readouterr()
+        # An empty vector is unparsable too, not the same as leaving --true-pv out.
+        assert main(["analyze", ra_file, "--seed", "1", "--true-pv", ""]) == EXIT_USAGE
+        assert assert_one_line_error(capsys) == "pcmkit: bad --true-pv: could not convert string to float: ''\n"
 
     @pytest.mark.parametrize("true_pv", ["0,0,0,0", "inf,1,1,1", "1e308,1e308,1e308,1e308"])
     def test_true_pv_that_cannot_be_normalized(self, ra_file, true_pv):
@@ -202,7 +209,20 @@ class TestDataErrors:
         path.write_text(f"1,2,{big}\n0.5,1,2\n1/3,0.5,1\n")
         for argv in (["analyze", str(path)], ["accept", str(path), "--threshold", "1"]):
             assert main(argv) == EXIT_DATA
-            assert assert_one_line_error(capsys).startswith(f"pcmkit: bad fraction token '{big}'")
+            assert assert_one_line_error(capsys) == f"pcmkit: {path}: row 1, column 3: bad fraction token '{big}'\n"
+
+    @pytest.mark.parametrize("text, cell, token", [
+        ("\ufeff1,2,3\n0.5,1,2\n1/3,0.5,1\n", "row 1, column 1", "bad numeric token '\\ufeff1'"),
+        ("1,2,3\n\n0.5,1,1/0\n1/3,0.5,1\n", "row 2, column 3", "bad fraction token '1/0'"),
+        ("1,2,3\n0.5,1,2,\n1/3,0.5,1\n", "row 2, column 4", "bad numeric token ''"),
+    ])
+    def test_bad_token_names_file_and_cell(self, tmp_path, capsys, text, cell, token):
+        """A byte-order mark, a zero denominator or a trailing comma: exit 2 naming the file, row and column."""
+        path = tmp_path / "bad.csv"
+        path.write_text(text, encoding="utf-8")
+        for argv in (["analyze", str(path)], ["accept", str(path), "--threshold", "1"]):
+            assert main(argv) == EXIT_DATA
+            assert assert_one_line_error(capsys) == f"pcmkit: {path}: {cell}: {token}\n"
 
     def test_malformed_pcm(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
@@ -610,3 +630,75 @@ class TestOneProcess:
         assert files[5][0].startswith(b"class,lo,hi,") and "spearman" in stdout[6] and files[6] == [None, None]
         assert json.loads(files[7][1])["framework"] == "mse"
         assert "of the GM table" in stdout[8] and "estimated RE quantiles" in stdout[8]
+
+
+class TestDispatch:
+    """main() parses a known subcommand with that subcommand's own parser; the full parser gives
+    the same exit code, output and files for every argv, and still answers the rest."""
+
+    ARGVS = (
+        ["analyze", "{pcm}", "--seed", "1"],
+        ["analyze", "--seed=1", "--format=jsonl", "--true-pv", "0.4,0.3,0.2,0.1", "{pcm}"],
+        ["analyze", "{pcm}", "--seed", "1", "--out", "{out}"],
+        ["simulate", "mse", "--n", "4", "--runs", "3", "--ne", "3", "--seed", "2", "--out", "{out}"],
+        ["simulate", "--n=4", "--nr=2", "--np=2", "--seed=2", "--out", "{out}", "nee"],
+        ["simulate", "msobe", "--n", "4", "--total", "8", "--seed", "3", "--out", "{out}"],
+        ["report", "{db}"],
+        ["report", "--format=csv", "--classes", "5", "{db}"],
+        ["accept", "{pcm}", "--threshold", "0.05"],
+        ["accept", "--method=gm", "--quantile", "median", "--threshold=0.5", "{pcm}"],
+        ["accept", "--threshold", "1", "--", "{pcm}"],
+        ["accept", "{pcm}", "--threshold", "1", "--bogus"],  # unknown option
+        ["accept", "{pcm}", "extra", "--threshold", "1"],  # extra positional
+        ["accept", "{pcm}"],  # missing required option
+        ["accept", "{pcm}", "--threshold"],  # option without its value
+        ["simulate", "mse", "--out", "{out}"],
+        ["simulate", "mse", "--n", "four", "--out", "{out}"],  # bad type
+        ["report", "{db}", "--index", "xx"],  # bad choice
+        ["simulate", "bogus", "--n", "4", "--out", "{out}"],
+        ["accept", "{pcm}", "--threshold", "-1"],  # negative threshold
+        ["accept", "{pcm}", "--threshold=-0.5"],
+        ["bogus", "{pcm}"],  # unknown command
+        ["--bogus", "accept"],
+        [],
+        ["-h"],
+        ["--help"],
+        ["accept", "-h"],
+        ["simulate", "mse", "--help"],
+    )
+
+    def run(self, argv, parser, out, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_build_parser", lambda: parser)
+        out.unlink(missing_ok=True)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err, out.read_bytes() if out.exists() else None
+
+    def test_subcommand_parser_matches_the_full_parser(self, database, rb_file, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "out"
+        fast = cli._build_parser.__wrapped__()
+        full = cli._build_parser.__wrapped__()
+        full.commands = {}  # every argv through the full parser
+        top_level = []
+        parse_args = fast.parse_args
+        fast.parse_args = lambda argv: top_level.append(argv) or parse_args(argv)
+        for template in self.ARGVS:
+            argv = [a.format(pcm=rb_file, db=database, out=out) for a in template]
+            del top_level[:]
+            result = self.run(argv, fast, out, monkeypatch, capsys)
+            assert result == self.run(argv, full, out, monkeypatch, capsys), argv
+            assert bool(top_level) == (not argv or argv[0] not in fast.commands), argv
+            code, stdout, stderr, _ = result
+            if argv and argv[-1] in ("-h", "--help"):
+                assert code == ("exit", 0) and stdout.startswith("usage: pcmkit") and stderr == "", argv
+            elif code == EXIT_USAGE:
+                assert stderr.startswith("pcmkit: ") and stderr.count("\n") == 1, argv
+
+    def test_main_without_argv_reads_sys_argv(self, rb_file, capsys, monkeypatch):
+        expected = main(["accept", rb_file, "--threshold", "0.05"]), capsys.readouterr()
+        monkeypatch.setattr(sys, "argv", ["pcmkit", "accept", rb_file, "--threshold", "0.05"])
+        assert (main(), capsys.readouterr()) == expected
+        assert expected[0] == EXIT_REJECT and "verdict: REJECT" in expected[1].out

@@ -51,6 +51,24 @@ class TestPriorityVector:
         with pytest.raises(ValueError):
             PriorityVector(bad)
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ((0.5, float("nan")), "priority vector needs at least 3 components"),
+            ([[0.5, 0.3, 0.2]], "priority vector needs at least 3 components"),
+            ((0.5, 0.5, float("nan")), "priority weights must be finite and strictly positive"),
+            ((0.5, 0.5, float("inf")), "priority weights must be finite and strictly positive"),
+            ((0.5, 0.5, 0.0), "priority weights must be finite and strictly positive"),
+            ((0.5, 0.6, -0.1), "priority weights must be finite and strictly positive"),
+            ((0.5, 0.3, 0.3), "priority weights must sum to 1, got np.float64(1.1)"),
+        ],
+    )
+    def test_messages_keep_their_precedence(self, bad, message):
+        """Each failed check has its own message, and the first check in this order that fails names it."""
+        with pytest.raises(ValueError) as info:
+            PriorityVector(bad)
+        assert str(info.value) == message
+
 
 class TestPcm:
     def test_valid_pcm(self, mpr_v1):
@@ -72,6 +90,27 @@ class TestPcm:
     def test_invalid_pcm(self, bad):
         with pytest.raises(ValueError):
             Pcm(bad)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ([[1, float("nan"), 3], [0.5, 1, 2]], "PCM must be a square matrix"),
+            ([1, 2, 3], "PCM must be a square matrix"),
+            ([[1, float("nan")], [0.5, 0]], "PCM order must be at least 3"),
+            ([[1, 2, float("nan")], [0.5, 7, 2], [1, 0.5, 1]], "PCM entries must be finite and strictly positive"),
+            ([[1, 2, 3], [0.5, 7, 2], [1 / 3, float("inf"), 1]], "PCM entries must be finite and strictly positive"),
+            ([[1, 2, 3], [0.5, 7, 2], [1 / 3, 0, 1]], "PCM entries must be finite and strictly positive"),
+            ([[1, 2, 3], [0.5, 7, 2], [-1 / 3, 0.5, 1]], "PCM entries must be finite and strictly positive"),
+            ([[float("nan"), 2, 3], [0.5, 1, 2], [1 / 3, 0.5, 1]], "PCM entries must be finite and strictly positive"),
+            ([[1, 2, 3], [0.5, 1, 2], [1 / 3, 0.5, 1 + 1e-11]], "PCM diagonal entries must equal 1"),
+            ([[1, 2, 3], [0.5, 0.5, 2], [1 / 3, 0.5, 1]], "PCM diagonal entries must equal 1"),
+        ],
+    )
+    def test_messages_keep_their_precedence(self, bad, message):
+        """Each failed check has its own message, and the first check in this order that fails names it."""
+        with pytest.raises(ValueError) as info:
+            Pcm(bad)
+        assert str(info.value) == message
 
     def test_reciprocity_predicate(self, mpr_v1, ra):
         assert is_reciprocal(mpr_v1)
@@ -173,6 +212,24 @@ class TestPcmIO:
         path.write_text(text)
         with pytest.raises(PcmFormatError):
             read_pcm(path)
+
+    @pytest.mark.parametrize("pad", ["", " ", "\t ", "  "])
+    def test_scale_tokens_read_as_parse_token_reads_them(self, tmp_path, pad):
+        """Every scale token, bare or between blanks, reads as the float _parse_token gives it."""
+        from pcmkit.core import _parse_token
+
+        tokens = [f"1/{k}" for k in range(9, 1, -1)] + [str(k) for k in range(1, 10)]
+        n = 5  # 20 off-diagonal cells hold all 17 tokens
+        cells = [["1"] * n for _ in range(n)]
+        off = [(i, j) for i in range(n) for j in range(n) if i != j]
+        for (i, j), token in zip(off, tokens + tokens):
+            cells[i][j] = token
+        path = tmp_path / "scale.csv"
+        path.write_text("\n".join(",".join(pad + t + pad[::-1] for t in row) for row in cells) + "\n")
+        entries = read_pcm(path).entries
+        for i in range(n):
+            for j in range(n):
+                assert entries[i, j].hex() == _parse_token(cells[i][j]).hex(), (i, j, cells[i][j])
 
     @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=3, max_value=7))
     @settings(max_examples=25, deadline=None)

@@ -67,6 +67,30 @@ class TestTriads:
         assert compute_ati(rb) == pytest.approx(tv.mean(), abs=1e-15)
         assert compute_ati(rb) <= compute_ki(rb)
 
+    def test_triad_values_match_a_loop_over_the_triads(self):
+        """At n = 3..9, bit for bit the value of a scalar loop over itertools.combinations, on one
+        matrix and on a stack; the cached index arrays behind it are read-only."""
+        import itertools
+
+        from pcmkit.indices import _triad_indices
+
+        rng = np.random.default_rng(11)
+        for n in range(3, 10):
+            stack = np.stack([random_reciprocal_pcm(rng, n, SAATY_SCALE).entries for _ in range(3)])
+            for a in stack:
+                expected = []
+                for i, k, j in itertools.combinations(range(n), 3):
+                    prod = a[i, k] * a[k, j]
+                    expected.append(min(abs(1.0 - a[i, j] / prod), abs(1.0 - prod / a[i, j])))
+                assert triad_values(a).tolist() == expected
+            assert np.array_equal(triad_values(stack), np.stack([triad_values(a) for a in stack]))
+            indices = _triad_indices(n)
+            assert indices is _triad_indices(n) and len(indices) == 3
+            for index in indices:
+                assert not index.flags.writeable
+                with pytest.raises(ValueError):
+                    index[0] = 1
+
     def test_ti_bounded_below_one(self):
         # TI = min of |1-r| and |1-1/r| is always in [0, 1)
         rng = np.random.default_rng(7)
