@@ -1,6 +1,7 @@
 """ATI-based PCM acceptance against tabulated error-quantile estimates."""
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, field, replace
@@ -118,6 +119,7 @@ def _parse_tables(lines, loss_column: bool = False) -> dict:
     return tables
 
 
+@functools.cache
 def _load_builtin() -> dict:
     data = resources.files("pcmkit.data").joinpath("appendix_tables.csv").read_bytes()
     digest = hashlib.sha256(data).hexdigest()
@@ -131,17 +133,12 @@ def _load_builtin() -> dict:
     }
 
 
-_BUILTIN_CACHE: dict = {}
-
-
 def builtin_table(n: int, method: str) -> QuantileTable:
     """Verbatim appendix data (relative-error loss) for n in 4..7."""
     if method not in ("REV", "GM"):
         raise ValueError("method must be 'REV' or 'GM'")
-    if not _BUILTIN_CACHE:
-        _BUILTIN_CACHE.update(_load_builtin())
     try:
-        return _BUILTIN_CACHE[(n, method)]
+        return _load_builtin()[(n, method)]
     except KeyError:
         if n < 4:
             raise UnsupportedOrderError(f"no builtin table for n={n}; MSOBE-SF needs n >= 4 to make one") from None

@@ -42,6 +42,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _checked(convert, ok, requirement):
+    """An argparse type= that converts the value, then raises ArgumentTypeError unless ok(value)."""
+    def check(text):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, not {text}")
+        return value
+    check.__name__ = convert.__name__  # argparse names it in "invalid int value: 'x'"
+    return check
+
+
+_SEED = _checked(int, lambda v: v >= 0, "a non-negative integer")
+_COUNT = _checked(int, lambda v: v > 0, "a positive integer")
+
+
 @functools.cache
 def _build_parser() -> _Parser:
     """The one parser of the process, built on first use; parse_args leaves it unchanged, so calls share it.
@@ -51,40 +66,46 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="pcmkit", description="Pairwise-comparison matrix toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_an = sub.add_parser("analyze", parents=[], help="indices and estimates for a PCM file")
+    p_an = sub.add_parser("analyze", help="indices and estimates for a PCM file")
     p_an.add_argument("pcm_path")
     p_an.add_argument("--true-pv", help="comma-separated true priority vector for error reporting")
-    p_an.add_argument("--seed", type=int, default=None, help="seed for the ASI sample behind CR")
+    p_an.add_argument("--seed", type=_SEED, default=None, help="seed for the ASI sample behind CR")
     p_an.add_argument("--format", choices=("table", "jsonl"), default="table")
     p_an.add_argument("--out", default=None)
 
+    shared = _Parser(add_help=False)
+    shared.add_argument("--n", type=int, required=True)
+    shared.add_argument("--seed", type=_SEED, default=None)
+    shared.add_argument("--out", required=True)
+    shared.add_argument("--manifest", default=None,
+                        help="manifest path (default: <out>.manifest.json when --out is a regular file)")
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo framework")
-    p_sim.add_argument("framework", choices=("mse", "nee", "msobe"))
-    p_sim.add_argument("--n", type=int, required=True)
-    p_sim.add_argument("--seed", type=int, default=None)
-    p_sim.add_argument("--runs", type=int, default=1000, help="MSE runs")
-    p_sim.add_argument("--ne", type=int, default=25, help="MSE error increments")
-    p_sim.add_argument("--nr", type=int, default=200, help="NEE random vectors")
-    p_sim.add_argument("--np", type=int, default=5, dest="n_p", help="NEE permutations per vector")
-    p_sim.add_argument("--total", type=int, default=240_000, help="MSOBE record count")
-    p_sim.add_argument("--big-prob", type=float, default=0.75)
-    p_sim.add_argument("--workers", type=int, default=1)
-    p_sim.add_argument("--out", required=True)
-    p_sim.add_argument("--manifest", default=None,
-                       help="manifest path (default: <out>.manifest.json when --out is a regular file)")
+    frameworks = p_sim.add_subparsers(dest="framework", required=True)
+    p_mse = frameworks.add_parser("mse", parents=[shared], help="MSE-SF: error size vs estimation error")
+    p_mse.add_argument("--runs", type=_COUNT, default=1000, help="MSE runs")
+    p_mse.add_argument("--ne", type=_COUNT, default=25, help="MSE error increments")
+    p_nee = frameworks.add_parser("nee", parents=[shared], help="NEE-SF: error count vs estimation error")
+    p_nee.add_argument("--nr", type=_COUNT, default=200, help="NEE random vectors")
+    p_nee.add_argument("--np", type=_COUNT, default=5, help="NEE permutations per vector")
+    p_msobe = frameworks.add_parser("msobe", parents=[shared], help="MSOBE-SF: the simulation database")
+    p_msobe.add_argument("--total", type=_COUNT, default=240_000, help="MSOBE record count")
+    p_msobe.add_argument("--big-prob", type=_checked(float, lambda v: 0 <= v <= 1, "in [0, 1]"), default=0.75,
+                         help="probability that a record gets one big error")
+    p_msobe.add_argument("--workers", type=_COUNT, default=1, help="threads generating record stacks")
 
     p_rep = sub.add_parser("report", help="class-summary table and correlation grid")
     p_rep.add_argument("database_path")
     p_rep.add_argument("--index", choices=sim.INDEX_NAMES, default="ati")
     p_rep.add_argument("--error", choices=sim.ERROR_NAMES, default="ae_rev")
-    p_rep.add_argument("--classes", type=int, default=15)
+    p_rep.add_argument("--classes", type=_checked(int, lambda v: v >= 3, "at least 3"), default=15)
     p_rep.add_argument("--format", choices=("table", "csv"), default="table")
     p_rep.add_argument("--out", default=None)
 
     p_acc = sub.add_parser("accept", help="ATI-based acceptance verdict for a PCM file")
     p_acc.add_argument("pcm_path")
     p_acc.add_argument("--method", choices=("rev", "gm"), default="rev")
-    p_acc.add_argument("--threshold", type=float, required=True)
+    p_acc.add_argument("--threshold", type=_checked(float, lambda v: math.isfinite(v) and v >= 0,
+                                                    "finite and nonnegative"), required=True)
     p_acc.add_argument("--quantile", choices=acc.QUANTILE_CHOICES, default="q90")
     p_acc.add_argument("--table", default=None, help="custom quantile table CSV")
 
@@ -120,18 +141,10 @@ def _require_reciprocal(pcm: Pcm):
         )
 
 
-def _resolve_seed(seed):
-    if seed is None:
-        return secrets.randbits(32)
-    if seed < 0:
-        raise UsageError(f"--seed must be a non-negative integer, not {seed}")
-    return seed
-
-
 def cmd_analyze(args) -> int:
     pcm = _load_pcm(args.pcm_path)
     _require_reciprocal(pcm)
-    seed = _resolve_seed(args.seed)
+    seed = secrets.randbits(32) if args.seed is None else args.seed
     asi = estimate_asi(pcm.n, seed=seed)
     try:
         rev = rev_estimate(pcm)
@@ -198,47 +211,35 @@ def _write_manifest(args, config: dict, skipped: int, **extra):
 
 
 def cmd_simulate(args) -> int:
-    if min(args.runs, args.ne, args.nr, args.n_p, args.total, args.workers) <= 0:
-        raise UsageError("all counts must be positive")
-    seed = _resolve_seed(args.seed)
-    config = {"subcommand": f"simulate {args.framework}", "n": args.n, "seed": seed, "out": str(args.out)}
+    # n, seed and out, then the framework's own options in the order its parser declares them.
+    config = {"subcommand": f"simulate {args.framework}"}
+    config.update((key, value) for key, value in vars(args).items() if key not in ("command", "framework", "manifest"))
+    seed = config["seed"] = secrets.randbits(32) if args.seed is None else args.seed
     try:
-        if args.framework == "mse":
-            config.update(runs=args.runs, ne=args.ne)
-            summary = sim.run_mse_sf(args.n, n_runs=args.runs, n_e=args.ne, seed=seed)
-            _emit(json.dumps(summary.as_dict(), indent=2), args.out)
-            _write_manifest(args, config, summary.skipped, rng=sim.RUN_RNG)
-        elif args.framework == "nee":
-            config.update(nr=args.nr, np=args.n_p)
-            summary = sim.run_nee_sf(args.n, n_r=args.nr, n_p=args.n_p, seed=seed)
-            _emit(json.dumps(summary.as_dict(), indent=2), args.out)
-            _write_manifest(args, config, summary.skipped, rng=sim.RUN_RNG)
-        else:
-            if not 0 <= args.big_prob <= 1:
-                raise UsageError(f"--big-prob must lie in [0, 1], not {args.big_prob}")
-            config.update(total=args.total, big_prob=args.big_prob, workers=args.workers)
-            result = sim.run_msobe_sf(
-                args.n,
-                args.total,
-                big=sim.BigErrorModel(apply_probability=args.big_prob),
-                seed=seed,
-                workers=args.workers,
-            )
+        if args.framework == "msobe":
+            big = sim.BigErrorModel(apply_probability=args.big_prob)
+            result = sim.run_msobe_sf(args.n, args.total, big=big, seed=seed, workers=args.workers)
             sim.write_records_csv(result.records, args.out)
             _write_manifest(args, config, result.skipped, rng=sim.MSOBE_RNG, rev=result.rev)
+        else:
+            if args.framework == "mse":
+                summary = sim.run_mse_sf(args.n, n_runs=args.runs, n_e=args.ne, seed=seed)
+            else:
+                summary = sim.run_nee_sf(args.n, n_r=args.nr, n_p=args.np, seed=seed)
+            _emit(json.dumps(summary.as_dict(), indent=2), args.out)
+            _write_manifest(args, config, summary.skipped, rng=sim.RUN_RNG)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     except OSError as exc:
         raise DataError(f"cannot write output: {exc}") from exc
     except MemoryError:
-        size = f"--n {args.n}" + (f" --total {args.total}" if args.framework == "msobe" else "")
+        size = " ".join(f"--{key.replace('_', '-')} {value}" for key, value in config.items()
+                        if key not in ("subcommand", "seed", "out"))
         raise UsageError(f"simulate {args.framework} ran out of memory at {size}; try a smaller size") from None
     return EXIT_OK
 
 
 def cmd_report(args) -> int:
-    if args.classes < 3:
-        raise UsageError("--classes must be at least 3")
     try:
         records = sim.read_records_csv(args.database_path)
     except (OSError, ValueError) as exc:
@@ -289,8 +290,6 @@ def cmd_accept(args) -> int:
     pcm = _load_pcm(args.pcm_path)
     _require_reciprocal(pcm)
     method = args.method.upper()
-    if not (math.isfinite(args.threshold) and args.threshold >= 0):
-        raise UsageError("--threshold must be finite and nonnegative")
     try:
         if args.table:
             table = acc.read_table(args.table)

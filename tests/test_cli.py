@@ -99,6 +99,14 @@ def assert_bad_row_3_is_named(tmp_path, capsys):
         assert assert_one_line_error(capsys).startswith(f"pcmkit: {bad}: row 3: "), fault
 
 
+# Each simulate framework's own options, with a valid value each.
+FRAMEWORK_OPTIONS = {
+    "mse": ["--runs", "3", "--ne", "3"],
+    "nee": ["--nr", "3", "--np", "2"],
+    "msobe": ["--total", "40", "--big-prob", "0.5", "--workers", "2"],
+}
+
+
 class TestUsageErrors:
     def test_no_command(self, capsys):
         assert main([]) == EXIT_USAGE
@@ -132,14 +140,17 @@ class TestUsageErrors:
         for value in ("7", "2", "-0.5", "nan"):
             argv = ["simulate", "msobe", "--n", "4", "--total", "8", "--big-prob", value, "--out", str(out)]
             assert main(argv) == EXIT_USAGE
-            assert assert_one_line_error(capsys) == f"pcmkit: --big-prob must lie in [0, 1], not {float(value)}\n"
+            assert assert_one_line_error(capsys) == f"pcmkit: argument --big-prob: must be in [0, 1], not {value}\n"
             assert not out.exists()
 
     @pytest.mark.parametrize("framework, runner, size", [("mse", "run_mse_sf", "--n 300"),
                                                          ("nee", "run_nee_sf", "--n 300"),
                                                          ("msobe", "run_msobe_sf", "--n 300 --total 240000")])
     def test_simulate_out_of_memory(self, tmp_path, capsys, monkeypatch, framework, runner, size):
-        """A run too big for memory exits 1 with one line naming the framework and its size, not a traceback."""
+        """A run too big for memory exits 1 with one line naming the framework, its size and its other
+        own options, not a traceback."""
+        size += {"mse": " --runs 1000 --ne 25", "nee": " --nr 200 --np 5",
+                 "msobe": " --big-prob 0.75 --workers 1"}[framework]
         def exhausted(*args, **kwargs):
             raise MemoryError
         monkeypatch.setattr(sim, runner, exhausted)
@@ -153,12 +164,38 @@ class TestUsageErrors:
         assert main(["report", database, "--classes", "2"]) == EXIT_USAGE
         assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize("argv, message", [
+        (["accept", "missing.csv", "--threshold", "nan"], "argument --threshold: must be finite and nonnegative, not nan"),
+        (["report", "missing.csv", "--classes", "2"], "argument --classes: must be at least 3, not 2"),
+        (["analyze", "missing.csv", "--seed", "-3"], "argument --seed: must be a non-negative integer, not -3"),
+    ])
+    def test_usage_error_before_any_file_is_read(self, tmp_path, capsys, monkeypatch, argv, message):
+        """A bad option value exits 1 although the file is missing too: the parser checks it first."""
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == EXIT_USAGE
+        assert assert_one_line_error(capsys) == f"pcmkit: {message}\n"
+
+    @pytest.mark.parametrize("argv, foreign", [
+        (["simulate", framework, "--n", "4", *FRAMEWORK_OPTIONS[framework][:2], "--seed", "1", *options[i:i + 2]],
+         options[i:i + 2])
+        for framework in FRAMEWORK_OPTIONS
+        for other, options in FRAMEWORK_OPTIONS.items() if other != framework
+        for i in range(0, len(options), 2)
+    ] + [(["simulate", "mse", "--n", "4", "--runs", "2", "--ne", "2", "--seed", "1",
+           "--big-prob", "nan", "--total", "5", "--workers", "9"], ["--big-prob", "nan", "--total", "5", "--workers", "9"])])
+    def test_foreign_option_is_a_usage_error(self, tmp_path, capsys, monkeypatch, argv, foreign):
+        """simulate <framework> takes only its own options: another framework's is unrecognized, nothing is written."""
+        monkeypatch.chdir(tmp_path)
+        assert main(argv + ["--out", "s.json"]) == EXIT_USAGE
+        assert assert_one_line_error(capsys) == f"pcmkit: unrecognized arguments: {' '.join(foreign)}\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("argv", [["analyze", "{pcm}"], ["simulate", "mse", "--n", "4"],
                                       ["simulate", "nee", "--n", "4"], ["simulate", "msobe", "--n", "4"]])
     def test_negative_seed(self, ra_file, tmp_path, capsys, argv):
         argv = [a.format(pcm=ra_file) for a in argv] + ["--seed", "-1", "--out", str(tmp_path / "out")]
         assert main(argv) == EXIT_USAGE
-        assert assert_one_line_error(capsys) == "pcmkit: --seed must be a non-negative integer, not -1\n"
+        assert assert_one_line_error(capsys) == "pcmkit: argument --seed: must be a non-negative integer, not -1\n"
         assert not (tmp_path / "out").exists()
 
     def test_bad_true_pv(self, ra_file, capsys):
@@ -411,7 +448,8 @@ class TestSimulate:
         """--out a named pipe or a link: no <out>.manifest.json beside it; --manifest writes where it is told."""
         fifo = tmp_path / "pipe"
         os.mkfifo(fifo)
-        argv = ["simulate", framework, "--n", "4", "--total", "40", "--runs", "3", "--seed", "2", "--out", str(fifo)]
+        own = FRAMEWORK_OPTIONS[framework][:2]  # --total 40 or --runs 3
+        argv = ["simulate", framework, "--n", "4", *own, "--seed", "2", "--out", str(fifo)]
         received = []
         for extra in ([], ["--manifest", str(tmp_path / "run.json")]):
             reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
@@ -456,7 +494,7 @@ class TestSimulate:
     def test_format_is_for_msobe_only(self, tmp_path, capsys, framework, fmt):
         """simulate has no --format: msobe writes CSV only, mse and nee one JSON summary."""
         out = tmp_path / "out"
-        argv = ["simulate", framework, "--n", "4", "--runs", "3", "--nr", "3", "--total", "40", "--seed", "1"]
+        argv = ["simulate", framework, "--n", "4", *FRAMEWORK_OPTIONS[framework][:2], "--seed", "1"]
         assert main(argv + ["--format", fmt, "--out", str(out)]) == EXIT_USAGE
         assert assert_one_line_error(capsys) == f"pcmkit: unrecognized arguments: --format {fmt}\n"
         assert not out.exists()
@@ -464,12 +502,28 @@ class TestSimulate:
     @pytest.mark.parametrize("framework", ["mse", "nee"])
     def test_summary_manifest_has_no_format(self, tmp_path, capsys, framework):
         out = tmp_path / "summary.json"
-        assert main(["simulate", framework, "--n", "4", "--runs", "3", "--nr", "3", "--seed", "1", "--out", str(out)]) == EXIT_OK
+        argv = ["simulate", framework, "--n", "4", *FRAMEWORK_OPTIONS[framework][:2], "--seed", "1", "--out", str(out)]
+        assert main(argv) == EXIT_OK
         capsys.readouterr()
         manifest = json.loads((tmp_path / "summary.json.manifest.json").read_text())
         assert "format" not in manifest["config"]
         assert manifest["rng"] == {"stream": "run-block", "block": 1024} == sim.RUN_RNG
         assert json.loads(out.read_text())["framework"] == framework
+
+    @pytest.mark.parametrize("argv, own", [
+        (["mse", "--runs", "7", "--seed", "5", "--ne", "4"], {"runs": 7, "ne": 4}),
+        (["nee", "--np", "2", "--nr", "3", "--seed", "5"], {"nr": 3, "np": 2}),
+        (["msobe", "--workers", "2", "--seed", "5", "--total", "400", "--big-prob", "0.5"],
+         {"total": 400, "big_prob": 0.5, "workers": 2}),
+    ])
+    def test_manifest_config_is_what_the_framework_read(self, tmp_path, capsys, argv, own):
+        """subcommand, n, seed, out, then the framework's own options in declaration order, and nothing else."""
+        out = tmp_path / "out"
+        assert main(["simulate", *argv, "--out", str(out), "--n", "4"]) == EXIT_OK
+        capsys.readouterr()
+        config = json.loads((tmp_path / "out.manifest.json").read_text())["config"]
+        expected = {"subcommand": f"simulate {argv[0]}", "n": 4, "seed": 5, "out": str(out), **own}
+        assert list(config.items()) == list(expected.items())
 
     def test_mse_summary(self, tmp_path, capsys):
         out = tmp_path / "mse.csv"
@@ -641,7 +695,8 @@ class TestDispatch:
         ["analyze", "--seed=1", "--format=jsonl", "--true-pv", "0.4,0.3,0.2,0.1", "{pcm}"],
         ["analyze", "{pcm}", "--seed", "1", "--out", "{out}"],
         ["simulate", "mse", "--n", "4", "--runs", "3", "--ne", "3", "--seed", "2", "--out", "{out}"],
-        ["simulate", "--n=4", "--nr=2", "--np=2", "--seed=2", "--out", "{out}", "nee"],
+        ["simulate", "nee", "--n=4", "--nr=2", "--np=2", "--seed=2", "--out", "{out}"],
+        ["simulate", "--n=4", "--nr=2", "--np=2", "--seed=2", "--out", "{out}", "nee"],  # options before the framework
         ["simulate", "msobe", "--n", "4", "--total", "8", "--seed", "3", "--out", "{out}"],
         ["report", "{db}"],
         ["report", "--format=csv", "--classes", "5", "{db}"],
@@ -656,6 +711,9 @@ class TestDispatch:
         ["simulate", "mse", "--n", "four", "--out", "{out}"],  # bad type
         ["report", "{db}", "--index", "xx"],  # bad choice
         ["simulate", "bogus", "--n", "4", "--out", "{out}"],
+        ["simulate", "mse", "--n", "4", "--total", "8", "--out", "{out}"],  # another framework's option
+        ["simulate", "mse", "--n", "4", "--runs", "0", "--out", "{out}"],
+        ["simulate"],
         ["accept", "{pcm}", "--threshold", "-1"],  # negative threshold
         ["accept", "{pcm}", "--threshold=-0.5"],
         ["bogus", "{pcm}"],  # unknown command
@@ -665,6 +723,8 @@ class TestDispatch:
         ["--help"],
         ["accept", "-h"],
         ["simulate", "mse", "--help"],
+        ["simulate", "-h"],
+        ["simulate", "msobe", "-h"],
     )
 
     def run(self, argv, parser, out, monkeypatch, capsys):
@@ -696,6 +756,16 @@ class TestDispatch:
                 assert code == ("exit", 0) and stdout.startswith("usage: pcmkit") and stderr == "", argv
             elif code == EXIT_USAGE:
                 assert stderr.startswith("pcmkit: ") and stderr.count("\n") == 1, argv
+
+    def test_readme_commands_parse(self):
+        """Every `pcmkit ...` line of README's shell blocks parses with the CLI's parser (nothing runs)."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        blocks = readme.split("```sh\n")[1:]
+        lines = [line for block in blocks for line in block.split("```")[0].splitlines() if line.startswith("pcmkit ")]
+        assert len(lines) >= 7
+        for line in lines:
+            args = cli._build_parser().parse_args(line.split()[1:])
+            assert args.command == line.split()[1], line
 
     def test_main_without_argv_reads_sys_argv(self, rb_file, capsys, monkeypatch):
         expected = main(["accept", rb_file, "--threshold", "0.05"]), capsys.readouterr()
