@@ -18,10 +18,10 @@ import numpy as np
 from . import acceptance as acc
 from . import simulate as sim
 from .core import Pcm, PcmFormatError, PriorityVector, read_pcm
-from .indices import estimate_asi, report_from_estimates
+from .indices import compute_report, estimate_asi
 from .loss import avg_absolute_error, avg_relative_error
-from .prioritize import ConvergenceError, gm_estimate, rev_estimate
-from .stats import PartitionError, average_ranks, batch_pearson, summarize_classes
+from .prioritize import ConvergenceError
+from .stats import PartitionError, batch_pearson, spearman_or_nan, summarize_classes
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -53,7 +53,8 @@ def _checked(convert, ok, requirement):
     return check
 
 
-_SEED = _checked(int, lambda v: v >= 0, "a non-negative integer")
+# The range a database's int64 seed column can record, shared by analyze and every framework.
+_SEED = _checked(int, lambda v: 0 <= v < 2**63, "an integer in [0, 2**63)")
 _COUNT = _checked(int, lambda v: v > 0, "a positive integer")
 
 
@@ -74,7 +75,7 @@ def _build_parser() -> _Parser:
     p_an.add_argument("--out", default=None)
 
     shared = _Parser(add_help=False)
-    shared.add_argument("--n", type=int, required=True)
+    shared.add_argument("--n", type=_checked(int, lambda v: v >= 4, "at least 4"), required=True)
     shared.add_argument("--seed", type=_SEED, default=None)
     shared.add_argument("--out", required=True)
     shared.add_argument("--manifest", default=None,
@@ -83,12 +84,14 @@ def _build_parser() -> _Parser:
     frameworks = p_sim.add_subparsers(dest="framework", required=True)
     p_mse = frameworks.add_parser("mse", parents=[shared], help="MSE-SF: error size vs estimation error")
     p_mse.add_argument("--runs", type=_COUNT, default=1000, help="MSE runs")
-    p_mse.add_argument("--ne", type=_COUNT, default=25, help="MSE error increments")
+    p_mse.add_argument("--ne", type=_checked(int, lambda v: v >= 2, "at least 2"), default=25,
+                       help="MSE error increments")
     p_nee = frameworks.add_parser("nee", parents=[shared], help="NEE-SF: error count vs estimation error")
     p_nee.add_argument("--nr", type=_COUNT, default=200, help="NEE random vectors")
     p_nee.add_argument("--np", type=_COUNT, default=5, help="NEE permutations per vector")
     p_msobe = frameworks.add_parser("msobe", parents=[shared], help="MSOBE-SF: the simulation database")
-    p_msobe.add_argument("--total", type=_COUNT, default=240_000, help="MSOBE record count")
+    p_msobe.add_argument("--total", type=_checked(int, lambda v: v > 0 and v % 4 == 0, "a positive multiple of 4"),
+                         default=240_000, help="MSOBE record count")
     p_msobe.add_argument("--big-prob", type=_checked(float, lambda v: 0 <= v <= 1, "in [0, 1]"), default=0.75,
                          help="probability that a record gets one big error")
     p_msobe.add_argument("--workers", type=_COUNT, default=1, help="threads generating record stacks")
@@ -147,11 +150,10 @@ def cmd_analyze(args) -> int:
     seed = secrets.randbits(32) if args.seed is None else args.seed
     asi = estimate_asi(pcm.n, seed=seed)
     try:
-        rev = rev_estimate(pcm)
+        report = compute_report(pcm, asi)
     except ConvergenceError as exc:
         raise DataError(str(exc)) from exc
-    gm = gm_estimate(pcm)
-    report = report_from_estimates(pcm, rev, gm, asi=asi)
+    rev, gm = report.rev, report.gm
     payload = {
         "n": pcm.n,
         "asi_seed": seed,
@@ -252,7 +254,7 @@ def cmd_report(args) -> int:
     stats = ("q10", "median", "q90", "mean_error")
     x = np.array([s.mean_index_value for s in summaries])
     y = np.array([[getattr(s, stat) for s in summaries] for stat in stats])
-    corr = list(zip(stats, batch_pearson(average_ranks(x), average_ranks(y)), batch_pearson(x, y)))
+    corr = list(zip(stats, [spearman_or_nan(x, row) for row in y], batch_pearson(x, y)))
     if args.format == "csv":
         lines = ["class,lo,hi,count,mean_index,q10,median,q90,mean_error"]
         for s in summaries:

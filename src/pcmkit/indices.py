@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -23,20 +23,21 @@ __all__ = [
     "compute_gi",
     "compute_ki",
     "compute_ati",
-    "report_from_estimates",
     "compute_report",
 ]
 
 
 @dataclass(frozen=True)
 class IndexReport:
-    """The five index values for one PCM; cr is None when no ASI was supplied."""
+    """The five index values for one PCM, and the REV and GM estimates they come from; cr is None without an ASI."""
 
     si: float
     cr: Optional[float]
     gi: float
     ki: float
     ati: float
+    rev: RevResult = field(compare=False, repr=False)
+    gm: PriorityVector = field(compare=False, repr=False)
 
     def as_dict(self) -> dict:
         return {"si": self.si, "cr": self.cr, "gi": self.gi, "ki": self.ki, "ati": self.ati}
@@ -145,11 +146,10 @@ def compute_ati(pcm) -> float:
     return float(batch_ki_ati(pcm)[1])
 
 
-def report_from_estimates(
-    pcm, rev: RevResult, gm: PriorityVector, asi: Optional[float] = None
-) -> IndexReport:
-    """All five indices from the REV and GM estimates already made for the same PCM."""
+def compute_report(pcm, asi: Optional[float] = None) -> IndexReport:
+    """All five indices from one REV and one GM estimate of the PCM; cr only when an ASI is supplied."""
     a = _as_matrix(pcm)
+    rev, gm = rev_estimate(a), gm_estimate(a)
     ki, ati = batch_ki_ati(a)
     si = float(batch_si(rev.lambda_max, a.shape[0]))
     return IndexReport(
@@ -158,9 +158,6 @@ def report_from_estimates(
         gi=float(batch_gi(a, gm.weights)),
         ki=float(ki),
         ati=float(ati),
+        rev=rev,
+        gm=gm,
     )
-
-
-def compute_report(pcm, asi: Optional[float] = None) -> IndexReport:
-    """All five indices at once; cr only when an ASI estimate is supplied."""
-    return report_from_estimates(pcm, rev_estimate(pcm), gm_estimate(pcm), asi)

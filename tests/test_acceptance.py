@@ -21,7 +21,7 @@ import pytest
 
 from pcmkit.acceptance import builtin_table, BUILTIN_DATA_SHA256
 from pcmkit.core import SAATY_SCALE, Pcm, PriorityVector, mpr_from_pv
-from pcmkit.indices import compute_ati, compute_gi, compute_ki, compute_si, triad_values
+from pcmkit.indices import compute_ati, compute_gi, compute_ki, compute_report, compute_si, triad_values
 from pcmkit.loss import avg_absolute_error, avg_relative_error
 from pcmkit.prioritize import gm_estimate, rev_estimate
 from pcmkit.simulate import (
@@ -344,7 +344,9 @@ def test_index_properties_random_pcms():
 
     Random reciprocal matrices of orders 3..9: ATI <= KI, no negative index,
     REV agrees with the dense eigensolver, and indices and estimators are
-    permutation invariant/equivariant.  Consistent matrices score zero on
+    permutation invariant/equivariant.  Each matrix is analysed once, by
+    compute_report; on every tenth, compute_si/gi/ki/ati, rev_estimate and
+    gm_estimate give exactly the report's values.  Consistent matrices score zero on
     every index.  A consistent matrix with exactly one disturbed entry has
     n-2 inconsistent triads of equal value t, so KI (the maximum) is t and
     ATI (the mean over all C(n,3) triads) is (n-2)/C(n,3) * t; the two
@@ -353,18 +355,19 @@ def test_index_properties_random_pcms():
     failures = []
     rng = np.random.default_rng(2024)
     scale_vals = SAATY_SCALE
-    bad_ati_le_ki = bad_nonneg = bad_perm = bad_eig = 0
+    bad_ati_le_ki = bad_nonneg = bad_perm = bad_eig = bad_scalar = 0
     for k in range(10_000):
         n = 3 + k % 7  # orders 3..9
         m = random_reciprocal_pcm(rng, n, scale_vals)
         a = np.array(m.entries)
-        si, gi, ki, ati = compute_si(m), compute_gi(m), compute_ki(m), compute_ati(m)
+        # one REV and one GM per matrix; the scalar functions are checked against them below
+        rep = compute_report(m)
+        si, gi, ki, ati, res = rep.si, rep.gi, rep.ki, rep.ati, rep.rev
         if not ati <= ki + 1e-15:
             bad_ati_le_ki += 1
         if min(si, gi, ki, ati) < 0:
             bad_nonneg += 1
         # REV against the dense eigensolver
-        res = rev_estimate(m)
         vals, vecs = np.linalg.eig(a)
         idx = int(np.argmax(vals.real))
         w = np.abs(vecs[:, idx].real)
@@ -373,25 +376,35 @@ def test_index_properties_random_pcms():
             np.abs(res.weights.weights - w)
         ) > 1e-7:
             bad_eig += 1
-        # permutation invariance of indices and equivariance of estimators
         if k % 10 == 0:
-            perm = rng.permutation(n)
-            p = Pcm(a[np.ix_(perm, perm)])
+            # the scalar entry points give exactly the report's values
+            rev, gm = rev_estimate(m), gm_estimate(m)
             if (
-                abs(compute_si(p) - si) > 1e-9
-                or abs(compute_gi(p) - gi) > 1e-12
-                or abs(compute_ki(p) - ki) > 1e-12
-                or abs(compute_ati(p) - ati) > 1e-12
+                (compute_si(m), compute_gi(m), compute_ki(m), compute_ati(m)) != (si, gi, ki, ati)
+                or (rev.lambda_max, rev.iterations, rev.residual) != (res.lambda_max, res.iterations, res.residual)
+                or not np.array_equal(rev.weights.weights, res.weights.weights)
+                or not np.array_equal(gm.weights, rep.gm.weights)
+            ):
+                bad_scalar += 1
+            # permutation invariance of indices and equivariance of estimators
+            perm = rng.permutation(n)
+            p = compute_report(Pcm(a[np.ix_(perm, perm)]))
+            if (
+                abs(p.si - si) > 1e-9
+                or abs(p.gi - gi) > 1e-12
+                or abs(p.ki - ki) > 1e-12
+                or abs(p.ati - ati) > 1e-12
             ):
                 bad_perm += 1
-            if np.max(np.abs(rev_estimate(p).weights.weights - res.weights.weights[perm])) > 1e-9:
+            if np.max(np.abs(p.rev.weights.weights - res.weights.weights[perm])) > 1e-9:
                 bad_perm += 1
-            if np.max(np.abs(gm_estimate(p).weights - gm_estimate(m).weights[perm])) > 1e-9:
+            if np.max(np.abs(p.gm.weights - rep.gm.weights[perm])) > 1e-9:
                 bad_perm += 1
     _check(failures, bad_ati_le_ki == 0, f"{bad_ati_le_ki} matrices violated ATI <= KI")
     _check(failures, bad_nonneg == 0, f"{bad_nonneg} matrices produced a negative index")
     _check(failures, bad_eig == 0, f"{bad_eig} matrices off the eigensolver oracle by > 1e-7")
     _check(failures, bad_perm == 0, f"{bad_perm} permutation-invariance violations")
+    _check(failures, bad_scalar == 0, f"{bad_scalar} matrices where a scalar function differs from compute_report")
     # consistent matrices score zero on every index
     for n in range(3, 10):
         v = PriorityVector.normalized(rng.uniform(0.2, 1.0, size=n))

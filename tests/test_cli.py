@@ -1,15 +1,20 @@
 """Command-line interface: exit codes, outputs, manifests."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import threading
 from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from pcmkit import cli
 from pcmkit import simulate as sim
@@ -167,7 +172,7 @@ class TestUsageErrors:
     @pytest.mark.parametrize("argv, message", [
         (["accept", "missing.csv", "--threshold", "nan"], "argument --threshold: must be finite and nonnegative, not nan"),
         (["report", "missing.csv", "--classes", "2"], "argument --classes: must be at least 3, not 2"),
-        (["analyze", "missing.csv", "--seed", "-3"], "argument --seed: must be a non-negative integer, not -3"),
+        (["analyze", "missing.csv", "--seed", "-3"], "argument --seed: must be an integer in [0, 2**63), not -3"),
     ])
     def test_usage_error_before_any_file_is_read(self, tmp_path, capsys, monkeypatch, argv, message):
         """A bad option value exits 1 although the file is missing too: the parser checks it first."""
@@ -195,8 +200,40 @@ class TestUsageErrors:
     def test_negative_seed(self, ra_file, tmp_path, capsys, argv):
         argv = [a.format(pcm=ra_file) for a in argv] + ["--seed", "-1", "--out", str(tmp_path / "out")]
         assert main(argv) == EXIT_USAGE
-        assert assert_one_line_error(capsys) == "pcmkit: argument --seed: must be a non-negative integer, not -1\n"
+        assert assert_one_line_error(capsys) == "pcmkit: argument --seed: must be an integer in [0, 2**63), not -1\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [["analyze", "{pcm}", "--format", "jsonl"]] + [
+        ["simulate", framework, "--n", "4", *FRAMEWORK_OPTIONS[framework][:2]] for framework in FRAMEWORK_OPTIONS],
+        ids=["analyze", *FRAMEWORK_OPTIONS])
+    def test_seed_domain(self, ra_file, tmp_path, capsys, argv):
+        """Every subcommand takes the seeds an int64 seed column can record: [0, 2**63)."""
+        out = tmp_path / "out"
+        argv = [a.format(pcm=ra_file) for a in argv] + ["--out", str(out)]
+        assert main(argv + ["--seed", str(2**63)]) == EXIT_USAGE
+        assert assert_one_line_error(capsys) == (
+            "pcmkit: argument --seed: must be an integer in [0, 2**63), not 9223372036854775808\n")
+        assert list(tmp_path.iterdir()) == [Path(ra_file)]
+        assert main(argv + ["--seed", str(2**63 - 1)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        if argv[0] == "analyze":
+            assert json.loads(out.read_text())["asi_seed"] == 2**63 - 1
+        else:
+            assert json.loads((tmp_path / "out.manifest.json").read_text())["config"]["seed"] == 2**63 - 1
+
+    @pytest.mark.parametrize("framework, option, value", [
+        *[(framework, "--n", value) for framework in FRAMEWORK_OPTIONS for value in ("3", "2", "-4")],
+        *[("mse", "--ne", value) for value in ("1", "0")],
+        *[("msobe", "--total", value) for value in ("5", "6", "0", "-4")],
+    ])
+    def test_simulate_size_names_the_flag(self, tmp_path, capsys, monkeypatch, framework, option, value):
+        """A size the framework cannot run exits 1 naming the flag and the value, not the library's parameter."""
+        monkeypatch.chdir(tmp_path)
+        argv = ["simulate", framework, "--n", "4", *FRAMEWORK_OPTIONS[framework][:2], option, value, "--out", "o"]
+        assert main(argv) == EXIT_USAGE
+        requirement = {"--n": "at least 4", "--ne": "at least 2", "--total": "a positive multiple of 4"}[option]
+        assert assert_one_line_error(capsys) == f"pcmkit: argument {option}: must be {requirement}, not {value}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_true_pv(self, ra_file, capsys):
         assert main(["analyze", ra_file, "--true-pv", "0.5,x,0.2,0.1"]) == EXIT_USAGE
@@ -473,13 +510,6 @@ class TestSimulate:
         assert main(argv[:-1] + [str(link)]) == EXIT_OK
         assert capsys.readouterr().err == f"pcmkit: {link} is a pipe, device or link; no manifest written (see --manifest)\n"
         assert out.read_bytes() == received[0] and not (tmp_path / "link.manifest.json").exists()
-
-    def test_msobe_seed_beyond_int64_is_rejected(self, tmp_path, capsys):
-        out = tmp_path / "db.csv"
-        argv = ["simulate", "msobe", "--n", "4", "--total", "8", "--seed", str(2**63), "--out", str(out)]
-        assert main(argv) == EXIT_USAGE
-        assert_one_line_error(capsys)
-        assert not out.exists()
 
     def test_msobe_largest_seed_round_trips(self, tmp_path, capsys):
         out = tmp_path / "db.csv"
@@ -772,3 +802,87 @@ class TestDispatch:
         monkeypatch.setattr(sys, "argv", ["pcmkit", "accept", rb_file, "--threshold", "0.05"])
         assert (main(), capsys.readouterr()) == expected
         assert expected[0] == EXIT_REJECT and "verdict: REJECT" in expected[1].out
+
+
+# Arbitrary argv from a bounded vocabulary: every subcommand and option, a few values of each kind,
+# and file paths that exist, are missing, hold garbage or are not files. Each argv starts from a
+# subcommand's required arguments, its input file either a valid one or any of those paths ("{in}"),
+# then adds options: mostly the subcommand's own, sometimes any.
+# Size options take small values only, and a framework's own size options always come first, so
+# that no example runs a framework at its default sizes.
+_SIZES = ["-1", "0", "2", "4", "8", "x", "nan", ""]
+_NUMBERS = ["-1", "0", "0.5", "2", "4", "x", "nan", "inf", str(2**63), str(2**63 - 1)]
+_OUT_PATHS = ["{out}", "{dir}", "{nodir}", "{pcm}.out"]
+_IN_PATHS = ["{pcm}", "{db}", "{missing}", "{garbage}", "{dir}"]
+_OPTION_VALUES = {
+    **dict.fromkeys(["--n", "--runs", "--ne", "--nr", "--np", "--total", "--workers", "--classes"], _SIZES),
+    **dict.fromkeys(["--seed", "--threshold", "--big-prob"], _NUMBERS),
+    "--true-pv": ["0.4,0.3,0.2,0.1", "1,1,1", "0.4,x,0.2,0.1", "nan,1,1,1", "0,0,0,0", f"{2**63},1,1,1", ""],
+    "--format": ["table", "jsonl", "csv", "x"],
+    "--index": ["ati", "si", "gi", "ki", "x"],
+    "--error": ["ae_rev", "re_gm", "x"],
+    "--method": ["rev", "gm", "x"],
+    "--quantile": ["q10", "median", "q90", "mean", "x"],
+    **dict.fromkeys(["--out", "--manifest"], _OUT_PATHS),
+    "--table": _IN_PATHS,
+}
+_SIMULATE = ["--n", "--seed", "--out", "--manifest"]
+# (required arguments, the subcommand's own options)
+_HEADS = [
+    *[(["analyze", path], ["--true-pv", "--seed", "--format", "--out"]) for path in ("{pcm}", "{in}")],
+    *[(["report", path, "--classes", "3"], ["--index", "--error", "--classes", "--format", "--out"])
+      for path in ("{db}", "{in}")],
+    *[(["accept", path, "--threshold", "0.1"], ["--method", "--threshold", "--quantile", "--table"])
+      for path in ("{pcm}", "{in}")],
+    (["simulate", "mse", "--runs", "2", "--ne", "2", "--n", "4", "--out", "{out}"], _SIMULATE + ["--runs", "--ne"]),
+    (["simulate", "nee", "--nr", "2", "--np", "2", "--n", "4", "--out", "{out}"], _SIMULATE + ["--nr", "--np"]),
+    (["simulate", "msobe", "--total", "8", "--n", "4", "--out", "{out}"],
+     _SIMULATE + ["--total", "--big-prob", "--workers"]),
+    (["simulate"], []),
+    (["bogus"], []),
+    ([], []),
+]
+
+
+def _option_with_value(options):
+    return st.sampled_from(sorted(options)).flatmap(
+        lambda option: st.sampled_from(_OPTION_VALUES[option]).map(lambda value: [option, value]))
+
+
+def _argv_from(head, own):
+    items = [
+        _option_with_value(_OPTION_VALUES),
+        st.sampled_from(sorted(_OPTION_VALUES)).map(lambda option: [option]),  # an option without its value
+        st.sampled_from(["mse", "nee", "msobe", "analyze", "--", *_IN_PATHS]).map(lambda word: [word]),
+    ]
+    if own:
+        items = [_option_with_value(own)] * 6 + items
+    return st.tuples(st.sampled_from(_IN_PATHS), st.lists(st.one_of(items), max_size=4)).map(
+        lambda drawn: [t.replace("{in}", drawn[0]) for t in head] + [t for item in drawn[1] for t in item])
+
+
+_ARGVS = st.sampled_from(_HEADS).flatmap(lambda head: _argv_from(*head))
+
+
+@given(argv=_ARGVS)
+@settings(max_examples=300, deadline=None)
+def test_arbitrary_argv_ends_in_a_documented_exit_code(tmp_path_factory, argv):
+    """main never raises; it returns 0-3, and exit 1 or 2 comes with exactly one `pcmkit:` line on stderr."""
+    with tempfile.TemporaryDirectory(dir=tmp_path_factory.getbasetemp()) as work:
+        work = Path(work)
+        paths = {"pcm": work / "pcm.csv", "db": work / "db.csv", "missing": work / "missing.csv",
+                 "garbage": work / "garbage.csv", "dir": work, "out": work / "out", "nodir": work / "no" / "out"}
+        write_pcm(Pcm(RB), paths["pcm"])
+        write_database(paths["db"], np.linspace(0.1, 1.0, 30))
+        paths["garbage"].write_bytes(b"\xff\x00not,a\npcm\n")
+        argv = [token.format(**paths) for token in argv]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+    event(f"exit {code}")
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_REJECT), argv
+    err = stderr.getvalue()
+    if code in (EXIT_USAGE, EXIT_DATA):
+        assert err.startswith("pcmkit: ") and err.count("\n") == 1 and "Traceback" not in err, (argv, err)
+    elif code == EXIT_REJECT:
+        assert err == "" and "verdict: REJECT" in stdout.getvalue(), argv
