@@ -38,7 +38,6 @@ from .prioritize import ConvergenceError, RevResult, gm_estimate, rev_estimate
 from .simulate import (
     BigErrorModel,
     CorrelationSummary,
-    ErrorModel,
     MsobeResult,
     RecordTable,
     SimRecord,

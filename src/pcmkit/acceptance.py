@@ -106,9 +106,12 @@ def _parse_tables(lines, loss_column: bool = False) -> dict:
     Raises ValueError naming the first row (counted from 1, blank lines skipped) that does not parse.
     """
     tables: dict = {}
+    width = 10 if loss_column else 9
     for k, line in enumerate((line for line in lines if line.strip()), 1):
+        cells = line.split(",")
+        if len(cells) != width:
+            raise ValueError(f"row {k}: {len(cells)} fields, not {width}")
         try:
-            cells = line.split(",")
             loss = cells.pop() if loss_column else "RE"
             n_s, method, lo, hi, mean_ati, q10, med, q90, mean_err = cells
             rows = tables.setdefault((int(n_s), method, loss), [])

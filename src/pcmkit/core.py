@@ -219,8 +219,9 @@ def read_pcm(path) -> Pcm:
     if not rows:
         raise PcmFormatError(f"{path}: empty PCM file")
     n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise PcmFormatError(f"{path}: expected a square matrix, got ragged rows")
+    for k, row in enumerate(rows, 1):
+        if len(row) != n:
+            raise PcmFormatError(f"{path}: row {k} has {len(row)} entries, not {n}")
     try:
         return Pcm(np.array(rows))
     except ValueError as exc:

@@ -12,7 +12,6 @@ not depend on chunk or stack sizes or worker (thread) counts.
 from __future__ import annotations
 
 import itertools
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import get_type_hints
@@ -26,7 +25,6 @@ from .prioritize import batch_gm, batch_rev
 from .stats import average_ranks, pearson_pairs
 
 __all__ = [
-    "ErrorModel",
     "BigErrorModel",
     "SimRecord",
     "RecordTable",
@@ -44,7 +42,7 @@ __all__ = [
 ]
 
 SMALL_ERROR_SUPPORT = (0.5, 1.5)  # D_S
-ERROR_DISTRIBUTIONS = ("gamma", "log-normal", "truncated-normal", "uniform")
+BIG_ERROR_RANGE = (2.0, 4.0)  # the big error is uniform on it
 
 
 @dataclass(frozen=True)
@@ -60,10 +58,6 @@ class ErrorModel:
 
     distribution: str
     params: tuple
-
-    def __post_init__(self):
-        if self.distribution not in ERROR_DISTRIBUTIONS:
-            raise ValueError(f"unknown error distribution {self.distribution!r}")
 
     def draw(self, rng: np.random.Generator, size) -> np.ndarray:
         if self.distribution == "gamma":
@@ -98,17 +92,19 @@ def default_error_models() -> tuple:
     )
 
 
+# The models' names in quarter order: the only values a database's distribution column may hold.
+ERROR_DISTRIBUTIONS = tuple(m.distribution for m in default_error_models())
+
+
 @dataclass(frozen=True)
 class BigErrorModel:
-    """One large multiplicative error, uniform on [lo, hi], applied with given probability."""
+    """One large multiplicative error, uniform on BIG_ERROR_RANGE, applied with the given probability."""
 
-    lo: float = 2.0
-    hi: float = 4.0
     apply_probability: float = 0.75
 
     def __post_init__(self):
-        if not (0 < self.lo < self.hi < math.inf and 0 <= self.apply_probability <= 1):
-            raise ValueError(f"need finite 0 < lo < hi and probability in [0, 1]: {self}")
+        if not 0 <= self.apply_probability <= 1:
+            raise ValueError(f"need probability in [0, 1]: {self}")
 
 
 @dataclass(frozen=True)
@@ -116,9 +112,10 @@ class SimRecord:
     """One simulated PCM: provenance, index values and estimation errors.
 
     The field order is the column order of the database files.  ``seed`` is
-    the run's master seed: with the record index (``vector_id`` and
-    ``perturbation_id``) and the block size ``_BLOCK`` it is the key that
-    replays the record from its block's stream.
+    the run's master seed: with the record index ``vector_id``, the block
+    size ``_BLOCK`` and the run's big-error probability (the manifest's
+    ``big_prob``) it is the key that replays the record from its block's
+    stream.  ``perturbation_id`` is always 0.
     """
 
     n: int
@@ -471,27 +468,26 @@ def _chunk_records(n: int) -> int:
     return max(1, _stack_matrices(n) // _BLOCK) * _BLOCK
 
 
-def _msobe_chunk(n, lo, hi, total, big, seed, dpv):
+def _msobe_chunk(n, lo, hi, total, big, seed):
     """Columns of records [lo, hi), a union of whole record blocks, and their non-convergence mask.
 
     Beside the database fields, the columns hold REV's rev_iterations and rev_residual.
     """
     n_pairs = n * (n - 1) // 2
     iu, ju = np.triu_indices(n, k=1)
-    idx = np.arange(lo, hi)
     v = np.empty((hi - lo, n))
     factors = np.empty((hi - lo, n_pairs))
     big_flags = np.empty(hi - lo, dtype=bool)
     model_ids = np.empty(hi - lo, dtype=np.intp)
     models = default_error_models()
     quarter = total // len(models)
-    for b_lo, b_hi, rng, block_v in _blocks(n, seed, lo, hi, dpv):
+    for b_lo, b_hi, rng, block_v in _blocks(n, seed, lo, hi, 1):
         v[b_lo - lo:b_hi - lo] = block_v
         for s_lo, s_hi, model in _segments(b_lo, b_hi, quarter, len(models)):
             k, rows = s_hi - s_lo, slice(s_lo - lo, s_hi - lo)
             applied = rng.random(k) < big.apply_probability
             big_pos = rng.integers(n_pairs, size=k)
-            eps_b = rng.uniform(big.lo, big.hi, k)
+            eps_b = rng.uniform(*BIG_ERROR_RANGE, k)
             f = models[model].draw(rng, (k, n_pairs))
             f[applied, big_pos[applied]] = eps_b[applied]
             factors[rows] = f
@@ -500,11 +496,10 @@ def _msobe_chunk(n, lo, hi, total, big, seed, dpv):
     a = _from_upper(round_matrix_to_scale(v[:, iu] / v[:, ju] * factors), n)
     del factors  # out of the way of the kernels' temporaries
     metrics, failed = _batch_metrics(a, v)
-    names = np.array([m.distribution for m in models], dtype=object)
     columns = dict(
-        vector_id=idx // dpv,
-        perturbation_id=idx % dpv,
-        distribution=names[model_ids],
+        vector_id=np.arange(lo, hi),
+        perturbation_id=np.zeros(hi - lo, dtype=np.int64),
+        distribution=np.array(ERROR_DISTRIBUTIONS, dtype=object)[model_ids],
         big_error=big_flags,
         **metrics,
     )
@@ -529,21 +524,20 @@ def run_msobe_sf(
     big: BigErrorModel = BigErrorModel(),
     seed: int = 0,
     workers: int = 1,
-    disturbances_per_vector: int = 1,
 ) -> MsobeResult:
     """Generate the simulation database of rounded, randomly disturbed PCMs.
 
-    Each record: fresh (or group-shared, see disturbances_per_vector) random
-    priority vector and perfect ratio matrix; with the configured probability
-    one upper-triangle entry is hit by a big error uniform on [big.lo,
-    big.hi]; every other upper-triangle entry gets a small multiplicative
-    error from the record's distribution; the upper triangle is rounded to
-    SAATY_SCALE and the lower triangle reciprocated.  The matrix count is
-    split into equal contiguous blocks across default_error_models(), in order.
+    Each record: a fresh random priority vector and its perfect ratio matrix
+    (vector_id is the record index, perturbation_id is 0); with probability
+    big.apply_probability one upper-triangle entry is hit by a big error
+    uniform on BIG_ERROR_RANGE; every other upper-triangle entry gets a small
+    multiplicative error from the record's distribution; the upper triangle
+    is rounded to SAATY_SCALE and the lower triangle reciprocated.  The
+    matrix count is split into equal contiguous blocks across
+    default_error_models(), in order.
 
-    The records are generated in chunks of _chunk_records(n); workers > 1
-    runs them on up to that many threads in this process, never more
-    threads than chunks.
+    The records are generated in chunks of _chunk_records(n) on up to
+    `workers` threads in this process, never more threads than chunks.
     """
     if n < 4:
         raise ValueError("need n >= 4")
@@ -551,18 +545,15 @@ def run_msobe_sf(
         raise ValueError("total_matrices must be a positive multiple of 4")
     if not 0 <= seed < 2**63:  # the int64 seed column of the database
         raise ValueError(f"seed must lie in [0, 2**63), not {seed}")
-    if disturbances_per_vector < 1:
-        raise ValueError("disturbances_per_vector must be >= 1")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, not {workers}")
     bounds = list(range(0, total_matrices, _chunk_records(n))) + [total_matrices]
 
     def chunk(lo, hi):
-        return _msobe_chunk(n, lo, hi, total_matrices, big, seed, disturbances_per_vector)
+        return _msobe_chunk(n, lo, hi, total_matrices, big, seed)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=min(workers, len(bounds) - 1)) as pool:
-            results = list(pool.map(chunk, bounds, bounds[1:]))
-    else:
-        results = list(map(chunk, bounds, bounds[1:]))
+    with ThreadPoolExecutor(max_workers=min(workers, len(bounds) - 1)) as pool:
+        results = list(pool.map(chunk, bounds, bounds[1:]))
     kept = ~np.concatenate([failed for _, failed in results])
     columns = {name: np.concatenate([c[name] for c, _ in results])[kept] for name in results[0][0]}
     columns.update(n=np.full(kept.sum(), n), seed=np.full(kept.sum(), seed))

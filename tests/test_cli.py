@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, outputs, manifests."""
 
 import contextlib
+import dataclasses
+import inspect
 import io
 import json
 import os
@@ -18,6 +20,7 @@ from hypothesis import strategies as st
 
 from pcmkit import cli
 from pcmkit import simulate as sim
+from pcmkit.acceptance import builtin_table, write_table
 from pcmkit.cli import EXIT_DATA, EXIT_OK, EXIT_REJECT, EXIT_USAGE, main
 from pcmkit.core import Pcm, PriorityVector, mpr_from_pv, write_pcm
 from pcmkit.prioritize import batch_rev
@@ -383,6 +386,35 @@ class TestDataErrors:
             assert main(["accept", rb_file, "--threshold", "1", "--table", str(path)]) == EXIT_DATA, rows
             assert assert_one_line_error(capsys).startswith(f"pcmkit: {path}: row {at}: "), rows
 
+    def test_table_row_of_the_wrong_width_names_its_field_count(self, tmp_path, rb_file, capsys):
+        """A row with a cell too few or too many, in the ten-column format and in the builtin's nine."""
+        path = tmp_path / "t.csv"
+        write_table(builtin_table(4, "REV"), path)
+        header, *rows = path.read_text().splitlines()
+        nine = [line.rpartition(",")[0] for line in (header, *rows)]
+        for lines, message in (
+            ([header, rows[0].rpartition(",")[0], *rows[1:]], "row 1: 9 fields, not 10"),
+            ([header, rows[0], rows[1] + ",RE", *rows[2:]], "row 2: 11 fields, not 10"),
+            ([nine[0], nine[1].rpartition(",")[0], *nine[2:]], "row 1: 8 fields, not 9"),
+            ([*nine[:3], rows[2], *nine[4:]], "row 3: 10 fields, not 9"),
+        ):
+            path.write_text("\n".join(lines) + "\n")
+            assert main(["accept", rb_file, "--threshold", "1", "--table", str(path)]) == EXIT_DATA, message
+            assert assert_one_line_error(capsys) == f"pcmkit: {path}: {message}\n"
+
+    @pytest.mark.parametrize("text, message", [
+        ("1,2,3,4\n0.5,1,2\n1/3,0.5,1\n", "row 1 has 4 entries, not 3"),
+        ("1,2,3\n\n0.5,1\n1/3,0.5,1\n", "row 2 has 2 entries, not 3"),
+        ("1,2\n0.5,1\n1/3,0.5\n", "row 1 has 2 entries, not 3"),
+    ])
+    def test_ragged_pcm_names_the_row(self, tmp_path, capsys, text, message):
+        """The first row (counting non-blank lines) whose entry count is not the row count."""
+        path = tmp_path / "rag.csv"
+        path.write_text(text)
+        for argv in (["analyze", str(path)], ["accept", str(path), "--threshold", "1"]):
+            assert main(argv) == EXIT_DATA
+            assert assert_one_line_error(capsys) == f"pcmkit: {path}: {message}\n"
+
 
 class TestAnalyze:
     def test_table_output(self, ra_file, capsys):
@@ -554,6 +586,22 @@ class TestSimulate:
         config = json.loads((tmp_path / "out.manifest.json").read_text())["config"]
         expected = {"subcommand": f"simulate {argv[0]}", "n": 4, "seed": 5, "out": str(out), **own}
         assert list(config.items()) == list(expected.items())
+
+    @pytest.mark.parametrize("n, total", [(4, 4100), (7, 5000)])
+    def test_manifest_rebuilds_the_database(self, tmp_path, capsys, n, total):
+        """run_msobe_sf on exactly the manifest's config, at another worker count, writes the same bytes:
+        no generation setting lives outside the manifest."""
+        out = tmp_path / "db.csv"
+        argv = ["simulate", "msobe", "--n", str(n), "--total", str(total), "--big-prob", "0.5", "--seed", "9"]
+        assert main(argv + ["--workers", "2", "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        config = json.loads((tmp_path / "db.csv.manifest.json").read_text())["config"]
+        assert list(inspect.signature(sim.run_msobe_sf).parameters) == ["n", "total_matrices", "big", "seed", "workers"]
+        assert [field.name for field in dataclasses.fields(sim.BigErrorModel)] == ["apply_probability"]
+        result = sim.run_msobe_sf(config["n"], config["total"], big=sim.BigErrorModel(config["big_prob"]),
+                                  seed=config["seed"], workers=config["workers"] - 1)
+        write_records_csv(result.records, tmp_path / "again.csv")
+        assert (tmp_path / "again.csv").read_bytes() == out.read_bytes()
 
     def test_mse_summary(self, tmp_path, capsys):
         out = tmp_path / "mse.csv"
@@ -886,3 +934,93 @@ def test_arbitrary_argv_ends_in_a_documented_exit_code(tmp_path_factory, argv):
         assert err.startswith("pcmkit: ") and err.count("\n") == 1 and "Traceback" not in err, (argv, err)
     elif code == EXIT_REJECT:
         assert err == "" and "verdict: REJECT" in stdout.getvalue(), argv
+
+
+# Garbled input files: a valid PCM, quantile table (ten or nine columns) or database, then edits to its
+# cells, characters and bytes. Each edit's place is drawn as an integer and taken modulo the length it
+# indexes, so every edit applies to whatever the earlier ones left.
+_TOKENS = ["", "x", "inf", "-inf", "nan", "1/0", "0/0", "-1", "0", "1e999", "9/2", " 3 ", "\x00", "1\r", "\t2"]
+_CHARS = ["\r", "\t", "\x00", "\n", ",", " ", "/", "#", '"']
+_BYTES = [b"\xff", b"\xc3", b"\x80", b"\xef\xbb\xbf", b"\xed\xa0\x80"]
+_EDITS = st.one_of(
+    st.tuples(st.just("delete cell"), st.integers(0, 10**6), st.integers(0, 10**6)),
+    st.tuples(st.just("replace cell"), st.integers(0, 10**6), st.integers(0, 10**6), st.sampled_from(_TOKENS)),
+    st.tuples(st.just("extra comma"), st.integers(0, 10**6), st.integers(0, 10**6)),
+    st.tuples(st.just("delete line"), st.integers(0, 10**6)),
+    st.tuples(st.just("repeat line"), st.integers(0, 10**6)),
+    st.tuples(st.just("insert char"), st.integers(0, 10**6), st.sampled_from(_CHARS)),
+    st.tuples(st.just("insert bytes"), st.integers(0, 10**6), st.sampled_from(_BYTES)),
+)
+
+
+def _garble(data: bytes, edits) -> bytes:
+    for edit in edits:
+        kind, at = edit[0], edit[1]
+        if kind == "insert bytes":
+            at %= len(data) + 1
+            data = data[:at] + edit[2] + data[at:]
+            continue
+        text = data.decode("utf-8", "surrogateescape")
+        if kind == "insert char":
+            at %= len(text) + 1
+            text = text[:at] + edit[2] + text[at:]
+        else:
+            lines = text.split("\n")
+            row = at % len(lines)
+            if kind == "delete line":
+                del lines[row]
+            elif kind == "repeat line":
+                lines.insert(row, lines[row])
+            else:
+                cells = lines[row].split(",")
+                col = edit[2] % (len(cells) + (kind == "extra comma"))
+                if kind == "delete cell":
+                    del cells[col]
+                elif kind == "replace cell":
+                    cells[col] = edit[3]
+                else:
+                    cells.insert(col, "")
+                lines[row] = ",".join(cells)
+            text = "\n".join(lines)
+        data = text.encode("utf-8", "surrogateescape")
+    return data
+
+
+# (command, the kind of valid file it reads)
+_INPUTS = [("analyze", "pcm"), ("analyze", "pcm3"), ("accept", "pcm"), ("accept", "pcm3"),
+           ("accept --table", "table"), ("accept --table", "table9"), ("report", "db")]
+
+
+@given(command_and_base=st.sampled_from(_INPUTS), edits=st.lists(_EDITS, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_arbitrary_file_contents_end_in_a_documented_exit_code(tmp_path_factory, command_and_base, edits):
+    """main never raises on a garbled input file; it returns 0-3, and exit 1 or 2 comes with exactly
+    one `pcmkit:` line on stderr."""
+    command, base = command_and_base
+    with tempfile.TemporaryDirectory(dir=tmp_path_factory.getbasetemp()) as work:
+        work = Path(work)
+        files = {name: work / f"{name}.csv" for name in ("pcm", "pcm3", "table", "table9", "db")}
+        write_pcm(Pcm(RB), files["pcm"])
+        write_pcm(mpr_from_pv(PriorityVector.normalized([0.5, 0.3, 0.2])), files["pcm3"])
+        write_table(builtin_table(4, "REV"), files["table"])
+        files["table9"].write_text("".join(line.rpartition(",")[0] + "\n"
+                                           for line in files["table"].read_text().splitlines()))
+        write_database(files["db"], np.linspace(0.1, 1.0, 30))
+        path = work / "input.csv"
+        path.write_bytes(_garble(files[base].read_bytes(), edits))
+        argv = {
+            "analyze": ["analyze", str(path), "--seed", "1"],
+            "accept": ["accept", str(path), "--threshold", "0.1"],
+            "accept --table": ["accept", str(files["pcm"]), "--threshold", "0.1", "--table", str(path)],
+            "report": ["report", str(path), "--classes", "3"],
+        }[command]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+    event(f"{command}: exit {code}")
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_REJECT), (argv, edits)
+    err = stderr.getvalue()
+    if code in (EXIT_USAGE, EXIT_DATA):
+        assert err.startswith("pcmkit: ") and err.count("\n") == 1 and "Traceback" not in err, (edits, err)
+    elif code == EXIT_REJECT:
+        assert err == "" and "verdict: REJECT" in stdout.getvalue(), edits

@@ -5,6 +5,8 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
+import time
 import tracemalloc
 import warnings
 from collections import Counter
@@ -14,6 +16,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pcmkit import simulate
 from pcmkit.core import mpr_from_pv, round_matrix_to_scale
@@ -110,18 +114,10 @@ class TestErrorModels:
         assert abs(draws.mean() - dist.mean()) <= 5 * dist.std() / math.sqrt(size)
         assert abs(np.mean((draws >= lo) & (draws <= hi)) - mass) <= 5 * math.sqrt(mass * (1 - mass) / size) + 1e-12
 
-    def test_unknown_distribution(self):
+    @pytest.mark.parametrize("p", [7.0, -0.1, float("nan")])
+    def test_big_error_model_validation(self, p):
         with pytest.raises(ValueError):
-            ErrorModel("cauchy", (0.0, 1.0))
-
-    @pytest.mark.parametrize(
-        "lo,hi,p",
-        [(2.0, 4.0, 7.0), (2.0, 4.0, -0.1), (2.0, 4.0, float("nan")), (4.0, 2.0, 0.5),
-         (0.0, 4.0, 0.5), (2.0, float("inf"), 0.5)],
-    )
-    def test_big_error_model_validation(self, lo, hi, p):
-        with pytest.raises(ValueError):
-            BigErrorModel(lo, hi, p)
+            BigErrorModel(p)
 
 
 class TestSingleErrorSweep:
@@ -396,9 +392,30 @@ class TestBigErrorDatabase:
         run_msobe_sf(n, total, workers=2)
         assert bounds == [(0, size), (size, 2 * size), (2 * size, total)]
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_an_interrupt_stops_after_at_most_one_chunk_per_thread(self, monkeypatch, workers):
+        """A chunk that raises (as Ctrl-C does in the waiting thread) cancels every queued chunk.
+
+        The first chunk raises; each later one takes 0.1 s, time for the caller to cancel the queue.
+        """
+        started = []
+
+        def interrupted(n, lo, hi, *rest):
+            started.append(lo)
+            if lo == 0:
+                raise KeyboardInterrupt
+            time.sleep(0.1)
+            return {"rev_iterations": np.ones(hi - lo, int), "rev_residual": np.zeros(hi - lo)}, np.zeros(hi - lo, bool)
+
+        monkeypatch.setattr(simulate, "_STACK_ENTRIES", simulate._BLOCK * 4 * 4)  # eight chunks
+        monkeypatch.setattr(simulate, "_msobe_chunk", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_msobe_sf(4, 8192, workers=workers)
+        assert 0 in started and len(started) <= 2 * workers
+
     def test_one_chunk_stays_within_its_memory_budget(self):
         """Traced peak of one n=7 chunk of 4096 records: two threads hold two such stacks in one process."""
-        args = (simulate.BigErrorModel(), 1, 1)
+        args = (simulate.BigErrorModel(), 1)
         simulate._msobe_chunk(7, 0, 4, 4, *args)  # first-call set-up stays out of the measurement
         tracemalloc.start()
         try:
@@ -418,18 +435,17 @@ class TestBigErrorDatabase:
         assert (len(res.records), res.skipped) == (0, 40)
         assert res.rev == dict.fromkeys(("iterations_mean", "iterations_p99", "iterations_max", "residual_max"))
 
-    @pytest.mark.parametrize("dpv", [1, 3])
-    def test_blocks_do_not_depend_on_workers_or_chunks(self, dpv, monkeypatch, tmp_path):
+    def test_blocks_do_not_depend_on_workers_or_chunks(self, monkeypatch, tmp_path):
         # 4100 records: the model quarters (1025 records) end inside record
         # blocks, and the last block holds 4 records.  One chunk by default,
         # then chunks of two blocks (three chunks) and of one block (five).
-        a = run_msobe_sf(4, 4100, seed=20, workers=1, disturbances_per_vector=dpv)
+        a = run_msobe_sf(4, 4100, seed=20, workers=1)
         assert len(a.records) + a.skipped == 4100
         monkeypatch.setattr(simulate, "_STACK_ENTRIES", 2 * simulate._BLOCK * 4 * 4)
-        b = run_msobe_sf(4, 4100, seed=20, workers=2, disturbances_per_vector=dpv)
-        c = run_msobe_sf(4, 4100, seed=20, workers=1, disturbances_per_vector=dpv)
+        b = run_msobe_sf(4, 4100, seed=20, workers=2)
+        c = run_msobe_sf(4, 4100, seed=20, workers=1)
         monkeypatch.setattr(simulate, "_STACK_ENTRIES", simulate._BLOCK * 4 * 4)
-        d = run_msobe_sf(4, 4100, seed=20, workers=3, disturbances_per_vector=dpv)
+        d = run_msobe_sf(4, 4100, seed=20, workers=3)
         for other in (b, c, d):
             assert a.records == other.records and a.skipped == other.skipped
 
@@ -438,6 +454,27 @@ class TestBigErrorDatabase:
             return (tmp_path / "db.csv").read_bytes()
 
         assert written(a) == written(b) == written(c) == written(d)
+
+    @given(n=st.integers(4, 7), total=st.integers(1, 750).map(lambda k: 4 * k), workers=st.integers(1, 3),
+           blocks=st.integers(1, 2), extra=st.integers(0, 16 * simulate._BLOCK - 1), seed=st.integers(0, 2**63 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_any_workers_and_stack_budget_give_the_default_run(self, tmp_path_factory, n, total, workers, blocks,
+                                                               extra, seed):
+        """A _STACK_ENTRIES budget of `blocks` record blocks per chunk, chunks that do not divide the total."""
+        assume(total % (blocks * simulate._BLOCK))
+        budget = blocks * simulate._BLOCK * n * n + extra  # extra < one block's entries at n >= 4
+        default = run_msobe_sf(n, total, seed=seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulate, "_STACK_ENTRIES", budget)
+            assert simulate._chunk_records(n) == blocks * simulate._BLOCK
+            other = run_msobe_sf(n, total, seed=seed, workers=workers)
+        assert default.records == other.records
+        assert (default.skipped, default.rev) == (other.skipped, other.rev)
+        with tempfile.TemporaryDirectory(dir=tmp_path_factory.getbasetemp()) as work:
+            paths = [Path(work) / "default.csv", Path(work) / "other.csv"]
+            for result, path in zip((default, other), paths):
+                write_records_csv(result.records, path)
+            assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_record_seed_column_is_the_master_seed(self):
         res = run_msobe_sf(4, 400, seed=21)
@@ -475,28 +512,16 @@ class TestBigErrorDatabase:
         # one record block and one vector block per _BLOCK records
         assert len(built) <= 2 * math.ceil(8192 / simulate._BLOCK) + 2
 
-    def test_one_seed_sequence_per_block_with_shared_vectors(self, monkeypatch):
-        built = seed_sequences(monkeypatch)
-        run_msobe_sf(4, 8200, seed=22, disturbances_per_vector=3)  # one chunk at n=4
-        # 9 record blocks; vectors 0..2733 lie in 3 vector blocks, each spanning up to 3 record blocks
-        assert len(built) <= 9 + 3
-
-    def test_shared_vector_groups(self):
-        res = run_msobe_sf(4, 400, seed=17, disturbances_per_vector=4)
-        ids = [r.vector_id for r in res.records]
-        counts = Counter(ids)
-        assert max(counts.values()) <= 4
-        # perturbation ids cycle within a group
-        by_vec = {}
-        for r in res.records:
-            by_vec.setdefault(r.vector_id, []).append(r.perturbation_id)
-        assert any(sorted(v) == [0, 1, 2, 3] for v in by_vec.values())
-
     def test_total_must_split_across_models(self):
         with pytest.raises(ValueError):
             run_msobe_sf(4, 402)
         with pytest.raises(ValueError):
             run_msobe_sf(4, 0)
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_must_be_positive(self, workers):
+        with pytest.raises(ValueError, match=f"workers must be at least 1, not {workers}"):
+            run_msobe_sf(4, 8, workers=workers)
 
     def test_indices_are_plausible(self):
         res = run_msobe_sf(5, 400, seed=18)
