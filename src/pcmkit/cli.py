@@ -168,6 +168,10 @@ def cmd_analyze(args) -> int:
             v = PriorityVector.normalized([float(t) for t in args.true_pv.split(",")])
         except ValueError as exc:
             raise UsageError(f"bad --true-pv: {exc}") from exc
+        # RE divides by the true weights, so a subnormal one would overflow it to inf.
+        smallest = v.weights.min()
+        if smallest < np.finfo(float).tiny:
+            raise UsageError(f"bad --true-pv: normalized weight {smallest:.3g} is below the smallest normal float")
         if v.n != pcm.n:
             raise UsageError("--true-pv dimension does not match the PCM order")
         payload["ae_rev"] = avg_absolute_error(v, rev.weights)

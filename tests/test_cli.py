@@ -255,6 +255,19 @@ class TestUsageErrors:
         assert run.returncode == EXIT_USAGE and run.stdout == ""
         assert run.stderr == "pcmkit: bad --true-pv: priority weights must be finite and strictly positive\n"
 
+    @pytest.mark.parametrize("fmt", ["table", "jsonl"])
+    @pytest.mark.parametrize("true_pv, weight", [("1,1,1,1e-320", "3.33e-321"), ("1,1,1,1e308", "1e-308")])
+    def test_true_pv_with_subnormal_weight(self, ra_file, fmt, true_pv, weight):
+        """A normalized weight below the smallest normal float would overflow RE to inf: one error line."""
+        env = {**os.environ, "PYTHONPATH": str(Path(sim.__file__).parents[1])}
+        argv = [sys.executable, "-m", "pcmkit.cli", "analyze", ra_file, "--seed", "1", "--format", fmt,
+                "--true-pv", true_pv]
+        run = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+        assert run.returncode == EXIT_USAGE and run.stdout == ""
+        assert run.stderr == (
+            f"pcmkit: bad --true-pv: normalized weight {weight} is below the smallest normal float\n"
+        )
+
 
 class TestDataErrors:
     def test_missing_file(self, capsys):

@@ -16,6 +16,7 @@ from pcmkit.indices import (
     estimate_asi,
     triad_values,
 )
+from pcmkit.prioritize import batch_rev
 
 from conftest import random_reciprocal_pcm
 
@@ -127,6 +128,45 @@ class TestAsiAndCr:
     def test_cr_is_si_over_asi(self, rb):
         asi = estimate_asi(4, sample_size=300, seed=5)
         assert compute_cr(rb, asi) == pytest.approx(compute_si(rb) / asi, abs=1e-15)
+
+    @pytest.mark.parametrize("n", range(3, 16))
+    def test_asi_equals_dense_eigenvalue_mean(self, n):
+        """ASI is the mean of (max Re eigvals - n)/(n - 1) over the same 200 draws, to 1e-14."""
+        iu, ju = np.triu_indices(n, k=1)
+        for seed in range(4):
+            upper = np.random.default_rng(seed).choice(SAATY_SCALE, size=(200, iu.size))
+            a = np.ones((200, n, n))
+            a[:, iu, ju] = upper
+            a[:, ju, iu] = 1.0 / upper
+            lam = np.linalg.eigvals(a).real.max(axis=1)
+            assert abs(estimate_asi(n, 200, seed) - np.mean((lam - n) / (n - 1))) <= 1e-14
+
+    @pytest.mark.parametrize("n", range(3, 16))
+    def test_asi_power_iteration_takes_few_passes(self, n, monkeypatch):
+        """The sample's eigenvectors converge in a handful of passes, not the ~100 that A itself takes."""
+        import pcmkit.indices as indices
+
+        passes = []
+
+        def recording_batch_rev(a):
+            result = batch_rev(a)
+            passes.append(int(result[2].max()))
+            return result
+
+        monkeypatch.setattr(indices, "batch_rev", recording_batch_rev)
+        for seed in range(3):
+            estimate_asi(n, seed=seed)
+        assert len(passes) == 3 and max(passes) <= 6
+
+
+class TestAsiCheck:
+    """compute_cr and compute_report accept the same ASIs: finite and positive."""
+
+    @pytest.mark.parametrize("function", [compute_cr, compute_report])
+    @pytest.mark.parametrize("asi", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_asi(self, rb, function, asi):
+        with pytest.raises(ValueError, match=f"^asi must be finite and positive, not {asi}$"):
+            function(rb, asi)
 
 
 class TestReport:
