@@ -11,6 +11,7 @@ __all__ = ["RevResult", "ConvergenceError", "batch_rev", "batch_gm", "rev_estima
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 10_000
+SQUARINGS = 5  # batch_rev iterates on A^(2^SQUARINGS)
 
 
 class ConvergenceError(RuntimeError):
@@ -35,18 +36,28 @@ class RevResult:
 
 
 def batch_rev(a: np.ndarray, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER):
-    """Normalized principal right eigenvectors of a (b, n, n) stack by power iteration.
+    """Normalized principal right eigenvectors of a (b, n, n) stack by power iteration on A^32.
 
-    Starts from the uniform vector and renormalizes by the component sum at
-    each step.  Each pass iterates only the records still moving, held as a
-    compacted C-contiguous stack: a record stops the moment every component
-    of its successive-iterate difference is within tol, and its weights and
-    iteration count are written out on that pass, so its result never
-    depends on the rest of the stack.  A record still moving after max_iter
-    passes keeps its last iterate.  lambda_max is the mean of the Rayleigh
-    ratios (A w)_i / w_i.  Returns weights (b, n) and, per record,
-    lambda_max, iterations, the residual max |A w - lambda_max w| and whether
-    it converged.
+    A^32 has A's Perron vector, and its ratio of second to first eigenvalue
+    modulus is A's to the 32nd power, so the iteration stops after 2-6
+    passes where A itself takes 15-100.  The stack is squared SQUARINGS
+    times, each square scaled by its own (0,0) entry.  That entry is
+    invariant under a diagonal similarity D A D^-1, so the scaled powers of
+    a matrix whose weights span many decades stay in range.  The squarings
+    cost O(n^3) per matrix: on a 500-matrix stack they outweigh the saved
+    passes from about n = 30, while a stack of one is still faster at n = 60.
+
+    The iteration starts from the uniform vector and renormalizes by the
+    component sum at each step.  Each pass iterates only the records still
+    moving, held as a compacted C-contiguous stack: a record stops the
+    moment every component of its successive-iterate difference is within
+    tol times that component, so a weight of 1e-20 converges as far as one
+    of 0.5.  Its weights and iteration count are written out on that pass,
+    so its result never depends on the rest of the stack.  A record still
+    moving after max_iter passes keeps its last iterate.  lambda_max is read
+    off A itself, as the mean of the Rayleigh ratios (A w)_i / w_i.  Returns
+    weights (b, n) and, per record, lambda_max, iterations, the residual
+    max |A w - lambda_max w| and whether it converged.
 
     Both per-record reductions of a pass run across records, on a
     component-major (n, active) copy of the product: the normaliser adds the
@@ -64,27 +75,31 @@ def batch_rev(a: np.ndarray, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_M
         raise ValueError(f"tol must be positive, not {tol}")
     a = np.ascontiguousarray(a)
     b, n, _ = a.shape
+    p = a
+    for _ in range(SQUARINGS):
+        p = p @ p
+        p /= p[:, :1, :1]
     w = np.full((b, n), 1.0 / n)
     iterations = np.full(b, max_iter)
-    a_act, w_act, idx = a, w, np.arange(b)
+    p_act, w_act, idx = p, w, np.arange(b)
     wt = w.T  # the active iterate, component-major
     it = 0
     while idx.size and it < max_iter:
         it += 1
-        yt = np.einsum("bij,bj->bi", a_act, w_act).T.copy()
+        yt = np.einsum("bij,bj->bi", p_act, w_act).T.copy()
         total = yt[0].copy()
         for component in yt[1:]:
             total += component
         yt /= total
-        done = np.logical_and.reduce(np.abs(yt - wt) <= tol, axis=0)
+        done = np.logical_and.reduce(np.abs(yt - wt) <= tol * yt, axis=0)
         wt = yt
         if done.any():
             stop, keep = idx[done], ~done
             w[stop] = yt[:, done].T
             iterations[stop] = it
             idx, wt = idx[keep], yt[:, keep]
-            del a_act  # the old active copy goes before the new one is gathered, so at most one exists
-            a_act = a[idx]
+            del p_act  # the old active copy goes before the new one is gathered, so at most one exists
+            p_act = p[idx]
         w_act = np.ascontiguousarray(wt.T)
     w[idx] = w_act
     converged = np.ones(b, dtype=bool)

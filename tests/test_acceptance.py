@@ -205,6 +205,14 @@ def test_equal_error_count_sweep_mean_correlations():
     entry, a fresh random subset per count, positions drawn with replacement,
     rounding to the scale after each step) miss 32-46 of the 48, so the
     repository does not settle the reference scheme.  Kept red on purpose.
+
+    SI's coefficients move with the REV kernel through ties: since batch_rev
+    iterates on A^32, the 6,000 n=4 records take 3,824 distinct SI values,
+    against 4,736 when it iterated on A, whose stopping noise split records
+    that now tie.  No SI value moved by more than 4.4e-14.  n=4 SI vs count reads 0.371 (was 0.360), SI vs
+    ae_rev/re_rev/ae_gm/re_gm 0.137/0.191/0.140/0.201 (were
+    0.134/0.186/0.138/0.196), and n=7 SI vs ae_rev 0.638 (was 0.637); every
+    other coefficient is unchanged to three decimals, and 39 of 48 still miss.
     """
     failures = []
     for n in (4, 7):
@@ -278,7 +286,9 @@ def test_big_error_database_order_four():
     embedded reference tables at any order.  Its 1/15 and 14/15 ATI class
     bounds are 0.175/0.631 at n=4 (table 0.173/0.611) and 0.220/0.504 at n=6
     (table 0.194/0.454), and per-class RE quantiles are off by up to 3x (n=4
-    class 4 q90 0.868 against 0.2762).  Kept red on purpose.
+    class 4 q90 0.868 against 0.2762).  Kept red on purpose.  These numbers
+    are the same to four decimals whether batch_rev iterates on A or, as now,
+    on A^32.
     """
     failures = []
     res = run_msobe_sf(4, 240_000, seed=1, workers=4)

@@ -477,6 +477,21 @@ class TestAnalyze:
         assert payload["ki"] == pytest.approx(0.0, abs=1e-12)
         assert main(["accept", str(path), "--threshold", "1"]) == EXIT_OK
 
+    def test_weights_over_forty_decades(self, tmp_path, capsys):
+        """v = (1e20, 1, 1e-20, 2) with a_01 doubled: SI is that of the same error on v = (1, 1, 1, 1)."""
+        v = np.array([1e20, 1.0, 1e-20, 2.0])
+        a = v[:, None] / v[None, :]
+        a[0, 1], a[1, 0] = 2 * a[0, 1], a[1, 0] / 2
+        path = tmp_path / "wide.csv"
+        write_pcm(a, path)
+        assert main(["analyze", str(path), "--seed", "1", "--format", "jsonl"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        balanced = np.ones((4, 4))
+        balanced[0, 1], balanced[1, 0] = 2.0, 0.5
+        si = (np.linalg.eigvals(balanced).real.max() - 4) / 3
+        assert si == pytest.approx(0.0202157, abs=1e-7)
+        assert abs(payload["si"] - si) <= 1e-12
+
     def test_seed_reproducibility(self, ra_file, capsys):
         main(["analyze", ra_file, "--seed", "7", "--format", "jsonl"])
         first = capsys.readouterr().out

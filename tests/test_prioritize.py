@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from pcmkit.core import SAATY_SCALE, PriorityVector, mpr_from_pv
+from pcmkit import simulate
+from pcmkit.core import SAATY_SCALE, PriorityVector, _from_upper, mpr_from_pv
 from pcmkit.prioritize import ConvergenceError, batch_rev, gm_estimate, rev_estimate
 
 from conftest import random_reciprocal_pcm
@@ -47,6 +48,53 @@ class TestAgainstEigensolver:
         assert res.weights.weights == pytest.approx(w, abs=1e-7)
         assert res.lambda_max >= n - 1e-12
 
+    @staticmethod
+    def assert_matches_dense_oracle(a):
+        """batch_rev's lambda_max within 1e-12 and weights within 1e-14 of a dense eig, record by record."""
+        vals, vecs = np.linalg.eig(a)
+        k = np.argmax(vals.real, axis=1)
+        rows = np.arange(len(a))
+        w = np.abs(vecs[rows, :, k].real)
+        w /= w.sum(axis=1, keepdims=True)
+        got_w, got_lam, _, _, converged = batch_rev(a)
+        assert converged.all()
+        assert np.max(np.abs(got_lam - vals[rows, k].real)) <= 1e-12
+        assert np.max(np.abs(got_w - w)) <= 1e-14
+
+    @pytest.mark.parametrize("n", range(3, 16))
+    def test_saaty_stack_matches_dense_oracle(self, n):
+        upper = np.random.default_rng(n).choice(SAATY_SCALE, size=(300, n * (n - 1) // 2))
+        self.assert_matches_dense_oracle(_from_upper(upper, n))
+
+    @pytest.mark.parametrize("n", [4, 7])
+    def test_msobe_chunk_matches_dense_oracle(self, n, monkeypatch):
+        """One whole MSOBE-SF stack of rounded, disturbed PCMs, as the database build passes it to batch_rev."""
+        batch_metrics, stacks = simulate._batch_metrics, []
+
+        def recording(a, v):
+            stacks.append(a.copy())
+            return batch_metrics(a, v)
+
+        monkeypatch.setattr(simulate, "_batch_metrics", recording)
+        simulate.run_msobe_sf(n, simulate._stack_matrices(n) // 1024 * 1024, seed=1)
+        assert len(stacks) == 1 and len(stacks[0]) >= 4096
+        self.assert_matches_dense_oracle(stacks[0])
+
+    @pytest.mark.parametrize("span", [1.0, 1e20, 1e100, 1e150])
+    @pytest.mark.parametrize("n", [3, 4, 7, 12])
+    def test_diagonal_similarity(self, n, span):
+        """D A D^-1 has A's lambda_max and the weights D w, to 1e-13 relative in every component."""
+        rng = np.random.default_rng(n)
+        a = _from_upper(rng.choice(SAATY_SCALE, size=(200, n * (n - 1) // 2)), n)
+        d = np.geomspace(1.0, span, n)[rng.permuted(np.tile(np.arange(n), (len(a), 1)), axis=1)]
+        w1, lam1, _, _, _ = batch_rev(a)
+        w, lam, _, _, converged = batch_rev(a * d[:, :, None] / d[:, None, :])
+        assert converged.all()
+        assert np.max(np.abs(lam / lam1 - 1)) <= 1e-13
+        dw = d * w1
+        dw /= dw.sum(axis=1, keepdims=True)
+        assert np.max(np.abs(w / dw - 1)) <= 1e-13
+
     def test_gm_closed_form(self, ra):
         a = np.array(ra.entries)
         g = np.prod(a, axis=1) ** (1.0 / ra.n)
@@ -71,8 +119,12 @@ class TestBehaviour:
         assert gm_estimate(Pcm(a)).weights == pytest.approx(gw[perm], abs=1e-12)
 
     def test_convergence_error(self, ra):
-        with pytest.raises(ConvergenceError):
-            rev_estimate(ra, tol=1e-15, max_iter=2)
+        """One pass cannot stop: it moves the uniform start to ra's first iterate, which the error carries."""
+        with pytest.raises(ConvergenceError) as caught:
+            rev_estimate(ra, max_iter=1)
+        w, _, iterations, residual, _ = batch_rev(np.array([ra.entries]), max_iter=1)
+        assert caught.value.iterations == 1 and caught.value.residual == residual[0]
+        assert np.array_equal(caught.value.weights, w[0]) and iterations[0] == 1
 
     @pytest.mark.parametrize("kwargs,message", [
         ({"max_iter": 0}, "max_iter must be at least 1"),
