@@ -133,20 +133,8 @@ def _load_pcm(path) -> Pcm:
         raise DataError(str(exc)) from exc
 
 
-def _require_reciprocal(pcm: Pcm):
-    a = pcm.entries
-    dev = np.abs(a * a.T - 1.0)
-    if dev.max() > 1e-9:
-        i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
-        raise DataError(
-            f"PCM is not reciprocal: a[{i + 1},{j + 1}]={a[i, j]:.6g} vs "
-            f"a[{j + 1},{i + 1}]={a[j, i]:.6g}"
-        )
-
-
 def cmd_analyze(args) -> int:
     pcm = _load_pcm(args.pcm_path)
-    _require_reciprocal(pcm)
     seed = secrets.randbits(32) if args.seed is None else args.seed
     asi = estimate_asi(pcm.n, seed=seed)
     try:
@@ -294,7 +282,6 @@ def cmd_report(args) -> int:
 
 def cmd_accept(args) -> int:
     pcm = _load_pcm(args.pcm_path)
-    _require_reciprocal(pcm)
     method = args.method.upper()
     try:
         if args.table:

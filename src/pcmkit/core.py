@@ -71,7 +71,7 @@ class PriorityVector:
 
 @dataclass(frozen=True)
 class Pcm:
-    """Square positive matrix of judged priority ratios with unit diagonal."""
+    """Square positive reciprocal matrix of judged priority ratios with unit diagonal."""
 
     entries: np.ndarray
 
@@ -85,6 +85,11 @@ class Pcm:
             raise ValueError("PCM entries must be finite and strictly positive")
         if abs(a.diagonal() - 1.0).max() > 1e-12:
             raise ValueError("PCM diagonal entries must equal 1")
+        dev = _reciprocity_deviation(a)
+        if dev.max() > RECIPROCITY_TOL:
+            i, j = np.unravel_index(np.argmax(dev), dev.shape)
+            raise ValueError(f"PCM is not reciprocal: a[{i + 1},{j + 1}]={a[i, j]:.6g} "
+                             f"vs a[{j + 1},{i + 1}]={a[j, i]:.6g}")
         object.__setattr__(self, "entries", a)
 
     @property
@@ -102,10 +107,18 @@ def _as_matrix(pcm) -> np.ndarray:
 SAATY_SCALE = _frozen_array([1.0 / k for k in range(9, 1, -1)] + [float(k) for k in range(1, 10)])
 
 
-def is_reciprocal(pcm, tol: float = 1e-9) -> bool:
-    """True iff a_ij * a_ji == 1 within tol for all entries."""
-    a = _as_matrix(pcm)
-    return bool(np.max(np.abs(a * a.T - 1.0)) <= tol)
+RECIPROCITY_TOL = 1e-9  # the largest |a_ij * a_ji - 1| a Pcm may have
+
+
+def _reciprocity_deviation(a: np.ndarray) -> np.ndarray:
+    """|a_ij * a_ji - 1| for every entry; a product past the float range reads inf."""
+    with np.errstate(over="ignore"):
+        return np.abs(a * a.T - 1.0)
+
+
+def is_reciprocal(pcm, tol: float = RECIPROCITY_TOL) -> bool:
+    """True iff a_ij * a_ji == 1 within tol for all entries; every Pcm is, at the default tol."""
+    return bool(np.max(_reciprocity_deviation(_as_matrix(pcm))) <= tol)
 
 
 def is_consistent(pcm, tol: float = 1e-9) -> bool:

@@ -9,8 +9,8 @@ from .core import PriorityVector, _as_matrix
 
 __all__ = ["RevResult", "ConvergenceError", "batch_rev", "batch_gm", "rev_estimate", "gm_estimate"]
 
-DEFAULT_TOL = 1e-12
-DEFAULT_MAX_ITER = 10_000
+TOL = 1e-12  # batch_rev's relative stopping tolerance; it reads TOL and MAX_ITER at call time
+MAX_ITER = 10_000
 SQUARINGS = 5  # batch_rev iterates on A^(2^SQUARINGS)
 
 
@@ -35,7 +35,7 @@ class RevResult:
     residual: float
 
 
-def batch_rev(a: np.ndarray, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER):
+def batch_rev(a: np.ndarray):
     """Normalized principal right eigenvectors of a (b, n, n) stack by power iteration on A^32.
 
     A^32 has A's Perron vector, and its ratio of second to first eigenvalue
@@ -51,10 +51,11 @@ def batch_rev(a: np.ndarray, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_M
     component sum at each step.  Each pass iterates only the records still
     moving, held as a compacted C-contiguous stack: a record stops the
     moment every component of its successive-iterate difference is within
-    tol times that component, so a weight of 1e-20 converges as far as one
+    TOL times that component, so a weight of 1e-20 converges as far as one
     of 0.5.  Its weights and iteration count are written out on that pass,
     so its result never depends on the rest of the stack.  A record still
-    moving after max_iter passes keeps its last iterate.  lambda_max is read
+    moving after MAX_ITER passes keeps its last iterate; one whose squarings
+    overflow has NaN iterates and ends unconverged.  lambda_max is read
     off A itself, as the mean of the Rayleigh ratios (A w)_i / w_i.  Returns
     weights (b, n) and, per record, lambda_max, iterations, the residual
     max |A w - lambda_max w| and whether it converged.
@@ -69,29 +70,26 @@ def batch_rev(a: np.ndarray, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_M
     C-contiguous (active, n, n) and (active, n) operands, because its
     summation order also follows their layout.
     """
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, not {max_iter}")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, not {tol}")
     a = np.ascontiguousarray(a)
     b, n, _ = a.shape
     p = a
-    for _ in range(SQUARINGS):
-        p = p @ p
-        p /= p[:, :1, :1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(SQUARINGS):
+            p = p @ p
+            p /= p[:, :1, :1]
     w = np.full((b, n), 1.0 / n)
-    iterations = np.full(b, max_iter)
+    iterations = np.full(b, MAX_ITER)
     p_act, w_act, idx = p, w, np.arange(b)
     wt = w.T  # the active iterate, component-major
     it = 0
-    while idx.size and it < max_iter:
+    while idx.size and it < MAX_ITER:
         it += 1
         yt = np.einsum("bij,bj->bi", p_act, w_act).T.copy()
         total = yt[0].copy()
         for component in yt[1:]:
             total += component
         yt /= total
-        done = np.logical_and.reduce(np.abs(yt - wt) <= tol * yt, axis=0)
+        done = np.logical_and.reduce(np.abs(yt - wt) <= TOL * yt, axis=0)
         wt = yt
         if done.any():
             stop, keep = idx[done], ~done
@@ -116,11 +114,11 @@ def batch_gm(a: np.ndarray) -> np.ndarray:
     return g / g.sum(axis=-1, keepdims=True)
 
 
-def rev_estimate(pcm, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> RevResult:
+def rev_estimate(pcm) -> RevResult:
     """Principal right eigenvector of one PCM (`batch_rev` on a stack of one)."""
-    w, lam, iterations, residual, converged = batch_rev(_as_matrix(pcm)[None], tol, max_iter)
+    w, lam, iterations, residual, converged = batch_rev(_as_matrix(pcm)[None])
     if not converged[0]:
-        raise ConvergenceError(w[0], float(residual[0]), max_iter)
+        raise ConvergenceError(w[0], float(residual[0]), int(iterations[0]))
     return RevResult(PriorityVector(w[0]), float(lam[0]), int(iterations[0]), float(residual[0]))
 
 

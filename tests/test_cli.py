@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import warnings
 from dataclasses import astuple
 from pathlib import Path
 
@@ -321,11 +322,22 @@ class TestDataErrors:
         capsys.readouterr()
 
     def test_nonreciprocal_pcm(self, tmp_path, capsys):
+        """RA with a21 = 3: one line naming the file and the pair, exit 2, for both commands."""
         path = tmp_path / "nr.csv"
-        path.write_text("1,2,3\n0.6,1,2\n1/3,0.5,1\n")
-        assert main(["analyze", str(path)]) == EXIT_DATA
-        assert main(["accept", str(path), "--threshold", "1"]) == EXIT_DATA
-        capsys.readouterr()
+        path.write_text("1,3,2,5\n3,1,1,3\n1/2,1,1,4\n1/5,1/3,1/4,1\n")
+        for argv in (["analyze", str(path)], ["accept", str(path), "--threshold", "0.4"]):
+            assert main(argv) == EXIT_DATA
+            assert assert_one_line_error(capsys) == f"pcmkit: {path}: PCM is not reciprocal: a[1,2]=3 vs a[2,1]=3\n"
+
+    def test_overflowing_pcm_is_one_line_without_a_warning(self, tmp_path, capsys):
+        """REV's squarings overflow on entries 1e200 apart: exit 2 with the convergence line, and no numpy warning."""
+        path = tmp_path / "wide.csv"
+        path.write_text("1,1e200,1\n1e-200,1,1\n1,1,1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["analyze", str(path), "--seed", "1"]) == EXIT_DATA
+        assert assert_one_line_error(capsys) == (
+            "pcmkit: power iteration did not converge after 10000 iterations (residual nan)\n")
 
     def test_accept_unsupported_order(self, tmp_path, capsys):
         # order 8 has no builtin quantile table

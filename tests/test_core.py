@@ -117,7 +117,31 @@ class TestPcm:
         assert is_reciprocal(ra)
         tweaked = np.array(mpr_v1.entries)
         tweaked[0, 1] = 1.85
-        assert not is_reciprocal(Pcm(tweaked))
+        assert not is_reciprocal(tweaked)
+        with pytest.raises(ValueError, match="not reciprocal"):
+            Pcm(tweaked)
+
+    def test_non_reciprocal_matrix_is_no_pcm(self, ra):
+        """RA with a21 = 3 says alternative 1 beats 2 by 3 and 2 beats 1 by 3; the largest deviation is named."""
+        a = np.array(ra.entries)
+        a[1, 0] = 3.0
+        with pytest.raises(ValueError) as info:
+            Pcm(a)
+        assert str(info.value) == "PCM is not reciprocal: a[1,2]=3 vs a[2,1]=3"
+        a[1, 0], a[3, 2] = 0.35, 2.0  # a[3,4] * a[4,3] = 8 now deviates most
+        with pytest.raises(ValueError, match=r"^PCM is not reciprocal: a\[3,4\]=4 vs a\[4,3\]=2$"):
+            Pcm(a)
+
+    def test_reciprocity_tolerance_is_1e9(self, ra):
+        a = np.array(ra.entries)
+        for dev, ok in ((9e-10, True), (2e-9, False)):
+            a[1, 0] = (1 + dev) / 3
+            assert is_reciprocal(a) == ok
+            if ok:
+                assert Pcm(a).entries[1, 0] == a[1, 0]
+            else:
+                with pytest.raises(ValueError, match="not reciprocal"):
+                    Pcm(a)
 
     def test_consistency_predicate(self, mpr_v1, ra, rmpr_v2):
         assert is_consistent(mpr_v1)
@@ -213,17 +237,26 @@ class TestPcmIO:
         with pytest.raises(PcmFormatError):
             read_pcm(path)
 
+    def test_non_reciprocal_file_names_the_file_and_the_pair(self, tmp_path):
+        path = tmp_path / "nr.csv"
+        path.write_text("1,3,2,5\n3,1,1,3\n1/2,1,1,4\n1/5,1/3,1/4,1\n")
+        with pytest.raises(PcmFormatError) as info:
+            read_pcm(path)
+        assert str(info.value) == f"{path}: PCM is not reciprocal: a[1,2]=3 vs a[2,1]=3"
+
     @pytest.mark.parametrize("pad", ["", " ", "\t ", "  "])
     def test_scale_tokens_read_as_parse_token_reads_them(self, tmp_path, pad):
         """Every scale token, bare or between blanks, reads as the float _parse_token gives it."""
         from pcmkit.core import _parse_token
 
-        tokens = [f"1/{k}" for k in range(9, 1, -1)] + [str(k) for k in range(1, 10)]
-        n = 5  # 20 off-diagonal cells hold all 17 tokens
+        # The 10 upper cells hold 2..9, 1 and 1/2, the lower cells their reciprocals: all 17 tokens.
+        upper = [str(k) for k in range(2, 10)] + ["1", "1/2"]
+        reciprocal = {**{str(k): f"1/{k}" for k in range(2, 10)}, "1": "1", "1/2": "2"}
+        n = 5
         cells = [["1"] * n for _ in range(n)]
-        off = [(i, j) for i in range(n) for j in range(n) if i != j]
-        for (i, j), token in zip(off, tokens + tokens):
-            cells[i][j] = token
+        for (i, j), token in zip(zip(*np.triu_indices(n, k=1)), upper):
+            cells[i][j], cells[j][i] = token, reciprocal[token]
+        assert len({t for row in cells for t in row}) == 17
         path = tmp_path / "scale.csv"
         path.write_text("\n".join(",".join(pad + t + pad[::-1] for t in row) for row in cells) + "\n")
         entries = read_pcm(path).entries

@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pcmkit import simulate
+from pcmkit import prioritize, simulate
 from pcmkit.core import SAATY_SCALE, round_matrix_to_scale
 from pcmkit.indices import batch_gi, batch_ki_ati, batch_si, estimate_asi, triad_values
 from pcmkit.loss import batch_absolute_error, batch_relative_error
@@ -124,6 +124,13 @@ def lazy_stack(rng, n, size):
     return t * saaty_stack(rng, n, size) + (1 - t) * np.eye(n)
 
 
+def cut_rev(a, max_iter):
+    """batch_rev with prioritize.MAX_ITER set to max_iter for the call."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(prioritize, "MAX_ITER", max_iter)
+        return batch_rev(a)
+
+
 def row_wise_rev(a, normaliser, tol=1e-12, max_iter=10_000):
     """batch_rev with each pass reducing along every record's row: einsum, y / normaliser(y), row-wise all."""
     a = np.ascontiguousarray(a)
@@ -174,13 +181,13 @@ def rev_cases(n):
 def test_rev_equals_row_wise_passes(n, normaliser):
     """Up to 7 components batch_rev repeats row-sum passes bit for bit; from 8 on it still adds left to right."""
     for a, max_iter in rev_cases(n):
-        for got, want in zip(batch_rev(a, max_iter=max_iter), row_wise_rev(a, normaliser, max_iter=max_iter)):
+        for got, want in zip(cut_rev(a, max_iter), row_wise_rev(a, normaliser, max_iter=max_iter)):
             assert np.array_equal(got, want)
 
 
 def assert_rev_record(rev, k, a, max_iter=10_000):
     """Record k of a batch_rev result is batch_rev of its matrix alone, and follows reference_rev step for step."""
-    for whole, alone in zip(rev, batch_rev(a[k : k + 1], max_iter=max_iter)):
+    for whole, alone in zip(rev, cut_rev(a[k : k + 1], max_iter)):
         assert np.array_equal(whole[k], alone[0])
     w_ref, lam_ref, it_ref = reference_rev(a[k], max_iter=max_iter)
     assert np.max(np.abs(rev[0][k] - w_ref)) <= 1e-12 and abs(rev[1][k] - lam_ref) <= 1e-12
@@ -203,7 +210,7 @@ def test_rev_cut_off_record_keeps_its_last_iterate():
     slowest = int(np.argmax(counts))
     max_iter = int(counts[slowest]) - 1
     assert np.count_nonzero(counts > max_iter) == 1
-    rev = batch_rev(a, max_iter=max_iter)
+    rev = cut_rev(a, max_iter)
     assert np.array_equal(rev[4], counts <= max_iter)
     assert rev[2][slowest] == max_iter
     for k in range(len(a)):
@@ -213,9 +220,9 @@ def test_rev_cut_off_record_keeps_its_last_iterate():
 def test_rev_stops_on_its_own_iteration_count():
     a = saaty_stack(np.random.default_rng(4), 5, 1)
     k = int(batch_rev(a)[2][0])
-    _, _, iterations, _, converged = batch_rev(a, max_iter=k)
+    _, _, iterations, _, converged = cut_rev(a, k)
     assert converged[0] and iterations[0] == k
-    _, _, iterations, _, converged = batch_rev(a, max_iter=k - 1)
+    _, _, iterations, _, converged = cut_rev(a, k - 1)
     assert not converged[0] and iterations[0] == k - 1
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pcmkit import simulate
@@ -279,6 +279,21 @@ class TestRunStreams:
             assert np.array_equal(np.concatenate(parts), np.concatenate(whole_parts))
         want = true_vectors(30, vectors)[np.arange(runs) // (runs // vectors)]
         assert np.array_equal(np.concatenate([v for _, v, _ in stacks]), want)
+
+    @given(framework=st.sampled_from(sorted(RUN_CALLS)), n=st.integers(4, 6), runs=st.integers(1, 1200),
+           size=st.integers(2, 4), runs_per_stack=st.integers(1, simulate._BLOCK + 100), seed=st.integers(0, 2**63 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_any_stack_budget_gives_the_default_summary(self, framework, n, runs, size, runs_per_stack, seed):
+        """A _STACK_ENTRIES budget from one run per stack to more than a run block leaves the summary as it is."""
+        if framework == "mse":
+            run, sizes, steps = run_mse_sf, dict(n_runs=runs, n_e=size), size
+        else:
+            run, sizes, steps = run_nee_sf, dict(n_r=max(1, runs // size), n_p=size), n * (n - 1) // 2
+        default = run(n, **sizes, seed=seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulate, "_STACK_ENTRIES", (runs_per_stack * steps + steps - 1) * n * n)
+            assert simulate._stack_matrices(n) // steps == runs_per_stack
+            assert run(n, **sizes, seed=seed) == default
 
     @pytest.mark.parametrize(
         "run, sizes, runs, vectors, steps",
@@ -626,6 +641,18 @@ class TestRecordIO:
         csv = "".join(",".join(text.get(type(x), str)(x) for x in row) + "\n" for row in rows)
         write_records_csv(records, tmp_path / "db.csv")
         assert (tmp_path / "db.csv").read_bytes() == (",".join(RECORD_FIELDS) + "\n" + csv).encode()
+
+    @given(n=st.integers(4, 9), total=st.integers(1, 400).map(lambda k: 4 * k), seed=st.integers(0, 2**63 - 1))
+    @example(n=9, total=1028, seed=2**63 - 1)
+    @settings(max_examples=12, deadline=None)
+    def test_csv_write_read_write_gives_the_same_bytes(self, tmp_path_factory, n, total, seed):
+        """A database read back from its CSV file writes the file's bytes again, at any order, size and seed."""
+        records = run_msobe_sf(n, total, seed=seed).records
+        with tempfile.TemporaryDirectory(dir=tmp_path_factory.getbasetemp()) as work:
+            first, second = Path(work) / "first.csv", Path(work) / "second.csv"
+            write_records_csv(records, first)
+            write_records_csv(read_records_csv(first), second)
+            assert second.read_bytes() == first.read_bytes()
 
     def test_written_bytes_are_pinned(self, tmp_path):
         """One small database, byte for byte: the stream, kernels and text forms together."""
