@@ -128,9 +128,10 @@ def is_consistent(pcm, tol: float = 1e-9) -> bool:
     non-reciprocal matrix can never pass.
     """
     a = _as_matrix(pcm)
-    # products[i, k, j] = a_ij * a_jk
-    products = a[:, None, :] * a.T[None, :, :]
-    return bool(np.max(np.abs(products - a[:, :, None])) <= tol)
+    with np.errstate(over="ignore", invalid="ignore"):  # a product past the float range reads inf
+        # products[i, k, j] = a_ij * a_jk
+        products = a[:, None, :] * a.T[None, :, :]
+        return bool(np.max(np.abs(products - a[:, :, None])) <= tol)
 
 
 def mpr_from_pv(v: PriorityVector) -> Pcm:

@@ -19,7 +19,7 @@ class ConvergenceError(RuntimeError):
 
     def __init__(self, weights: np.ndarray, residual: float, iterations: int):
         super().__init__(
-            f"power iteration did not converge after {iterations} iterations "
+            f"power iteration did not converge after {iterations} iteration{'' if iterations == 1 else 's'} "
             f"(residual {residual:.3e})"
         )
         self.weights = weights
@@ -54,8 +54,9 @@ def batch_rev(a: np.ndarray):
     TOL times that component, so a weight of 1e-20 converges as far as one
     of 0.5.  Its weights and iteration count are written out on that pass,
     so its result never depends on the rest of the stack.  A record still
-    moving after MAX_ITER passes keeps its last iterate; one whose squarings
-    overflow has NaN iterates and ends unconverged.  lambda_max is read
+    moving after MAX_ITER passes keeps its last iterate.  A record whose
+    squarings overflow stops, unconverged and with NaN weights, on the pass
+    where its normaliser is not finite.  lambda_max is read
     off A itself, as the mean of the Rayleigh ratios (A w)_i / w_i.  Returns
     weights (b, n) and, per record, lambda_max, iterations, the residual
     max |A w - lambda_max w| and whether it converged.
@@ -79,6 +80,7 @@ def batch_rev(a: np.ndarray):
             p /= p[:, :1, :1]
     w = np.full((b, n), 1.0 / n)
     iterations = np.full(b, MAX_ITER)
+    converged = np.zeros(b, dtype=bool)
     p_act, w_act, idx = p, w, np.arange(b)
     wt = w.T  # the active iterate, component-major
     it = 0
@@ -90,18 +92,20 @@ def batch_rev(a: np.ndarray):
             total += component
         yt /= total
         done = np.logical_and.reduce(np.abs(yt - wt) <= TOL * yt, axis=0)
+        finite = np.isfinite(total)
         wt = yt
-        if done.any():
-            stop, keep = idx[done], ~done
-            w[stop] = yt[:, done].T
-            iterations[stop] = it
+        stop = done | ~finite
+        if stop.any():
+            yt[:, ~finite] = np.nan
+            w[idx[stop]] = yt[:, stop].T
+            iterations[idx[stop]] = it
+            converged[idx[done & finite]] = True
+            keep = ~stop
             idx, wt = idx[keep], yt[:, keep]
             del p_act  # the old active copy goes before the new one is gathered, so at most one exists
             p_act = p[idx]
         w_act = np.ascontiguousarray(wt.T)
     w[idx] = w_act
-    converged = np.ones(b, dtype=bool)
-    converged[idx] = False
     aw = np.einsum("bij,bj->bi", a, w)
     lam = np.mean(aw / w, axis=1)
     residual = np.max(np.abs(aw - lam[:, None] * w), axis=1)

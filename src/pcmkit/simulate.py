@@ -8,6 +8,12 @@ their blocks through one reader, ``_blocks``: MSOBE chunks are unions of
 whole record blocks, MSE and NEE cut each run block into stacks of runs, and
 all per-record arithmetic is independent of batch composition, so results do
 not depend on chunk or stack sizes or worker (thread) counts.
+
+The frameworks differ only in the factors by which they multiply the
+upper-triangle ratios v_i / v_j of a perfect ratio matrix, in np.triu_indices
+order (MSOBE then rounds the products to the scale).  All three build their
+matrices from those upper triangles through core._from_upper, so every matrix
+they evaluate has a unit diagonal and a_ji == 1 / a_ij bit for bit.
 """
 from __future__ import annotations
 
@@ -19,7 +25,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .core import round_matrix_to_scale, _from_upper, _read_text
-from .indices import batch_gi, batch_ki_ati, batch_si
+from .indices import _sum_in_order, batch_gi, batch_ki_ati, batch_si
 from .loss import batch_absolute_error, batch_relative_error
 from .prioritize import batch_gm, batch_rev
 from .stats import average_ranks, pearson_pairs
@@ -320,24 +326,6 @@ def _run_stacks(n: int, seed: int, n_runs: int, width: int, steps: int, runs_per
             yield v[lo:lo + size], u[lo:lo + size]
 
 
-def _disturbed_stack(v: np.ndarray, hit: np.ndarray, factors: np.ndarray) -> np.ndarray:
-    """Each run's perfect ratio matrix once per step, some entries disturbed.
-
-    v holds the runs' true vectors (runs, n).  hit and factors broadcast to
-    (runs, steps, pairs): hit flags the upper-triangle entries, in
-    np.triu_indices order, that are multiplied by their factor and
-    reciprocated below the diagonal.  Every other entry keeps its exact ratio
-    v_i / v_j, in the lower triangle too.
-    """
-    iu, ju = np.triu_indices(v.shape[1], k=1)
-    m = v[:, :, None] / v[:, None, :]
-    a = np.repeat(m[:, None], np.broadcast_shapes(hit.shape, factors.shape)[1], axis=1)
-    upper = m[:, None, iu, ju] * factors
-    a[..., iu, ju] = np.where(hit, upper, a[..., iu, ju])
-    a[..., ju, iu] = np.where(hit, 1.0 / upper, a[..., ju, iu])
-    return a
-
-
 def _correlate_blocks(framework: str, n: int, blocks) -> CorrelationSummary:
     """Mean and minimum per-run correlations of a framework's blocks of runs.
 
@@ -362,7 +350,7 @@ def _correlate_blocks(framework: str, n: int, blocks) -> CorrelationSummary:
         valid = ~np.isnan(coeffs)
         # Added left to right, one run after another, so the means do not depend on the block size.
         terms = np.concatenate([sums[:, None], np.where(valid, coeffs, 0.0)], axis=1)
-        sums = np.cumsum(terms, axis=1)[:, -1]
+        sums = _sum_in_order(terms.swapaxes(1, 2))
         counts += valid.sum(axis=1)
         min_s = np.fmin(min_s, np.fmin.reduce(coeffs[0], axis=0, initial=np.inf))
         kept = int(ok.sum())
@@ -398,6 +386,7 @@ def run_mse_sf(n: int, n_runs: int = 1000, n_e: int = 25, seed: int = 0) -> Corr
     if n_runs < 1:
         raise ValueError("need n_runs >= 1")
     n_pairs = n * (n - 1) // 2
+    iu, ju = np.triu_indices(n, k=1)
     exponents = np.arange(1, n_e + 1)
     lo, hi = MSE_EPS_RANGE
 
@@ -405,9 +394,9 @@ def run_mse_sf(n: int, n_runs: int = 1000, n_e: int = 25, seed: int = 0) -> Corr
         for v, u in _run_stacks(n, seed, n_runs, 2, n_e):
             position = (u[:, 0] * n_pairs).astype(np.intp)
             eps = lo + (hi - lo) * u[:, 1]
-            factors = eps[:, None] ** exponents
-            hit = np.arange(n_pairs) == position[:, None, None]
-            yield _disturbed_stack(v, hit, factors[..., None]), v, factors
+            magnitudes = eps[:, None] ** exponents
+            factors = np.where(np.arange(n_pairs) == position[:, None, None], magnitudes[..., None], 1.0)
+            yield _from_upper((v[:, iu] / v[:, ju])[:, None] * factors, n), v, magnitudes
 
     return _correlate_blocks("mse", n, blocks())
 
@@ -435,6 +424,7 @@ def run_nee_sf(n: int, n_r: int = 200, n_p: int = 5, seed: int = 0) -> Correlati
     if min(n_r, n_p) < 1:
         raise ValueError("need n_r >= 1 and n_p >= 1")
     k_steps = n * (n - 1) // 2
+    iu, ju = np.triu_indices(n, k=1)
     steps = np.arange(k_steps)
     counts = np.arange(1, k_steps + 1, dtype=float)
     lo, hi = NEE_EPS_RANGE
@@ -444,8 +434,9 @@ def run_nee_sf(n: int, n_r: int = 200, n_p: int = 5, seed: int = 0) -> Correlati
             order = np.argsort(u[:, :k_steps], axis=1, kind="stable")
             disturbed_at = np.argsort(order, axis=1)  # step that disturbs each entry
             eps = lo + (hi - lo) * u[:, k_steps]
-            hit = disturbed_at[:, None, :] <= steps[:, None]
-            yield _disturbed_stack(v, hit, eps[:, None, None]), v, np.broadcast_to(counts, hit.shape[:2])
+            factors = np.where(disturbed_at[:, None, :] <= steps[:, None], eps[:, None, None], 1.0)
+            a = _from_upper((v[:, iu] / v[:, ju])[:, None] * factors, n)
+            yield a, v, np.broadcast_to(counts, factors.shape[:2])
 
     return _correlate_blocks("nee", n, blocks())
 

@@ -206,13 +206,15 @@ def test_equal_error_count_sweep_mean_correlations():
     rounding to the scale after each step) miss 32-46 of the 48, so the
     repository does not settle the reference scheme.  Kept red on purpose.
 
-    SI's coefficients move with the REV kernel through ties: since batch_rev
-    iterates on A^32, the 6,000 n=4 records take 3,824 distinct SI values,
-    against 4,736 when it iterated on A, whose stopping noise split records
-    that now tie.  No SI value moved by more than 4.4e-14.  n=4 SI vs count reads 0.371 (was 0.360), SI vs
-    ae_rev/re_rev/ae_gm/re_gm 0.137/0.191/0.140/0.201 (were
-    0.134/0.186/0.138/0.196), and n=7 SI vs ae_rev 0.638 (was 0.637); every
-    other coefficient is unchanged to three decimals, and 39 of 48 still miss.
+    SI's and GI's coefficients move with last-bit noise through ties.  Since
+    batch_rev iterates on A^32, and since every matrix is built with
+    a_ji == 1 / a_ij bit for bit (an undisturbed lower entry was v_j / v_i,
+    at most 1 ulp away), the 6,000 n=4 records take 3,817 distinct SI values,
+    against 4,736 when batch_rev iterated on A.  n=4 SI vs count reads 0.372,
+    SI vs ae_rev/re_rev/ae_gm/re_gm 0.140/0.191/0.142/0.202, GI vs count
+    0.350 and GI vs the errors 0.129/0.179/0.132/0.189; n=7 SI vs ae_rev and
+    re_rev read 0.638 and 0.683.  Every other coefficient is unchanged to
+    three decimals by either, and 39 of 48 still miss.
     """
     failures = []
     for n in (4, 7):

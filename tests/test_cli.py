@@ -337,7 +337,7 @@ class TestDataErrors:
             warnings.simplefilter("error")
             assert main(["analyze", str(path), "--seed", "1"]) == EXIT_DATA
         assert assert_one_line_error(capsys) == (
-            "pcmkit: power iteration did not converge after 10000 iterations (residual nan)\n")
+            "pcmkit: power iteration did not converge after 1 iteration (residual nan)\n")
 
     def test_accept_unsupported_order(self, tmp_path, capsys):
         # order 8 has no builtin quantile table

@@ -1,5 +1,7 @@
 """Core types, scale rounding and PCM file round-trips."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -147,6 +149,12 @@ class TestPcm:
         assert is_consistent(mpr_v1)
         assert is_consistent(rmpr_v2)
         assert not is_consistent(ra)
+
+    def test_consistency_of_entries_past_the_float_range_is_false_without_a_warning(self):
+        """a_12 * a_23 = 1e400 overflows: the triple product reads inf, and numpy warns of nothing."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not is_consistent(Pcm([[1, 1e200, 1e300], [1e-200, 1, 1e200], [1e-300, 1e-200, 1]]))
 
     def test_mpr_from_pv(self, v1, mpr_v1):
         m = mpr_from_pv(v1)

@@ -382,6 +382,14 @@ def run_uniforms(seed, run, width):
     return block_rng(seed, 1, run // BLOCK).random((row + 1, width))[row]
 
 
+def perfect_matrix(v, pairs):
+    """The ratio matrix of v with the frameworks' one rule: every lower entry is 1 / (v_i / v_j)."""
+    m = v[:, None] / v[None, :]
+    for i, j in pairs:
+        m[j, i] = 1.0 / m[i, j]
+    return m
+
+
 def mse_run(n, n_e, seed, r):
     """Run r of run_mse_sf: its (n_e, n, n) stack, true vector and error magnitudes, one entry set at a time."""
     pairs = list(itertools.combinations(range(n), 2))
@@ -390,7 +398,7 @@ def mse_run(n, n_e, seed, r):
     i, j = pairs[int(u[0] * len(pairs))]
     lo, hi = simulate.MSE_EPS_RANGE
     eps = lo + (hi - lo) * u[1]
-    m = v[:, None] / v[None, :]
+    m = perfect_matrix(v, pairs)
     factors = eps ** np.arange(1, n_e + 1)
     a = np.broadcast_to(m, (n_e, n, n)).copy()
     a[:, i, j] = m[i, j] * factors
@@ -406,7 +414,7 @@ def nee_run(n, n_p, seed, q):
     u = run_uniforms(seed, q, k_steps + 1)
     lo, hi = simulate.NEE_EPS_RANGE
     eps = lo + (hi - lo) * u[-1]
-    m = v[:, None] / v[None, :]
+    m = perfect_matrix(v, pairs)
     a = np.empty((k_steps, n, n))
     cur = m.copy()
     for step, t in enumerate(np.argsort(u[:-1], kind="stable")):

@@ -129,9 +129,18 @@ class TestBehaviour:
         assert np.array_equal(caught.value.weights, w[0]) and iterations[0] == 1
 
     def test_overflowing_squares_end_unconverged_without_a_warning(self):
-        """Entries 1e200 apart overflow the squarings: NaN weights, no convergence, and numpy warns of nothing."""
+        """Entries 1e200 apart overflow the squarings: the record stops on its first pass, whose
+        normaliser is NaN, with NaN weights and no convergence, and numpy warns of nothing."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ConvergenceError) as caught:
                 rev_estimate(Pcm([[1, 1e200, 1], [1e-200, 1, 1], [1, 1, 1]]))
-        assert np.isnan(caught.value.weights).all() and caught.value.iterations == prioritize.MAX_ITER
+        assert np.isnan(caught.value.weights).all() and caught.value.iterations == 1
+
+    def test_overflowing_record_leaves_its_stack_neighbour_alone(self, ra):
+        """A finite record stacked with an overflowing one gets exactly its stack-of-one result."""
+        wide = np.array([[1, 1e200, 1, 1], [1e-200, 1, 1, 1], [1, 1, 1, 1], [1, 1, 1, 1]])
+        w, lam, iterations, residual, converged = stacked = batch_rev(np.array([wide, ra.entries]))
+        assert np.isnan(w[0]).all() and iterations[0] == 1 and not converged[0]
+        for got, want in zip(stacked, batch_rev(np.array([ra.entries]))):
+            assert np.array_equal(got[1:], want)

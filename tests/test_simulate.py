@@ -180,6 +180,33 @@ class TestEqualErrorSweep:
             run(4, **sizes)
 
 
+@pytest.mark.parametrize(
+    "run, sizes",
+    [
+        (run_mse_sf, dict(n_runs=40, n_e=25)),
+        (run_nee_sf, dict(n_r=20, n_p=2)),
+        (run_msobe_sf, dict(total_matrices=400)),
+    ],
+    ids=["mse", "nee", "msobe"],
+)
+def test_every_evaluated_matrix_is_reciprocal_bit_for_bit(run, sizes, monkeypatch):
+    """Every stack a framework evaluates has a unit diagonal and a_ji == 1 / a_ij exactly."""
+    stacks = []
+    batch_metrics = simulate._batch_metrics
+
+    def recorded(a, v):
+        stacks.append(a.copy())
+        return batch_metrics(a, v)
+
+    monkeypatch.setattr(simulate, "_batch_metrics", recorded)
+    run(5, **sizes, seed=7)
+    iu, ju = np.triu_indices(5, k=1)
+    assert stacks
+    for a in stacks:
+        assert np.all(np.diagonal(a, axis1=1, axis2=2) == 1.0)
+        assert np.array_equal(a[:, ju, iu], 1.0 / a[:, iu, ju])
+
+
 # (run function, sizes, runs, vectors, steps per run) at n=4: more than one run block each.
 RUN_CALLS = {
     "mse": (run_mse_sf, dict(n_runs=1100, n_e=2), 1100, 1100, 2),
@@ -194,18 +221,29 @@ def drain(framework, n, blocks):
 
 
 def disturbances(monkeypatch, run, n, **sizes):
-    """The hit masks and factors of every stack of one call, concatenated over its stacks."""
+    """The factor arrays of every stack of one call, concatenated over its stacks, as (hit, factors).
+
+    Every true vector is made uniform, so each upper-triangle ratio v_i / v_j is 1
+    and the upper triangles the call hands to _from_upper are its factor arrays
+    bit for bit.  hit = factors != 1 flags the disturbed entries.
+    """
     calls = []
-    disturbed_stack = simulate._disturbed_stack
+    blocks, from_upper = simulate._blocks, simulate._from_upper
 
-    def recorded(v, hit, factors):
-        calls.append((hit, factors))
-        return disturbed_stack(v, hit, factors)
+    def uniform_vectors(*args):
+        for b_lo, b_hi, rng, v in blocks(*args):
+            yield b_lo, b_hi, rng, np.full_like(v, 1.0 / n)
 
-    monkeypatch.setattr(simulate, "_disturbed_stack", recorded)
+    def recorded(upper, order):
+        calls.append(upper)
+        return from_upper(upper, order)
+
+    monkeypatch.setattr(simulate, "_blocks", uniform_vectors)
+    monkeypatch.setattr(simulate, "_from_upper", recorded)
     monkeypatch.setattr(simulate, "_correlate_blocks", drain)
     run(n, **sizes, seed=31)
-    return (np.concatenate(parts) for parts in zip(*calls))
+    factors = np.concatenate(calls)
+    return factors != 1, factors
 
 
 def assert_uniform(counts, p):
@@ -316,15 +354,16 @@ class TestRunStreams:
         step = k - hit.sum(axis=1)  # (run, entry): the step that disturbs the entry
         assert np.array_equal(np.sort(step, axis=1), np.broadcast_to(np.arange(k), (20000, k)))
         assert_uniform(np.stack([np.bincount(step[:, e], minlength=k) for e in range(k)]), 1 / k)
-        eps = factors[:, 0, 0]
+        eps = factors[:, -1, 0]  # the last step disturbs every entry
+        assert np.array_equal(factors, np.where(hit, eps[:, None, None], 1.0))  # one shared factor
         assert np.all((NEE_EPS_RANGE[0] <= eps) & (eps < NEE_EPS_RANGE[1]))
 
     def test_mse_positions_are_uniform(self, monkeypatch):
         pairs = 10  # entries of an order-5 matrix
         hit, factors = disturbances(monkeypatch, run_mse_sf, 5, n_runs=20000, n_e=2)
-        assert hit.shape == (20000, 1, pairs) and np.all(hit.sum(axis=2) == 1)
+        assert hit.shape == (20000, 2, pairs) and np.all(hit.sum(axis=2) == 1)
         assert_uniform(np.bincount(hit[:, 0].argmax(axis=1), minlength=pairs), 1 / pairs)
-        eps = factors[:, 0, 0]
+        eps = factors[:, 0][hit[:, 0]]  # step 1 carries eps^1
         assert np.all((MSE_EPS_RANGE[0] <= eps) & (eps < MSE_EPS_RANGE[1]))
 
 
