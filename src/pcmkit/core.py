@@ -140,16 +140,37 @@ def mpr_from_pv(v: PriorityVector) -> Pcm:
     return Pcm(w[:, None] / w[None, :])
 
 
+def _switch_point(lo: float, hi: float) -> float:
+    """The smallest float x with |hi - x| <= |x - lo|, found by ulp steps from the midpoint."""
+    x = (lo + hi) / 2
+    while abs(hi - x) <= abs(x - lo):
+        x = np.nextafter(x, lo)
+    while abs(hi - x) > abs(x - lo):
+        x = np.nextafter(x, hi)
+    return x
+
+
+# A positive float's bucket, its bit pattern >> _SHIFT (exponent and top mantissa
+# bits), increases with it; _BASE[bucket] counts the switch points in lower buckets.
+_SHIFT = 49
+_SWITCH = np.array([_switch_point(lo, hi) for lo, hi in zip(SAATY_SCALE[:-1], SAATY_SCALE[1:])] + [np.nan])
+assert np.all(np.diff(_SWITCH[:-1].view(np.int64) >> _SHIFT) > 0)  # at most one switch point per bucket
+_BASE = np.searchsorted(_SWITCH[:-1].view(np.int64) >> _SHIFT, np.arange((np.float64(np.inf).view(np.int64) >> _SHIFT) + 1))
+
+
 def round_matrix_to_scale(values: np.ndarray) -> np.ndarray:
-    """Nearest SAATY_SCALE value to each of an array of positive values, ties broken upward."""
+    """Nearest SAATY_SCALE value to each of an array of positive values, ties broken upward.
+
+    x rounds to scale value k, the number of switch points at or below x.
+    The switch point between neighbours lo < hi is the smallest float x with
+    |hi - x| <= |x - lo|; at two pairs it lies 1 ulp above the float (lo + hi) / 2.
+    """
     arr = np.asarray(values, dtype=float)
     if not np.all(arr > 0):
         raise ValueError("can only round positive values")
-    vals = SAATY_SCALE
-    # Only the two scale values around x can be nearest (the end pair outside
-    # the scale's range); "<=" breaks a tie toward the upper one.
-    k = np.clip(np.searchsorted(vals, arr, side="right") - 1, 0, len(vals) - 2)
-    return vals[k + (np.abs(vals[k + 1] - arr) <= np.abs(arr - vals[k]))]
+    k = np.take(_BASE, arr.view(np.int64) >> _SHIFT)
+    k += arr >= np.take(_SWITCH, k)  # the NaN after the last switch point keeps 16 at 16
+    return np.take(SAATY_SCALE, k)
 
 
 def _from_upper(upper: np.ndarray, n: int) -> np.ndarray:

@@ -77,7 +77,7 @@ def batch_rev(a: np.ndarray):
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(SQUARINGS):
             p = p @ p
-            p /= p[:, :1, :1]
+            p /= p[:, :1, :1].copy()  # a view of p itself would send numpy down its slow overlap path
     w = np.full((b, n), 1.0 / n)
     iterations = np.full(b, MAX_ITER)
     converged = np.zeros(b, dtype=bool)

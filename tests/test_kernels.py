@@ -263,20 +263,40 @@ def reference_round(values, vals):
     return vals[(len(vals) - 1) - np.argmin(d[..., ::-1], axis=-1)]
 
 
+def reference_switch_point(lo, hi, vals):
+    """The smallest float the reference rounds to hi, by bisection on the bit patterns between lo and hi."""
+    below, above = int(np.float64(lo).view(np.int64)), int(np.float64(hi).view(np.int64))
+    while above - below > 1:
+        mid = (below + above) // 2
+        if reference_round(np.int64(mid).view(np.float64), vals) == hi:
+            above = mid
+        else:
+            below = mid
+    return np.int64(above).view(np.float64)
+
+
 @pytest.mark.parametrize("vals", [SAATY_SCALE], ids=["saaty"])
 def test_rounding_equals_argmin_reference(vals):
     rng = np.random.default_rng(11)
     mids = (vals[1:] + vals[:-1]) / 2
+    switches = np.array([reference_switch_point(lo, hi, vals) for lo, hi in zip(vals[:-1], vals[1:])])
+    uniform = np.exp(rng.uniform(-3.0, 3.0, size=(4096, 21)))
     cases = [
-        np.exp(rng.uniform(-3.0, 3.0, size=(4096, 21))),
+        uniform,
         mids,
         np.nextafter(mids, 0.0),
         np.nextafter(mids, np.inf),
         vals,
-        np.array([1e-300, 1e-3, vals[0] / 2, vals[-1] * 2, 1e300, np.inf]),
+        np.array([5e-324, 1e-300, 1e-3, vals[0] / 2, vals[-1] * 2, 1e300, 1.7e308, np.inf]),
+        (switches.view(np.int64)[:, None] + np.arange(-64, 65)).view(np.float64),  # +-64 ulps
+        np.array(mids[5]),  # 0-d; the float midpoint of 1/4 and 1/3, 1 ulp below their switch point
+        uniform.T[::3, ::2],  # non-contiguous
+        uniform.astype(">f8"),  # big-endian
+        uniform[:192].reshape(32, 6, 21),  # (runs, steps, pairs)
     ]
     for x in cases:
         assert np.array_equal(round_matrix_to_scale(x), reference_round(x, vals))
+        assert np.shape(round_matrix_to_scale(x)) == np.shape(x)
     tie = np.abs(vals[1:] - mids) == np.abs(mids - vals[:-1])  # exact in floating point
     assert tie.any() and np.array_equal(round_matrix_to_scale(mids[tie]), vals[1:][tie])
 

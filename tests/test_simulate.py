@@ -693,9 +693,18 @@ class TestRecordIO:
             write_records_csv(read_records_csv(first), second)
             assert second.read_bytes() == first.read_bytes()
 
-    def test_written_bytes_are_pinned(self, tmp_path):
-        """One small database, byte for byte: the stream, kernels and text forms together."""
-        records = run_msobe_sf(4, 400, seed=3).records
+    @pytest.mark.parametrize(
+        "n, total, workers, expected",
+        [
+            (4, 400, 1, "a525c8536bf6b1b70d56e369fc8538f5afc010bf3084e7d4cb90b18cae96e0ce"),
+            # the benchmark's build shape: two n=7 chunks on two threads
+            (7, 8192, 2, "85e6e8d95ad97760ed2b894a69269e1726e9abe41fdee0a15e7f8340c67bee6a"),
+        ],
+        ids=["n4", "n7-two-workers"],
+    )
+    def test_written_bytes_are_pinned(self, tmp_path, n, total, workers, expected):
+        """Small databases, byte for byte: the stream, kernels and text forms together."""
+        records = run_msobe_sf(n, total, seed=3, workers=workers).records
         write_records_csv(records, tmp_path / "db.csv")
         digest = hashlib.sha256((tmp_path / "db.csv").read_bytes()).hexdigest()
-        assert digest == "a525c8536bf6b1b70d56e369fc8538f5afc010bf3084e7d4cb90b18cae96e0ce"
+        assert digest == expected
