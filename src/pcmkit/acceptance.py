@@ -216,12 +216,11 @@ _LOSS_HEADER = _TABLE_HEADER + ",loss"
 
 
 def write_table(table: QuantileTable, path) -> None:
+    """Write the table so that read_table reads it back exactly: each float as repr(float(x)), not "np.float64(...)"."""
     lines = [_LOSS_HEADER]
     for row in table.rows:
-        lines.append(
-            f"{table.n},{table.method},{row.class_lo:.8g},{row.class_hi:.8g},{row.mean_ati:.8g},"
-            f"{row.q10:.8g},{row.median:.8g},{row.q90:.8g},{row.mean_err:.8g},{table.loss}"
-        )
+        cells = (row.class_lo, row.class_hi, row.mean_ati, row.q10, row.median, row.q90, row.mean_err)
+        lines.append(",".join([str(table.n), table.method, *(repr(float(x)) for x in cells), table.loss]))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

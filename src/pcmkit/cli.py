@@ -19,7 +19,7 @@ from . import acceptance as acc
 from . import simulate as sim
 from .core import Pcm, PcmFormatError, PriorityVector, read_pcm
 from .indices import compute_report, estimate_asi
-from .loss import avg_absolute_error, avg_relative_error
+from .loss import batch_losses
 from .prioritize import ConvergenceError
 from .stats import PartitionError, batch_pearson, spearman_or_nan, summarize_classes
 
@@ -58,6 +58,18 @@ _SEED = _checked(int, lambda v: 0 <= v < 2**63, "an integer in [0, 2**63)")
 _COUNT = _checked(int, lambda v: v > 0, "a positive integer")
 
 
+def _true_pv(text) -> PriorityVector:
+    """An argparse type= for --true-pv: comma-separated weights, normalized, each a normal float (RE divides by it)."""
+    try:
+        v = PriorityVector.normalized([float(t) for t in text.split(",")])
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    smallest = v.weights.min()
+    if smallest < np.finfo(float).tiny:
+        raise argparse.ArgumentTypeError(f"normalized weight {smallest:.3g} is below the smallest normal float")
+    return v
+
+
 @functools.cache
 def _build_parser() -> _Parser:
     """The one parser of the process, built on first use; parse_args leaves it unchanged, so calls share it.
@@ -69,7 +81,7 @@ def _build_parser() -> _Parser:
 
     p_an = sub.add_parser("analyze", help="indices and estimates for a PCM file")
     p_an.add_argument("pcm_path")
-    p_an.add_argument("--true-pv", help="comma-separated true priority vector for error reporting")
+    p_an.add_argument("--true-pv", type=_true_pv, help="comma-separated true priority vector for error reporting")
     p_an.add_argument("--seed", type=_SEED, default=None, help="seed for the ASI sample behind CR")
     p_an.add_argument("--format", choices=("table", "jsonl"), default="table")
     p_an.add_argument("--out", default=None)
@@ -135,6 +147,8 @@ def _load_pcm(path) -> Pcm:
 
 def cmd_analyze(args) -> int:
     pcm = _load_pcm(args.pcm_path)
+    if args.true_pv is not None and args.true_pv.n != pcm.n:
+        raise UsageError("--true-pv dimension does not match the PCM order")
     seed = secrets.randbits(32) if args.seed is None else args.seed
     asi = estimate_asi(pcm.n, seed=seed)
     try:
@@ -152,20 +166,7 @@ def cmd_analyze(args) -> int:
         **report.as_dict(),
     }
     if args.true_pv is not None:
-        try:
-            v = PriorityVector.normalized([float(t) for t in args.true_pv.split(",")])
-        except ValueError as exc:
-            raise UsageError(f"bad --true-pv: {exc}") from exc
-        # RE divides by the true weights, so a subnormal one would overflow it to inf.
-        smallest = v.weights.min()
-        if smallest < np.finfo(float).tiny:
-            raise UsageError(f"bad --true-pv: normalized weight {smallest:.3g} is below the smallest normal float")
-        if v.n != pcm.n:
-            raise UsageError("--true-pv dimension does not match the PCM order")
-        payload["ae_rev"] = avg_absolute_error(v, rev.weights)
-        payload["re_rev"] = avg_relative_error(v, rev.weights)
-        payload["ae_gm"] = avg_absolute_error(v, gm)
-        payload["re_gm"] = avg_relative_error(v, gm)
+        payload.update(batch_losses(args.true_pv.weights, rev.weights.weights, gm.weights))
     if args.format == "jsonl":
         _emit(json.dumps(payload), args.out)
         return EXIT_OK

@@ -193,17 +193,6 @@ def round_pcm(pcm) -> Pcm:
     return Pcm(_from_upper(round_matrix_to_scale(a[iu, ju]), n))
 
 
-_FRACTION_STRINGS = {1.0 / k: f"1/{k}" for k in range(2, 10)}
-
-
-def _format_entry(x: float) -> str:
-    """The token read_pcm reads back as x exactly: 1/k or an integer where x is one, else repr."""
-    x = float(x)
-    if x in _FRACTION_STRINGS:
-        return _FRACTION_STRINGS[x]
-    return str(int(x)) if x.is_integer() else repr(x)
-
-
 def _parse_token(token: str) -> float:
     token = token.strip()
     if "/" in token:
@@ -221,6 +210,13 @@ def _parse_token(token: str) -> float:
 
 # The float of each of the 17 scale tokens, as _parse_token reads it; read_pcm looks these up.
 _SCALE_TOKENS = {t: _parse_token(t) for t in [f"1/{k}" for k in range(2, 10)] + [str(k) for k in range(1, 10)]}
+_SCALE_STRINGS = {x: t for t, x in _SCALE_TOKENS.items()}  # and write_pcm looks up the inverse
+
+
+def _format_entry(x: float) -> str:
+    """The token read_pcm reads back as x exactly: a scale token or an integer where x is one, else repr."""
+    x = float(x)
+    return _SCALE_STRINGS.get(x) or (str(int(x)) if x.is_integer() else repr(x))
 
 
 def _read_text(path, error=ValueError) -> str:

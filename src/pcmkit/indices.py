@@ -18,6 +18,7 @@ __all__ = [
     "batch_gi",
     "triad_values",
     "batch_ki_ati",
+    "batch_indices",
     "compute_si",
     "estimate_asi",
     "compute_cr",
@@ -101,6 +102,12 @@ def batch_ki_ati(pcm):
     return ti.max(axis=-1), _sum_in_order(ti) / ti.shape[-1]
 
 
+def batch_indices(a: np.ndarray, lambda_max, w_gm) -> dict:
+    """SI from REV's lambda_max, GI from the GM weights, KI and ATI over the last two axes; for analyze and simulate."""
+    ki, ati = batch_ki_ati(a)
+    return {"si": batch_si(lambda_max, a.shape[-1]), "gi": batch_gi(a, w_gm), "ki": ki, "ati": ati}
+
+
 def compute_si(pcm) -> float:
     """Saaty's index (lambda_max - n) / (n - 1)."""
     a = _as_matrix(pcm)
@@ -166,14 +173,6 @@ def compute_report(pcm, asi: Optional[float] = None) -> IndexReport:
         asi = _checked_asi(asi)
     a = _as_matrix(pcm)
     rev, gm = rev_estimate(a), gm_estimate(a)
-    ki, ati = batch_ki_ati(a)
-    si = float(batch_si(rev.lambda_max, a.shape[0]))
-    return IndexReport(
-        si=si,
-        cr=(si / asi) if asi is not None else None,
-        gi=float(batch_gi(a, gm.weights)),
-        ki=float(ki),
-        ati=float(ati),
-        rev=rev,
-        gm=gm,
-    )
+    values = {key: float(x) for key, x in batch_indices(a, rev.lambda_max, gm.weights).items()}
+    cr = values["si"] / asi if asi is not None else None
+    return IndexReport(cr=cr, rev=rev, gm=gm, **values)

@@ -5,7 +5,7 @@ import numpy as np
 
 from .core import PriorityVector
 
-__all__ = ["batch_absolute_error", "batch_relative_error", "avg_absolute_error", "avg_relative_error"]
+__all__ = ["batch_absolute_error", "batch_relative_error", "batch_losses", "avg_absolute_error", "avg_relative_error"]
 
 
 def batch_absolute_error(v, w):
@@ -16,6 +16,12 @@ def batch_absolute_error(v, w):
 def batch_relative_error(v, w):
     """Mean |v_i - w_i| / v_i over the last axis, the TRUE vector v in the denominator."""
     return np.mean(np.abs(v - w) / v, axis=-1)
+
+
+def batch_losses(v, w_rev, w_gm) -> dict:
+    """AE and RE of the REV and GM estimates against true vectors v, over the last axis; for analyze and simulate."""
+    return {"ae_rev": batch_absolute_error(v, w_rev), "re_rev": batch_relative_error(v, w_rev),
+            "ae_gm": batch_absolute_error(v, w_gm), "re_gm": batch_relative_error(v, w_gm)}
 
 
 def _checked_pair(v, w):

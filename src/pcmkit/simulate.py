@@ -25,8 +25,8 @@ from typing import get_type_hints
 import numpy as np
 
 from .core import round_matrix_to_scale, _from_upper, _read_text
-from .indices import _sum_in_order, batch_gi, batch_ki_ati, batch_si
-from .loss import batch_absolute_error, batch_relative_error
+from .indices import _sum_in_order, batch_indices
+from .loss import batch_losses
 from .prioritize import batch_gm, batch_rev
 from .stats import average_ranks, pearson_pairs
 
@@ -215,22 +215,10 @@ def _batch_metrics(a: np.ndarray, v: np.ndarray):
     Returns a dict of per-record vectors, REV's power-iteration counts and
     residuals among them, plus the non-convergence mask.
     """
-    n = a.shape[1]
     w_rev, lam, iterations, residual, converged = batch_rev(a)
     w_gm = batch_gm(a)
-    ki, ati = batch_ki_ati(a)
-    out = {
-        "si": batch_si(lam, n),
-        "gi": batch_gi(a, w_gm),
-        "ki": ki,
-        "ati": ati,
-        "ae_rev": batch_absolute_error(v, w_rev),
-        "re_rev": batch_relative_error(v, w_rev),
-        "ae_gm": batch_absolute_error(v, w_gm),
-        "re_gm": batch_relative_error(v, w_gm),
-        "rev_iterations": iterations,
-        "rev_residual": residual,
-    }
+    out = {**batch_indices(a, lam, w_gm), **batch_losses(v, w_rev, w_gm),
+           "rev_iterations": iterations, "rev_residual": residual}
     return out, ~converged
 
 

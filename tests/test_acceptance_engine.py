@@ -24,6 +24,7 @@ from pcmkit.acceptance import (
 from pcmkit.core import Pcm, mpr_from_pv
 from pcmkit.indices import compute_ati
 from pcmkit.simulate import run_msobe_sf
+from pcmkit.stats import assign_classes
 
 from conftest import BAD_TABLES
 
@@ -257,11 +258,20 @@ class TestCustomTables:
         path = tmp_path / "table.csv"
         write_table(table, path)
         back = read_table(path)
-        assert back.n == table.n and back.method == table.method and back.loss == "AE"
-        for a, b in zip(table.rows, back.rows):
-            assert b.q10 == pytest.approx(a.q10, rel=1e-6)
-            assert b.mean_err == pytest.approx(a.mean_err, rel=1e-6)
-            assert b.class_hi == a.class_hi or b.class_hi == pytest.approx(a.class_hi, rel=1e-6)
+        assert back == table  # n, method, loss and every bound and statistic, exactly
+
+    def test_written_table_classifies_records_as_built(self, tmp_path):
+        """A table read back from its file puts every record of its database in the class it was built with.
+
+        With eight significant digits, 201 of these 240,000 ATI values fell in another class.
+        """
+        records = run_msobe_sf(4, 240_000, seed=1, workers=2).records
+        table = table_from_records(records, 4, "REV")
+        write_table(table, tmp_path / "table.csv")
+        back = read_table(tmp_path / "table.csv")
+        ati = np.asarray(records["ati"])
+        moved = assign_classes(back.partition, ati) != assign_classes(table.partition, ati)
+        assert int(moved.sum()) == 0
 
     def test_nine_column_table_reads_as_re(self, tmp_path, records):
         """A file in the builtin's nine columns holds RE; rows of two losses are two tables."""

@@ -177,6 +177,7 @@ class TestUsageErrors:
         (["accept", "missing.csv", "--threshold", "nan"], "argument --threshold: must be finite and nonnegative, not nan"),
         (["report", "missing.csv", "--classes", "2"], "argument --classes: must be at least 3, not 2"),
         (["analyze", "missing.csv", "--seed", "-3"], "argument --seed: must be an integer in [0, 2**63), not -3"),
+        (["analyze", "missing.csv", "--true-pv", "abc"], "argument --true-pv: could not convert string to float: 'abc'"),
     ])
     def test_usage_error_before_any_file_is_read(self, tmp_path, capsys, monkeypatch, argv, message):
         """A bad option value exits 1 although the file is missing too: the parser checks it first."""
@@ -239,13 +240,15 @@ class TestUsageErrors:
         assert assert_one_line_error(capsys) == f"pcmkit: argument {option}: must be {requirement}, not {value}\n"
         assert list(tmp_path.iterdir()) == []
 
-    def test_bad_true_pv(self, ra_file, capsys):
+    def test_bad_true_pv(self, ra_file, capsys, monkeypatch):
+        # Each is refused before the ASI sample is drawn, a vector of the wrong length too.
+        monkeypatch.setattr(cli, "estimate_asi", lambda *args, **kwargs: pytest.fail("drew the ASI sample"))
         assert main(["analyze", ra_file, "--true-pv", "0.5,x,0.2,0.1"]) == EXIT_USAGE
         assert main(["analyze", ra_file, "--true-pv", "0.5,0.3,0.2"]) == EXIT_USAGE
         capsys.readouterr()
         # An empty vector is unparsable too, not the same as leaving --true-pv out.
         assert main(["analyze", ra_file, "--seed", "1", "--true-pv", ""]) == EXIT_USAGE
-        assert assert_one_line_error(capsys) == "pcmkit: bad --true-pv: could not convert string to float: ''\n"
+        assert assert_one_line_error(capsys) == "pcmkit: argument --true-pv: could not convert string to float: ''\n"
 
     @pytest.mark.parametrize("true_pv", ["0,0,0,0", "inf,1,1,1", "1e308,1e308,1e308,1e308"])
     def test_true_pv_that_cannot_be_normalized(self, ra_file, true_pv):
@@ -254,7 +257,7 @@ class TestUsageErrors:
         argv = [sys.executable, "-m", "pcmkit.cli", "analyze", ra_file, "--seed", "1", "--true-pv", true_pv]
         run = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
         assert run.returncode == EXIT_USAGE and run.stdout == ""
-        assert run.stderr == "pcmkit: bad --true-pv: priority weights must be finite and strictly positive\n"
+        assert run.stderr == "pcmkit: argument --true-pv: priority weights must be finite and strictly positive\n"
 
     @pytest.mark.parametrize("fmt", ["table", "jsonl"])
     @pytest.mark.parametrize("true_pv, weight", [("1,1,1,1e-320", "3.33e-321"), ("1,1,1,1e308", "1e-308")])
@@ -266,7 +269,7 @@ class TestUsageErrors:
         run = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
         assert run.returncode == EXIT_USAGE and run.stdout == ""
         assert run.stderr == (
-            f"pcmkit: bad --true-pv: normalized weight {weight} is below the smallest normal float\n"
+            f"pcmkit: argument --true-pv: normalized weight {weight} is below the smallest normal float\n"
         )
 
 

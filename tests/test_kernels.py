@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 from pcmkit import prioritize, simulate
-from pcmkit.core import SAATY_SCALE, round_matrix_to_scale
-from pcmkit.indices import batch_gi, batch_ki_ati, batch_si, estimate_asi, triad_values
-from pcmkit.loss import batch_absolute_error, batch_relative_error
+from pcmkit.core import SAATY_SCALE, Pcm, round_matrix_to_scale
+from pcmkit.indices import batch_gi, batch_ki_ati, batch_si, compute_report, estimate_asi, triad_values
+from pcmkit.loss import batch_absolute_error, batch_losses, batch_relative_error
 from pcmkit.prioritize import SQUARINGS, batch_gm, batch_rev
 from pcmkit.stats import average_ranks, batch_pearson, pearson_pairs
 
@@ -90,6 +90,29 @@ def test_stack_equals_each_matrix_alone(n):
         }
         for name, value in alone.items():
             assert np.array_equal(stacked[name][k], value), name
+
+
+@pytest.mark.parametrize("n", [4, 7])
+def test_record_equals_analyze_of_its_matrix(monkeypatch, n):
+    """A database record's indices and losses are what analyze gives its matrix and true vector, bit for bit."""
+    batch_metrics, stacks = simulate._batch_metrics, []
+
+    def captured(a, v):
+        stacks.append((a.copy(), v.copy()))
+        return batch_metrics(a, v)
+
+    monkeypatch.setattr(simulate, "_batch_metrics", captured)
+    records = simulate.run_msobe_sf(n, simulate._chunk_records(4) + 400, seed=31).records
+    monkeypatch.undo()
+    assert len(stacks) >= 2  # records of more than one chunk
+    a, v = (np.concatenate(parts) for parts in zip(*stacks))
+    for k in range(0, len(records["vector_id"]), 13):
+        rid = records["vector_id"][k]
+        rep = compute_report(Pcm(a[rid]))
+        losses = batch_losses(v[rid], rep.rev.weights.weights, rep.gm.weights)
+        for name, value in {**rep.as_dict(), **losses}.items():
+            if name != "cr":
+                assert records[name][k] == value, (rid, name)
 
 
 @pytest.mark.parametrize("n", range(3, 10))
