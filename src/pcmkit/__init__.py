@@ -8,7 +8,6 @@ from .acceptance import (
     UnsupportedOrderError,
     assess_pcm,
     builtin_table,
-    locate_class,
     table_from_records,
 )
 from .core import (
@@ -23,16 +22,7 @@ from .core import (
     round_pcm,
     write_pcm,
 )
-from .indices import (
-    IndexReport,
-    compute_ati,
-    compute_cr,
-    compute_gi,
-    compute_ki,
-    compute_report,
-    compute_si,
-    estimate_asi,
-)
+from .indices import IndexReport, compute_report, estimate_asi
 from .loss import avg_absolute_error, avg_relative_error
 from .prioritize import ConvergenceError, RevResult, gm_estimate, rev_estimate
 from .simulate import (

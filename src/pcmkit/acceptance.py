@@ -12,7 +12,7 @@ from typing import Optional
 import numpy as np
 
 from .core import Pcm, _read_text
-from .indices import compute_ati
+from .indices import batch_ki_ati
 from .stats import ClassPartition, assign_classes, summarize_classes
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
     "AcceptanceVerdict",
     "UnsupportedOrderError",
     "builtin_table",
-    "locate_class",
     "assess_pcm",
     "table_from_records",
     "read_table",
@@ -152,13 +151,6 @@ def builtin_table(n: int, method: str) -> QuantileTable:
         ) from None
 
 
-def locate_class(table: QuantileTable, ati: float) -> int:
-    """1-based index of the half-open class interval containing the ATI value."""
-    if ati < 0:
-        raise ValueError("ati must be nonnegative")
-    return int(assign_classes(table.partition, [ati])[0])
-
-
 def assess_pcm(
     pcm: Pcm,
     method: str,
@@ -181,8 +173,8 @@ def assess_pcm(
         raise ValueError(f"table is for n={table.n} but the PCM has order {pcm.n}")
     if table.method != method:
         raise ValueError(f"table is for the {table.method} estimate, not {method}")
-    ati = compute_ati(pcm)
-    row = table.rows[locate_class(table, ati) - 1]
+    ati = float(batch_ki_ati(pcm.entries)[1])
+    row = table.rows[assign_classes(table.partition, [ati])[0] - 1]
     chosen = getattr(row, quantile_choice)
     return AcceptanceVerdict(
         ati=ati,

@@ -9,6 +9,7 @@ import functools
 import json
 import math
 import os
+import re
 import secrets
 import sys
 from pathlib import Path
@@ -82,6 +83,9 @@ def _build_parser() -> _Parser:
     p_an = sub.add_parser("analyze", help="indices and estimates for a PCM file")
     p_an.add_argument("pcm_path")
     p_an.add_argument("--true-pv", type=_true_pv, help="comma-separated true priority vector for error reporting")
+    # A value that begins like a negative number ("-1,2,3") is a value here, as "--true-pv=-1,2,3" is, so the
+    # type= reports it; argparse's own pattern takes only a lone number, and analyze has no option like one.
+    p_an._negative_number_matcher = re.compile(r"-\.?\d")
     p_an.add_argument("--seed", type=_SEED, default=None, help="seed for the ASI sample behind CR")
     p_an.add_argument("--format", choices=("table", "jsonl"), default="table")
     p_an.add_argument("--out", default=None)

@@ -62,12 +62,6 @@ class PriorityVector:
     def n(self) -> int:
         return self.weights.size
 
-    def __len__(self) -> int:
-        return self.weights.size
-
-    def __iter__(self):
-        return iter(self.weights)
-
 
 @dataclass(frozen=True)
 class Pcm:

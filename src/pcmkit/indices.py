@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 
 from .core import SAATY_SCALE, PriorityVector, _as_matrix, _from_upper
-from .prioritize import ConvergenceError, RevResult, batch_gm, batch_rev, gm_estimate, rev_estimate
+from .prioritize import ConvergenceError, RevResult, batch_rev, gm_estimate, rev_estimate
 
 __all__ = [
     "IndexReport",
@@ -19,12 +19,7 @@ __all__ = [
     "triad_values",
     "batch_ki_ati",
     "batch_indices",
-    "compute_si",
     "estimate_asi",
-    "compute_cr",
-    "compute_gi",
-    "compute_ki",
-    "compute_ati",
     "compute_report",
 ]
 
@@ -108,12 +103,6 @@ def batch_indices(a: np.ndarray, lambda_max, w_gm) -> dict:
     return {"si": batch_si(lambda_max, a.shape[-1]), "gi": batch_gi(a, w_gm), "ki": ki, "ati": ati}
 
 
-def compute_si(pcm) -> float:
-    """Saaty's index (lambda_max - n) / (n - 1)."""
-    a = _as_matrix(pcm)
-    return float(batch_si(rev_estimate(a).lambda_max, a.shape[0]))
-
-
 def estimate_asi(n: int, sample_size: int = 500, seed: int = 0) -> float:
     """Mean SI over random reciprocal matrices with upper triangles drawn from SAATY_SCALE.
 
@@ -141,30 +130,6 @@ def _checked_asi(asi) -> float:
     if not (math.isfinite(asi) and asi > 0):
         raise ValueError(f"asi must be finite and positive, not {asi}")
     return asi
-
-
-def compute_cr(pcm, asi: float) -> float:
-    """Consistency ratio SI / ASI.  Informational only; no verdict attached."""
-    asi = _checked_asi(asi)
-    return compute_si(pcm) / asi
-
-
-def compute_gi(pcm) -> float:
-    """Geometric consistency index from the GM weights, natural logarithm."""
-    a = _as_matrix(pcm)
-    if a.shape[0] < 3:
-        raise ValueError("need n >= 3")
-    return float(batch_gi(a, batch_gm(a)))
-
-
-def compute_ki(pcm) -> float:
-    """Koczkodaj's index: maximum triad inconsistency."""
-    return float(batch_ki_ati(pcm)[0])
-
-
-def compute_ati(pcm) -> float:
-    """Average triad inconsistency over all upper-triangle triads."""
-    return float(batch_ki_ati(pcm)[1])
 
 
 def compute_report(pcm, asi: Optional[float] = None) -> IndexReport:

@@ -21,9 +21,9 @@ import pytest
 
 from pcmkit.acceptance import builtin_table, BUILTIN_DATA_SHA256
 from pcmkit.core import SAATY_SCALE, Pcm, PriorityVector, mpr_from_pv
-from pcmkit.indices import compute_ati, compute_gi, compute_ki, compute_report, compute_si, triad_values
+from pcmkit.indices import batch_gi, batch_ki_ati, batch_si, compute_report, triad_values
 from pcmkit.loss import avg_absolute_error, avg_relative_error
-from pcmkit.prioritize import gm_estimate, rev_estimate
+from pcmkit.prioritize import batch_gm, gm_estimate, rev_estimate
 from pcmkit.simulate import (
     ERROR_NAMES,
     INDEX_NAMES,
@@ -102,13 +102,14 @@ def test_rounded_examples_estimates_and_indices(v1, ra, rb):
             abs(avg_relative_error(v1, got) - re) <= 5e-4,
             f"{name} RE: {avg_relative_error(v1, got):.5f} != {re}",
         )
+    rep_a, rep_b = compute_report(ra), compute_report(rb)
     for name, got, want, tol in [
-        ("SI(RA)", compute_si(ra), 0.017, 1e-3),
-        ("SI(RB)", compute_si(rb), 0.058, 1e-3),
-        ("GI(RA)", compute_gi(ra), 0.068, 2e-3),
-        ("GI(RB)", compute_gi(rb), 0.228, 2e-3),
-        ("KI(RA)", compute_ki(ra), 4.0 / 9.0, 1e-12),
-        ("KI(RB)", compute_ki(rb), 2.0 / 3.0, 1e-12),
+        ("SI(RA)", rep_a.si, 0.017, 1e-3),
+        ("SI(RB)", rep_b.si, 0.058, 1e-3),
+        ("GI(RA)", rep_a.gi, 0.068, 2e-3),
+        ("GI(RB)", rep_b.gi, 0.228, 2e-3),
+        ("KI(RA)", rep_a.ki, 4.0 / 9.0, 1e-12),
+        ("KI(RB)", rep_b.ki, 2.0 / 3.0, 1e-12),
     ]:
         _check(failures, abs(got - want) <= tol, f"{name}: {got:.6f} != {want:.6f}")
     _finish(failures)
@@ -119,11 +120,12 @@ def test_consistent_rounded_matrix_example(v2, rmpr_v2):
     from pcmkit.core import is_consistent
 
     _check(failures, is_consistent(rmpr_v2), "matrix should be consistent")
+    report = compute_report(rmpr_v2)
     for name, got in [
-        ("SI", compute_si(rmpr_v2)),
-        ("GI", compute_gi(rmpr_v2)),
-        ("KI", compute_ki(rmpr_v2)),
-        ("ATI", compute_ati(rmpr_v2)),
+        ("SI", report.si),
+        ("GI", report.gi),
+        ("KI", report.ki),
+        ("ATI", report.ati),
     ]:
         _check(failures, abs(got) <= 1e-12, f"{name}: {got} not 0")
     expected = [1 / 3, 1 / 3, 1 / 6, 1 / 6]
@@ -357,8 +359,9 @@ def test_index_properties_random_pcms():
     Random reciprocal matrices of orders 3..9: ATI <= KI, no negative index,
     REV agrees with the dense eigensolver, and indices and estimators are
     permutation invariant/equivariant.  Each matrix is analysed once, by
-    compute_report; on every tenth, compute_si/gi/ki/ati, rev_estimate and
-    gm_estimate give exactly the report's values.  Consistent matrices score zero on
+    compute_report; on every tenth, the kernels it reads (batch_si of
+    rev_estimate's lambda_max, batch_gi of batch_gm, batch_ki_ati),
+    rev_estimate and gm_estimate give exactly the report's values.  Consistent matrices score zero on
     every index.  A consistent matrix with exactly one disturbed entry has
     n-2 inconsistent triads of equal value t, so KI (the maximum) is t and
     ATI (the mean over all C(n,3) triads) is (n-2)/C(n,3) * t; the two
@@ -372,7 +375,7 @@ def test_index_properties_random_pcms():
         n = 3 + k % 7  # orders 3..9
         m = random_reciprocal_pcm(rng, n, scale_vals)
         a = np.array(m.entries)
-        # one REV and one GM per matrix; the scalar functions are checked against them below
+        # one REV and one GM per matrix; the kernels are checked against them below
         rep = compute_report(m)
         si, gi, ki, ati, res = rep.si, rep.gi, rep.ki, rep.ati, rep.rev
         if not ati <= ki + 1e-15:
@@ -389,10 +392,11 @@ def test_index_properties_random_pcms():
         ) > 1e-7:
             bad_eig += 1
         if k % 10 == 0:
-            # the scalar entry points give exactly the report's values
+            # the kernels and the scalar estimators give exactly the report's values
             rev, gm = rev_estimate(m), gm_estimate(m)
             if (
-                (compute_si(m), compute_gi(m), compute_ki(m), compute_ati(m)) != (si, gi, ki, ati)
+                (batch_si(rev.lambda_max, n), batch_gi(a, batch_gm(a)), *batch_ki_ati(a))
+                != (si, gi, ki, ati)
                 or (rev.lambda_max, rev.iterations, rev.residual) != (res.lambda_max, res.iterations, res.residual)
                 or not np.array_equal(rev.weights.weights, res.weights.weights)
                 or not np.array_equal(gm.weights, rep.gm.weights)
@@ -416,12 +420,13 @@ def test_index_properties_random_pcms():
     _check(failures, bad_nonneg == 0, f"{bad_nonneg} matrices produced a negative index")
     _check(failures, bad_eig == 0, f"{bad_eig} matrices off the eigensolver oracle by > 1e-7")
     _check(failures, bad_perm == 0, f"{bad_perm} permutation-invariance violations")
-    _check(failures, bad_scalar == 0, f"{bad_scalar} matrices where a scalar function differs from compute_report")
+    _check(failures, bad_scalar == 0, f"{bad_scalar} matrices where a kernel or estimator differs from compute_report")
     # consistent matrices score zero on every index
     for n in range(3, 10):
         v = PriorityVector.normalized(rng.uniform(0.2, 1.0, size=n))
         m = mpr_from_pv(v)
-        worst = max(abs(compute_si(m)), compute_gi(m), compute_ki(m), compute_ati(m))
+        report = compute_report(m)
+        worst = max(abs(report.si), report.gi, report.ki, report.ati)
         _check(failures, worst <= 1e-10, f"consistent n={n}: max index {worst} > 1e-10")
     # one disturbed entry: n-2 inconsistent triads, each with TI = 1 - 1/1.5
     for n in range(3, 10):
@@ -431,7 +436,8 @@ def test_index_properties_random_pcms():
         a[1, 0] = 1 / a[0, 1]
         m = Pcm(a)
         inconsistent = int(np.count_nonzero(triad_values(m) > 1e-12))
-        ati, ki = compute_ati(m), compute_ki(m)
+        report = compute_report(m)
+        ati, ki = report.ati, report.ki
         share = (n - 2) / math.comb(n, 3)
         _check(
             failures,

@@ -16,14 +16,13 @@ from pcmkit.acceptance import (
     UnsupportedOrderError,
     assess_pcm,
     builtin_table,
-    locate_class,
     read_table,
     table_from_records,
     write_table,
 )
-from pcmkit.core import Pcm, mpr_from_pv
-from pcmkit.indices import compute_ati
-from pcmkit.simulate import run_msobe_sf
+from pcmkit.core import Pcm, PriorityVector, mpr_from_pv, round_pcm
+from pcmkit.indices import compute_report
+from pcmkit.simulate import BIG_ERROR_RANGE, default_error_models, run_msobe_sf
 from pcmkit.stats import assign_classes
 
 from conftest import BAD_TABLES
@@ -94,7 +93,7 @@ class TestBuiltinTables:
 
 
 def loop_locate_class(table, ati):
-    """The row loop that locate_class replaced with the partition's class rule."""
+    """The row loop that the partition's class rule replaced."""
     if ati < 0:
         raise ValueError("ati must be nonnegative")
     for row in table.rows[:-1]:
@@ -109,23 +108,30 @@ class TestLocateClass:
     def test_matches_the_row_loop_at_every_bound(self, n, method):
         table = builtin_table(n, method)
         assert table.partition.boundaries == tuple(r.class_lo for r in table.rows) + (math.inf,)
-        for bound in table.partition.boundaries:
+        atis = [float(ati) for bound in table.partition.boundaries
+                for ati in (np.nextafter(bound, -math.inf), bound, np.nextafter(bound, math.inf)) if ati >= 0]
+        assert assign_classes(table.partition, atis).tolist() == [loop_locate_class(table, ati) for ati in atis]
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    @pytest.mark.parametrize("method", ["REV", "GM"])
+    def test_assess_pcm_matches_the_row_loop_at_every_bound(self, n, method, monkeypatch):
+        """assess_pcm's class and statistics at each finite bound and its neighbouring floats, the
+        PCM's ATI set to that value, are the row loop's."""
+        table = builtin_table(n, method)
+        for bound in table.partition.boundaries[:-1]:
             for ati in (np.nextafter(bound, -math.inf), bound, np.nextafter(bound, math.inf)):
                 if ati >= 0:
-                    assert locate_class(table, float(ati)) == loop_locate_class(table, float(ati)), (bound, ati)
-                    assert type(locate_class(table, float(ati))) is int
+                    monkeypatch.setattr(acceptance, "batch_ki_ati", lambda a, ati=ati: (ati, ati))
+                    verdict = assess_pcm(Pcm(np.ones((n, n))), method, threshold=0.2, table=table)
+                    k = loop_locate_class(table, float(ati))
+                    assert (verdict.ati, verdict.class_index) == (float(ati), k), (bound, ati)
+                    assert type(verdict.class_index) is int
+                    assert verdict.estimated_q90 == table.rows[k - 1].q90
 
     def test_boundaries_are_half_open(self):
         table = builtin_table(4, "REV")
-        assert locate_class(table, 0.0) == 1
-        assert locate_class(table, 0.172999) == 1
-        assert locate_class(table, 0.173) == 2
-        assert locate_class(table, 0.611) == 15
-        assert locate_class(table, 5.0) == 15
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            locate_class(builtin_table(4, "REV"), -0.01)
+        atis = [0.0, 0.172999, 0.173, 0.611, 5.0]
+        assert assign_classes(table.partition, atis).tolist() == [1, 1, 2, 15, 15]
 
 
 class TestTableValidation:
@@ -198,9 +204,9 @@ class TestAssessPcm:
     def test_reports_class_statistics(self, rb):
         table = builtin_table(4, "REV")
         verdict = assess_pcm(rb, "REV", threshold=0.5)
-        ati = compute_ati(rb)
-        row = table.rows[locate_class(table, ati) - 1]
-        assert verdict.ati == pytest.approx(ati)
+        ati = compute_report(rb).ati
+        row = table.rows[assign_classes(table.partition, [ati])[0] - 1]
+        assert verdict.ati == ati
         assert (verdict.estimated_q10, verdict.estimated_median, verdict.estimated_q90) == (
             row.q10,
             row.median,
@@ -208,9 +214,25 @@ class TestAssessPcm:
         )
         assert verdict.estimated_mean == row.mean_err
 
-    def test_suspect_mean_reported_as_none(self):
-        from pcmkit.core import PriorityVector, round_pcm
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    @pytest.mark.parametrize("method", ["REV", "GM"])
+    def test_ati_and_class_are_analyzes(self, n, method):
+        """accept and analyze read one ATI: for a PCM disturbed as MSOBE-SF disturbs one (small errors
+        from one of the four models, one big error, scale rounding), assess_pcm's ATI is bit for bit
+        compute_report's, and its class is the row loop's."""
+        rng = np.random.default_rng(n)
+        a = np.array(mpr_from_pv(PriorityVector.normalized(rng.uniform(0.1, 1.0, size=n))).entries)
+        iu, ju = np.triu_indices(n, k=1)
+        factors = default_error_models()[n % 4].draw(rng, iu.size)
+        factors[rng.integers(iu.size)] = rng.uniform(*BIG_ERROR_RANGE)
+        a[iu, ju] *= factors
+        pcm = round_pcm(a)
+        verdict = assess_pcm(pcm, method, threshold=0.2)
+        ati = compute_report(pcm).ati
+        assert verdict.ati == ati > 0
+        assert verdict.class_index == loop_locate_class(builtin_table(n, method), ati)
 
+    def test_suspect_mean_reported_as_none(self):
         # a nearly consistent 7x7 matrix falls into the first GM class
         rng = np.random.default_rng(0)
         pv = PriorityVector.normalized(rng.uniform(0.5, 1.5, size=7))

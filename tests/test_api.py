@@ -20,6 +20,11 @@ def test_every_all_entry_resolves(name):
 
 
 def test_package_star_import():
+    """The package exports every name README's workflows use."""
     namespace = {}
     exec("from pcmkit import *", namespace)
-    assert {"run_msobe_sf", "read_records_csv", "write_records_csv", "summarize_classes"} <= namespace.keys()
+    assert {
+        "run_msobe_sf", "read_records_csv", "write_records_csv", "summarize_classes",
+        "compute_report", "estimate_asi", "rev_estimate", "gm_estimate", "assess_pcm", "builtin_table",
+        "table_from_records", "read_pcm", "write_pcm", "round_pcm", "is_reciprocal",
+    } <= namespace.keys()

@@ -250,9 +250,10 @@ class TestUsageErrors:
         assert main(["analyze", ra_file, "--seed", "1", "--true-pv", ""]) == EXIT_USAGE
         assert assert_one_line_error(capsys) == "pcmkit: argument --true-pv: could not convert string to float: ''\n"
 
-    @pytest.mark.parametrize("true_pv", ["0,0,0,0", "inf,1,1,1", "1e308,1e308,1e308,1e308"])
+    @pytest.mark.parametrize("true_pv", ["0,0,0,0", "inf,1,1,1", "1e308,1e308,1e308,1e308", "-1,2,3,4"])
     def test_true_pv_that_cannot_be_normalized(self, ra_file, true_pv):
-        """A zero, infinite or overflowing sum is one error line on stderr, with no numpy warning before it."""
+        """A zero, infinite or overflowing sum, or a negative weight, is one error line on stderr, with no
+        numpy warning before it; a vector that begins with a minus sign is a value, not an option."""
         env = {**os.environ, "PYTHONPATH": str(Path(sim.__file__).parents[1])}
         argv = [sys.executable, "-m", "pcmkit.cli", "analyze", ra_file, "--seed", "1", "--true-pv", true_pv]
         run = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)

@@ -6,36 +6,29 @@ import numpy as np
 import pytest
 
 from pcmkit.core import SAATY_SCALE, Pcm, mpr_from_pv, PriorityVector
-from pcmkit.indices import (
-    compute_ati,
-    compute_cr,
-    compute_gi,
-    compute_ki,
-    compute_report,
-    compute_si,
-    estimate_asi,
-    triad_values,
-)
-from pcmkit.prioritize import batch_rev
+from pcmkit.indices import batch_gi, batch_ki_ati, batch_si, compute_report, estimate_asi, triad_values
+from pcmkit.prioritize import batch_gm, batch_rev, rev_estimate
 
 from conftest import random_reciprocal_pcm
 
 
 class TestGoldenValues:
     def test_rounded_example_indices(self, ra, rb):
-        assert compute_si(ra) == pytest.approx(0.017, abs=5e-4)
-        assert compute_si(rb) == pytest.approx(0.058, abs=5e-4)
-        assert compute_gi(ra) == pytest.approx(0.068, abs=5e-4)
-        assert compute_gi(rb) == pytest.approx(0.228, abs=5e-4)
-        assert compute_ki(ra) == pytest.approx(4 / 9, abs=1e-12)
-        assert compute_ki(rb) == pytest.approx(2 / 3, abs=1e-12)
+        a, b = compute_report(ra), compute_report(rb)
+        assert a.si == pytest.approx(0.017, abs=5e-4)
+        assert b.si == pytest.approx(0.058, abs=5e-4)
+        assert a.gi == pytest.approx(0.068, abs=5e-4)
+        assert b.gi == pytest.approx(0.228, abs=5e-4)
+        assert a.ki == pytest.approx(4 / 9, abs=1e-12)
+        assert b.ki == pytest.approx(2 / 3, abs=1e-12)
 
     def test_consistent_matrices_score_zero(self, mpr_v1, rmpr_v2):
         for m in (mpr_v1, rmpr_v2):
-            assert compute_si(m) == pytest.approx(0.0, abs=1e-10)
-            assert compute_gi(m) == pytest.approx(0.0, abs=1e-12)
-            assert compute_ki(m) == pytest.approx(0.0, abs=1e-12)
-            assert compute_ati(m) == pytest.approx(0.0, abs=1e-12)
+            report = compute_report(m)
+            assert report.si == pytest.approx(0.0, abs=1e-10)
+            assert report.gi == pytest.approx(0.0, abs=1e-12)
+            assert report.ki == pytest.approx(0.0, abs=1e-12)
+            assert report.ati == pytest.approx(0.0, abs=1e-12)
 
 
 def triad_matrix(alpha, beta, chi):
@@ -63,10 +56,10 @@ class TestTriads:
         )
 
     def test_ki_is_max_and_ati_is_mean(self, rb):
-        tv = triad_values(rb)
-        assert compute_ki(rb) == pytest.approx(tv.max(), abs=1e-15)
-        assert compute_ati(rb) == pytest.approx(tv.mean(), abs=1e-15)
-        assert compute_ati(rb) <= compute_ki(rb)
+        tv, report = triad_values(rb), compute_report(rb)
+        assert report.ki == pytest.approx(tv.max(), abs=1e-15)
+        assert report.ati == pytest.approx(tv.mean(), abs=1e-15)
+        assert report.ati <= report.ki
 
     def test_triad_values_match_a_loop_over_the_triads(self):
         """At n = 3..9, bit for bit the value of a scalar loop over itertools.combinations, on one
@@ -107,11 +100,12 @@ class TestPermutationInvariance:
         rng = np.random.default_rng(seed)
         m = random_reciprocal_pcm(rng, 5, SAATY_SCALE)
         perm = rng.permutation(5)
-        p = Pcm(np.array(m.entries)[np.ix_(perm, perm)])
-        assert compute_si(p) == pytest.approx(compute_si(m), abs=1e-9)
-        assert compute_gi(p) == pytest.approx(compute_gi(m), abs=1e-12)
-        assert compute_ki(p) == pytest.approx(compute_ki(m), abs=1e-12)
-        assert compute_ati(p) == pytest.approx(compute_ati(m), abs=1e-12)
+        p = compute_report(Pcm(np.array(m.entries)[np.ix_(perm, perm)]))
+        r = compute_report(m)
+        assert p.si == pytest.approx(r.si, abs=1e-9)
+        assert p.gi == pytest.approx(r.gi, abs=1e-12)
+        assert p.ki == pytest.approx(r.ki, abs=1e-12)
+        assert p.ati == pytest.approx(r.ati, abs=1e-12)
 
 
 class TestAsiAndCr:
@@ -127,7 +121,7 @@ class TestAsiAndCr:
 
     def test_cr_is_si_over_asi(self, rb):
         asi = estimate_asi(4, sample_size=300, seed=5)
-        assert compute_cr(rb, asi) == pytest.approx(compute_si(rb) / asi, abs=1e-15)
+        assert compute_report(rb, asi).cr == pytest.approx(compute_report(rb).si / asi, abs=1e-15)
 
     @pytest.mark.parametrize("n", range(3, 16))
     def test_asi_equals_dense_eigenvalue_mean(self, n):
@@ -160,9 +154,9 @@ class TestAsiAndCr:
 
 
 class TestAsiCheck:
-    """compute_cr and compute_report accept the same ASIs: finite and positive."""
+    """compute_report accepts only a finite and positive ASI."""
 
-    @pytest.mark.parametrize("function", [compute_cr, compute_report])
+    @pytest.mark.parametrize("function", [compute_report])
     @pytest.mark.parametrize("asi", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_asi(self, rb, function, asi):
         with pytest.raises(ValueError, match=f"^asi must be finite and positive, not {asi}$"):
@@ -173,8 +167,9 @@ class TestReport:
     def test_report_fields(self, rb):
         rep = compute_report(rb, asi=estimate_asi(4, sample_size=200, seed=0))
         d = rep.as_dict()
-        assert d["si"] == pytest.approx(compute_si(rb), abs=1e-12)
-        assert d["gi"] == pytest.approx(compute_gi(rb), abs=1e-12)
-        assert d["ki"] == pytest.approx(compute_ki(rb), abs=1e-12)
-        assert d["ati"] == pytest.approx(compute_ati(rb), abs=1e-12)
+        # each index exactly as its kernel gives it: SI from REV's lambda_max, GI from the GM weights
+        a = rb.entries
+        assert d["si"] == batch_si(rev_estimate(rb).lambda_max, 4)
+        assert d["gi"] == batch_gi(a, batch_gm(a))
+        assert (d["ki"], d["ati"]) == batch_ki_ati(a)
         assert d["cr"] == pytest.approx(d["si"] / estimate_asi(4, sample_size=200, seed=0))
