@@ -30,7 +30,6 @@ from .simulate import (
     CorrelationSummary,
     MsobeResult,
     RecordTable,
-    SimRecord,
     default_error_models,
     read_records_csv,
     run_mse_sf,

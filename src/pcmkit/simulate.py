@@ -17,10 +17,9 @@ they evaluate has a unit diagonal and a_ji == 1 / a_ij bit for bit.
 """
 from __future__ import annotations
 
-import itertools
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from typing import get_type_hints
 
 import numpy as np
 
@@ -32,7 +31,6 @@ from .stats import average_ranks, pearson_pairs
 
 __all__ = [
     "BigErrorModel",
-    "SimRecord",
     "RecordTable",
     "MsobeResult",
     "CorrelationSummary",
@@ -113,44 +111,36 @@ class BigErrorModel:
             raise ValueError(f"need probability in [0, 1]: {self}")
 
 
-@dataclass(frozen=True)
-class SimRecord:
-    """One simulated PCM: provenance, index values and estimation errors.
-
-    The field order is the column order of the database files.  ``seed`` is
-    the run's master seed: with the record index ``vector_id``, the block
-    size ``_BLOCK`` and the run's big-error probability (the manifest's
-    ``big_prob``) it is the key that replays the record from its block's
-    stream.  ``perturbation_id`` is always 0.
-    """
-
-    n: int
-    vector_id: int
-    perturbation_id: int
-    distribution: str
-    big_error: bool
-    si: float
-    gi: float
-    ki: float
-    ati: float
-    ae_rev: float
-    re_rev: float
-    ae_gm: float
-    re_gm: float
-    seed: int
-
-
-# Column dtypes, from SimRecord's field types (int, str, bool or float), in field order.
-_DTYPES = {name: {int: np.int64, str: object, bool: np.bool_, float: np.float64}[typ]
-           for name, typ in get_type_hints(SimRecord).items()}
-RECORD_FIELDS = tuple(_DTYPES)
+# The database columns in file order, each with its dtype and its value rule (what, test).  ``seed`` is
+# the run's master seed: with the record index ``vector_id``, the block size ``_BLOCK`` and the run's
+# big-error probability (the manifest's ``big_prob``) it is the key that replays the record from its
+# block's stream.  ``perturbation_id`` is always 0.  SI is only finite, because float round-off leaves
+# values like -3e-16.  A distribution column is checked by its distinct values, and masked only to find
+# the row of a bad one.
+_NON_NEGATIVE_INT = (np.int64, "non-negative", lambda col: col >= 0)
+_NON_NEGATIVE_FLOAT = (np.float64, "finite and non-negative", lambda col: np.isfinite(col) & (col >= 0))
+_COLUMNS = {
+    "n": (np.int64, "the order in row 1", lambda col: col == col[:1]),
+    "vector_id": _NON_NEGATIVE_INT,
+    "perturbation_id": _NON_NEGATIVE_INT,
+    "distribution": (object, f"one of {', '.join(ERROR_DISTRIBUTIONS)}",
+                     lambda col: set(col.tolist()) <= set(ERROR_DISTRIBUTIONS) or np.isin(col, ERROR_DISTRIBUTIONS)),
+    "big_error": (np.bool_, "0 or 1", lambda col: (col == 0) | (col == 1)),
+    "si": (np.float64, "finite", np.isfinite),
+    **dict.fromkeys(("gi", "ki", "ati", "ae_rev", "re_rev", "ae_gm", "re_gm"), _NON_NEGATIVE_FLOAT),
+    "seed": _NON_NEGATIVE_INT,
+}
+RECORD_FIELDS = tuple(_COLUMNS)
+_DTYPES = {name: dtype for name, (dtype, _, _) in _COLUMNS.items()}
+_Row = namedtuple("_Row", RECORD_FIELDS)
 
 
 @dataclass(frozen=True, eq=False)
 class RecordTable:
-    """Simulation records: ``columns`` maps each SimRecord field to a numpy column of its dtype.
+    """Simulation records: ``columns`` maps each of RECORD_FIELDS to a numpy column of its dtype.
 
-    ``table[name]`` is a column; iterating yields SimRecord rows of Python scalars.
+    ``table[name]`` is a column; iterating yields one row per record, a named
+    tuple of Python scalars whose fields are RECORD_FIELDS.
     """
 
     columns: dict
@@ -162,7 +152,7 @@ class RecordTable:
         return self.columns[name]
 
     def __iter__(self):
-        return itertools.starmap(SimRecord, zip(*(self.columns[name].tolist() for name in RECORD_FIELDS)))
+        return map(_Row._make, zip(*(self.columns[name].tolist() for name in RECORD_FIELDS)))
 
     def __eq__(self, other):
         same = isinstance(other, RecordTable) and self.columns.keys() == other.columns.keys()
@@ -291,7 +281,10 @@ _PAIR_ROWS = np.array(
 
 # Every stack the frameworks evaluate at once (an MSOBE chunk, an MSE or NEE
 # stack of runs) holds at most this many matrix entries (4096 matrices at
-# n=7), so that its working set, about 6 MB, is the same at every order n.
+# n=7, a working set of about 6 MB), or one record block or run when that is
+# larger: an MSOBE chunk is at least one _BLOCK-record block (230,400 entries
+# at n=15, 409,600 at n=20), an MSE or NEE stack at least one whole run (an
+# NEE run is 219,700 entries at n=26).
 _STACK_ENTRIES = 4096 * 7 * 7
 
 
@@ -544,21 +537,9 @@ def run_msobe_sf(
 # database serialization
 
 # Text forms per column dtype: a flag as 1 or 0, a float as its %.8g text.  A file is read as
-# _READ_DTYPE (flags as numbers), then checked.
+# _READ_DTYPE (flags as numbers), then checked by each column's rule.
 _CSV_ROW = ",".join({np.float64: "%.8g", object: "%s"}.get(dtype, "%d") for dtype in _DTYPES.values()) + "\n"
 _READ_DTYPE = np.dtype([(name, np.float64 if dtype is np.bool_ else dtype) for name, dtype in _DTYPES.items()])
-# Value rules per field as (what, test); SI is only finite, because float round-off leaves values like -3e-16.
-# A distribution column is checked by its distinct values, and masked only to find the row of a bad one.
-_CHECKS = {
-    "n": ("the order in row 1", lambda col: col == col[:1]),
-    **{name: ("non-negative", lambda col: col >= 0) for name in ("vector_id", "perturbation_id", "seed")},
-    "distribution": (f"one of {', '.join(ERROR_DISTRIBUTIONS)}",
-                     lambda col: set(col.tolist()) <= set(ERROR_DISTRIBUTIONS) or np.isin(col, ERROR_DISTRIBUTIONS)),
-    "big_error": ("0 or 1", lambda col: (col == 0) | (col == 1)),
-    "si": ("finite", np.isfinite),
-    **{name: ("finite and non-negative", lambda col: np.isfinite(col) & (col >= 0))
-       for name in ("gi", "ki", "ati", "ae_rev", "re_rev", "ae_gm", "re_gm")},
-}
 
 
 def _cast(values, dtype):
@@ -574,22 +555,20 @@ def _checked_table(path, columns: dict) -> RecordTable:
 
     Raises ValueError naming the file and the first row at fault (rows count
     records from 1): a value that is not of its field's type, or one that
-    breaks its field's rule in _CHECKS.
+    breaks its field's rule in _COLUMNS.
     """
     cast = {}
-    for name, dtype in _DTYPES.items():
+    for name, (dtype, what, check) in _COLUMNS.items():
         values, read = columns[name], _READ_DTYPE[name]
         col = _cast(values, read)
         if col is None:
             row = next(k for k, x in enumerate(values) if _cast(x, read) is None)
             raise ValueError(f"{path}: row {row + 1}: bad {name} value {values[row]!r}")
-        if name in _CHECKS:
-            what, check = _CHECKS[name]
-            ok = check(col)
-            if not np.all(ok):
-                row = int(np.argmin(ok))
-                value = col[row] if dtype is object else f"{col[row]:g}"
-                raise ValueError(f"{path}: row {row + 1}: {name} is {value}, not {what}")
+        ok = check(col)
+        if not np.all(ok):
+            row = int(np.argmin(ok))
+            value = col[row] if dtype is object else f"{col[row]:g}"
+            raise ValueError(f"{path}: row {row + 1}: {name} is {value}, not {what}")
         cast[name] = np.asarray(col, dtype)
     return RecordTable(cast)
 
@@ -604,6 +583,14 @@ def write_records_csv(records: RecordTable, path) -> None:
 
 
 def read_records_csv(path) -> RecordTable:
+    """The RecordTable of a database file: a header of RECORD_FIELDS, then one row per record.
+
+    Blank lines (empty or whitespace only) are skipped and do not count as
+    rows.  Every fault (a bad header, a row of the wrong field count, a value
+    that is not of its column's type or breaks its rule) raises one
+    ValueError naming the file and, for a row, the row (from 1); ``report``
+    exits 2 on it.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             if fh.readline().rstrip("\n").split(",") != list(RECORD_FIELDS):

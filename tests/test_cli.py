@@ -11,7 +11,6 @@ import sys
 import tempfile
 import threading
 import warnings
-from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +27,6 @@ from pcmkit.prioritize import batch_rev
 from pcmkit.simulate import (
     RECORD_FIELDS,
     RecordTable,
-    SimRecord,
     read_records_csv,
     write_records_csv,
 )
@@ -59,10 +57,14 @@ def assert_one_line_error(capsys):
     return err
 
 
+# One valid record, field by field in file order.
+RECORD = dict(n=4, vector_id=0, perturbation_id=0, distribution="gamma", big_error=False, si=0.1, gi=0.1, ki=0.5,
+              ati=0.1, ae_rev=0.01, re_rev=0.05, ae_gm=0.01, re_gm=0.05, seed=1)
+
+
 def write_database(path, ati_values):
     """A database whose records differ only in their vector ids and ATI values."""
-    template = SimRecord(4, 0, 0, "gamma", False, 0.1, 0.1, 0.5, 0.1, 0.01, 0.05, 0.01, 0.05, 1)
-    columns = {name: np.full(len(ati_values), value) for name, value in zip(RECORD_FIELDS, astuple(template))}
+    columns = {name: np.full(len(ati_values), value) for name, value in RECORD.items()}
     columns.update(vector_id=np.arange(len(ati_values)), ati=np.asarray(ati_values, dtype=float))
     write_records_csv(RecordTable(columns), path)
     return str(path)
@@ -74,8 +76,12 @@ BAD_ROWS = (
     {"re_gm": None, "seed": None},
     {"big_error": "yes"},
     {"big_error": "2"},
+    {"si": "inf"},
+    {"ki": "-1"},
     {"ati": "nan"},
     {"ae_rev": "inf"},
+    {"re_rev": "nan"},
+    {"ae_gm": "-0.5"},
     {"n": "9"},
     {"ati": "-0.5"},
     {"gi": "-0.1"},
@@ -90,22 +96,38 @@ BAD_ROWS = (
 )
 
 def assert_bad_row_3_is_named(tmp_path, capsys):
-    """Each BAD_ROWS fault in row 3 of an otherwise valid database: report exits 2 naming file and row."""
+    """Each BAD_ROWS fault in row 3 of an otherwise valid database: report exits 2 naming file, row and, unless
+    the field count is wrong, the column.  SI float noise around 0 in that row still reads."""
     good = write_database(tmp_path / "db.csv", np.linspace(0.1, 1.0, 30))
     assert main(["report", good, "--classes", "3"]) == EXIT_OK
     capsys.readouterr()
     lines = (tmp_path / "db.csv").read_text().splitlines()
-    for fault in BAD_ROWS:
+    bad = tmp_path / "bad-db.csv"
+
+    def with_row_3(fault):
         row = dict(zip(RECORD_FIELDS, lines[3].split(",")))  # line 0 is the header
         for field, text in fault.items():
             if text is None:
                 del row[field]
             else:
                 row[field] = text
-        bad = tmp_path / "bad-db.csv"
         bad.write_text("\n".join(lines[:3] + [",".join(row.values())] + lines[4:]))
+        return len(row)
+
+    for fault in BAD_ROWS:
+        fields = with_row_3(fault)
         assert main(["report", str(bad), "--classes", "3"]) == EXIT_DATA, fault
-        assert assert_one_line_error(capsys).startswith(f"pcmkit: {bad}: row 3: "), fault
+        message = assert_one_line_error(capsys)
+        assert message.startswith(f"pcmkit: {bad}: row 3: "), fault
+        detail = message.removeprefix(f"pcmkit: {bad}: row 3: ")
+        if fields != len(RECORD_FIELDS):
+            assert detail == f"{fields} fields, not {len(RECORD_FIELDS)}\n", fault
+        else:
+            (field,) = fault
+            assert detail.startswith((f"{field} is ", f"bad {field} value ")), fault
+    with_row_3({"si": "-3e-16"})
+    assert main(["report", str(bad), "--classes", "3"]) == EXIT_OK
+    capsys.readouterr()
 
 
 # Each simulate framework's own options, with a valid value each.
@@ -369,8 +391,7 @@ class TestDataErrors:
     def test_report_on_json_lines_that_are_not_records(self, tmp_path, capsys):
         """JSON lines are not a simulation database, records among them too (one object per record, floats as
         their text): report exits 2 with one line naming the file, and prints no table."""
-        record = SimRecord(4, 0, 0, "gamma", False, 0.1, 0.1, 0.5, 0.1, 0.01, 0.05, 0.01, 0.05, 1)
-        row = {name: format(x, ".8g") if type(x) is float else x for name, x in zip(RECORD_FIELDS, astuple(record))}
+        row = {name: format(x, ".8g") if type(x) is float else x for name, x in RECORD.items()}
         path = tmp_path / "db.jsonl"
         for text in ('{"a": 1}\n', "".join(json.dumps({**row, "vector_id": k}) + "\n" for k in range(30))):
             path.write_text(text)

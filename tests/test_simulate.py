@@ -10,7 +10,6 @@ import time
 import tracemalloc
 import warnings
 from collections import Counter
-from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +32,6 @@ from pcmkit.simulate import (
     MsobeResult,
     RecordTable,
     SMALL_ERROR_SUPPORT,
-    SimRecord,
     default_error_models,
     read_records_csv,
     run_mse_sf,
@@ -372,27 +370,41 @@ class TestBigErrorDatabase:
         res = run_msobe_sf(4, 800, seed=13)
         assert isinstance(res, MsobeResult)
         assert len(res.records) + res.skipped == 800
-        dist_counts = Counter(r.distribution for r in res.records)
+        assert res.records.columns.keys() == set(RECORD_FIELDS)
+        dist_counts = Counter(res.records["distribution"].tolist())
         names = [m.distribution for m in default_error_models()]
         assert set(dist_counts) == set(names)
         for name in names:
             assert abs(dist_counts[name] - 200) <= res.skipped
-        for rec in list(res.records)[:5]:
-            assert isinstance(rec, SimRecord)
-            assert rec.n == 4
-            for f in RECORD_FIELDS:
-                assert hasattr(rec, f)
+        assert np.all(res.records["n"] == 4)
+
+    def test_rows_are_the_columns_as_python_scalars(self, tmp_path):
+        """Iterating a table, built or read back, yields one row per record: fields RECORD_FIELDS, values
+        each column's tolist() element, as int, str, bool or float."""
+        types = {**dict.fromkeys(RECORD_FIELDS, float), "distribution": str, "big_error": bool,
+                 **dict.fromkeys(("n", "vector_id", "perturbation_id", "seed"), int)}
+        built = run_msobe_sf(4, 40, seed=13).records
+        write_records_csv(built, tmp_path / "db.csv")
+        for records in (built, read_records_csv(tmp_path / "db.csv")):
+            rows = list(records)
+            assert len(rows) == len(records) > 0
+            for name in RECORD_FIELDS:
+                values = [getattr(row, name) for row in rows]
+                assert values == records[name].tolist()
+                assert {type(value) for value in values} == {types[name]}, name
+            assert all(row._fields == RECORD_FIELDS for row in rows)
+            assert {row.big_error for row in rows} == {False, True}
 
     def test_big_error_fraction(self):
         res = run_msobe_sf(4, 8000, seed=14)
-        frac = np.mean([r.big_error for r in res.records])
+        frac = np.mean(res.records["big_error"])
         assert frac == pytest.approx(0.75, abs=0.02)
 
     def test_big_error_probability_override(self):
         res = run_msobe_sf(4, 400, big=BigErrorModel(apply_probability=0.0), seed=15)
-        assert not any(r.big_error for r in res.records)
+        assert not res.records["big_error"].any()
         res = run_msobe_sf(4, 400, big=BigErrorModel(apply_probability=1.0), seed=15)
-        assert all(r.big_error for r in res.records)
+        assert res.records["big_error"].all()
 
     def test_worker_count_does_not_change_output(self, monkeypatch):
         # Chunks of two record blocks: four chunks for three threads, which switch as often as they can.
@@ -532,13 +544,13 @@ class TestBigErrorDatabase:
 
     def test_record_seed_column_is_the_master_seed(self):
         res = run_msobe_sf(4, 400, seed=21)
-        assert {r.seed for r in res.records} == {21}
-        assert all(type(r.seed) is int for r in res.records)
+        assert res.records["seed"].dtype == np.int64
+        assert res.records["seed"].tolist() == [21] * len(res.records)
 
     def test_record_replays_from_seed_index_and_block(self):
         """Record 3075 of 4100 from its block's stream alone: the stream definition, pinned."""
         seed, total, idx = 23, 4100, 3075
-        rec = list(run_msobe_sf(4, total, seed=seed).records)[idx]
+        records = run_msobe_sf(4, total, seed=seed).records
         block, row = divmod(idx, simulate._BLOCK)  # block 3 = records 3072..4095
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1, block)))
         models = default_error_models()
@@ -557,8 +569,9 @@ class TestBigErrorDatabase:
         a[0, iu, ju], a[0, ju, iu] = upper, 1.0 / upper
         metrics, failed = simulate._batch_metrics(a, v[None])
         assert not failed[0]
-        want = SimRecord(4, idx, 0, "uniform", bool(applied), *(float(metrics[f][0]) for f in RECORD_FIELDS[5:13]), seed)
-        assert rec == want
+        want = dict(n=4, vector_id=idx, perturbation_id=0, distribution="uniform", big_error=bool(applied),
+                    **{f: float(metrics[f][0]) for f in INDEX_NAMES + ERROR_NAMES}, seed=seed)
+        assert {name: records[name].tolist()[idx] for name in RECORD_FIELDS} == want
 
     def test_no_per_record_seeding(self, monkeypatch):
         built = seed_sequences(monkeypatch)
@@ -578,12 +591,11 @@ class TestBigErrorDatabase:
             run_msobe_sf(4, 8, workers=workers)
 
     def test_indices_are_plausible(self):
-        res = run_msobe_sf(5, 400, seed=18)
-        for r in res.records:
-            assert 0.0 <= r.ati <= r.ki < 1.0
-            assert r.si >= -1e-12
-            assert r.gi >= 0.0
-            assert r.ae_rev >= 0.0 and r.re_rev >= 0.0
+        r = run_msobe_sf(5, 400, seed=18).records
+        assert np.all((0.0 <= r["ati"]) & (r["ati"] <= r["ki"]) & (r["ki"] < 1.0))
+        assert np.all(r["si"] >= -1e-12)
+        assert np.all(r["gi"] >= 0.0)
+        assert np.all(r["ae_rev"] >= 0.0) and np.all(r["re_rev"] >= 0.0)
 
     def test_imports_no_scipy(self):
         """A fresh interpreter runs MSOBE-SF without loading any scipy module."""
@@ -612,11 +624,10 @@ class TestRecordIO:
         back = read_records_csv(path)
         assert len(back) == len(records)
         assert back != records and back == read_records_csv(path)  # floats are written as %.8g
-        for a, b in zip(records, back):
-            assert a.n == b.n and a.distribution == b.distribution
-            assert a.big_error == b.big_error
-            for f in ("si", "gi", "ki", "ati") + ERROR_NAMES:
-                assert getattr(b, f) == pytest.approx(getattr(a, f), rel=1e-6)
+        for f in ("n", "distribution", "big_error"):
+            assert np.array_equal(back[f], records[f])
+        for f in INDEX_NAMES + ERROR_NAMES:
+            assert back[f] == pytest.approx(records[f], rel=1e-6)
 
     def test_csv_blank_lines_read_as_the_clean_file(self, tmp_path, records):
         """Empty and whitespace-only lines, between rows and at the end, are skipped; so are CRLF line ends."""
@@ -675,7 +686,7 @@ class TestRecordIO:
         whole = run_msobe_sf(4, 2600, seed=5).records
         records = RecordTable({name: col[:size] for name, col in whole.columns.items()})
         assert len(records) == size
-        rows = [astuple(r) for r in records]
+        rows = zip(*(records[name].tolist() for name in RECORD_FIELDS))
         text = {float: lambda x: format(x, ".8g"), bool: lambda x: str(int(x))}
         csv = "".join(",".join(text.get(type(x), str)(x) for x in row) + "\n" for row in rows)
         write_records_csv(records, tmp_path / "db.csv")
