@@ -81,18 +81,17 @@ class QuantileTable:
             if not 0 <= row.mean_err < math.inf:
                 raise ValueError(f"row {k}: mean_err is {row.mean_err:g}, not finite and non-negative")
         bounds = [row.class_lo for row in rows] + [row.class_hi for row in rows[-1:]]
-        object.__setattr__(self, "partition", ClassPartition(tuple(bounds), len(rows)))
+        object.__setattr__(self, "partition", ClassPartition(tuple(bounds)))
         object.__setattr__(self, "rows", rows)
 
 
 @dataclass(frozen=True)
 class AcceptanceVerdict:
+    """The PCM's ATI, the table and the row of its class, and whether the chosen quantile is within threshold."""
+
     ati: float
-    class_index: int
-    estimated_q10: float
-    estimated_median: float
-    estimated_q90: float
-    estimated_mean: Optional[float]
+    table: QuantileTable
+    row: QuantileRow
     threshold: float
     quantile_choice: str
     accepted: bool
@@ -175,22 +174,12 @@ def assess_pcm(
         raise ValueError(f"table is for the {table.method} estimate, not {method}")
     ati = float(batch_ki_ati(pcm.entries)[1])
     row = table.rows[assign_classes(table.partition, [ati])[0] - 1]
-    chosen = getattr(row, quantile_choice)
-    return AcceptanceVerdict(
-        ati=ati,
-        class_index=row.class_index,
-        estimated_q10=row.q10,
-        estimated_median=row.median,
-        estimated_q90=row.q90,
-        estimated_mean=None if row.suspect_mean else row.mean_err,
-        threshold=threshold,
-        quantile_choice=quantile_choice,
-        accepted=bool(chosen <= threshold),
-    )
+    accepted = bool(getattr(row, quantile_choice) <= threshold)
+    return AcceptanceVerdict(ati, table, row, threshold, quantile_choice, accepted)
 
 
-def table_from_records(records, n: int, method: str, loss: str = "RE", n_classes: int = 15) -> QuantileTable:
-    """Build a QuantileTable from a simulation database of order-n records (ATI binning)."""
+def table_from_records(records, n: int, method: str, loss: str = "RE") -> QuantileTable:
+    """Build a QuantileTable from a simulation database of order-n records (15 ATI classes)."""
     _check_method_and_loss(method, loss)
     orders = np.asarray(records["n"])
     if (orders != n).any():
@@ -198,7 +187,7 @@ def table_from_records(records, n: int, method: str, loss: str = "RE", n_classes
     error = f"{loss.lower()}_{method.lower()}"
     rows = tuple(
         QuantileRow(s.class_index, s.lower, s.upper, s.mean_index_value, s.q10, s.median, s.q90, s.mean_error)
-        for s in summarize_classes(records, "ati", error, n_classes)
+        for s in summarize_classes(records, "ati", error)
     )
     return QuantileTable(n=n, method=method, loss=loss, rows=rows)
 

@@ -287,22 +287,16 @@ def cmd_report(args) -> int:
 
 def cmd_accept(args) -> int:
     pcm = _load_pcm(args.pcm_path)
-    method = args.method.upper()
     try:
-        if args.table:
-            table = acc.read_table(args.table)
-        else:
-            table = acc.builtin_table(pcm.n, method)
-        verdict = acc.assess_pcm(pcm, method, args.threshold, args.quantile, table)
+        table = acc.read_table(args.table) if args.table else None
+        verdict = acc.assess_pcm(pcm, args.method.upper(), args.threshold, args.quantile, table)
     except (OSError, ValueError) as exc:
         raise DataError(str(exc)) from exc
-    mean_s = "suspect, unused" if verdict.estimated_mean is None else f"{verdict.estimated_mean:.4f}"
-    print(f"ATI = {verdict.ati:.4f} -> class {verdict.class_index} of the {method} table")
-    print(
-        f"estimated {table.loss} quantiles: q10={verdict.estimated_q10:.4f} "
-        f"median={verdict.estimated_median:.4f} q90={verdict.estimated_q90:.4f} "
-        f"mean={mean_s}"
-    )
+    row, table = verdict.row, verdict.table
+    mean_s = "suspect, unused" if row.suspect_mean else f"{row.mean_err:.4f}"
+    print(f"ATI = {verdict.ati:.4f} -> class {row.class_index} of the {table.method} table")
+    print(f"estimated {table.loss} quantiles: q10={row.q10:.4f} median={row.median:.4f} "
+          f"q90={row.q90:.4f} mean={mean_s}")
     print(
         f"verdict: {'ACCEPT' if verdict.accepted else 'REJECT'} "
         f"({verdict.quantile_choice} vs threshold {verdict.threshold:g})"

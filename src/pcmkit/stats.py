@@ -122,15 +122,14 @@ def _linear_quantiles(values, ordered, starts, counts, q) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ClassPartition:
-    """Split of [0, inf) into n_classes half-open intervals; boundaries increase strictly from 0 to +inf."""
+    """Split of [0, inf) into len(boundaries) - 1 half-open intervals; boundaries increase strictly from 0 to +inf."""
 
     boundaries: tuple
-    n_classes: int
 
     def __post_init__(self):
         b = tuple(float(v) for v in self.boundaries)
-        if len(b) != self.n_classes + 1:
-            raise ValueError("need n_classes + 1 boundaries")
+        if len(b) < 2:
+            raise ValueError(f"need at least 2 boundaries, not {len(b)}")
         if b[0] != 0.0 or b[-1] != np.inf or not all(lo < hi for lo, hi in zip(b, b[1:])):
             raise ValueError(f"boundaries must increase strictly from 0 to inf: {', '.join(f'{v:g}' for v in b)}")
         object.__setattr__(self, "boundaries", b)
@@ -147,7 +146,7 @@ def make_partition(index_values: Sequence[float], n_classes: int) -> ClassPartit
     bounds = _linear_quantiles(arr, np.sort(arr), np.zeros(1, np.intp), np.array([arr.size]), q)[0]
     interior = np.linspace(*bounds, n_classes - 1)
     try:
-        return ClassPartition((0.0, *interior, np.inf), n_classes)
+        return ClassPartition((0.0, *interior, np.inf))
     except ValueError as exc:
         raise PartitionError(f"degenerate sample: {exc}") from None
 

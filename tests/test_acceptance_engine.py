@@ -124,9 +124,9 @@ class TestLocateClass:
                     monkeypatch.setattr(acceptance, "batch_ki_ati", lambda a, ati=ati: (ati, ati))
                     verdict = assess_pcm(Pcm(np.ones((n, n))), method, threshold=0.2, table=table)
                     k = loop_locate_class(table, float(ati))
-                    assert (verdict.ati, verdict.class_index) == (float(ati), k), (bound, ati)
-                    assert type(verdict.class_index) is int
-                    assert verdict.estimated_q90 == table.rows[k - 1].q90
+                    assert (verdict.ati, verdict.row.class_index) == (float(ati), k), (bound, ati)
+                    assert type(verdict.row.class_index) is int
+                    assert verdict.row.q90 == table.rows[k - 1].q90
 
     def test_boundaries_are_half_open(self):
         table = builtin_table(4, "REV")
@@ -156,6 +156,10 @@ class TestTableValidation:
             with pytest.raises(ValueError, match="row 2: "):
                 QuantileTable(4, "REV", "RE", (rows[0], self._row(2, 0.2, math.inf, **stats)))
 
+    def test_rejects_an_empty_table(self):
+        with pytest.raises(ValueError, match="need at least 2 boundaries, not 0"):
+            QuantileTable(4, "REV", "RE", ())
+
     def test_rejects_bounded_last_class(self):
         with pytest.raises(ValueError):
             QuantileTable(4, "REV", "RE", (self._row(1, 0.0, 0.5),))
@@ -182,7 +186,7 @@ class TestTableValidation:
     def test_partition_is_derived_not_compared(self):
         rows = (self._row(1, 0.0, 0.2), self._row(2, 0.2, math.inf))
         table = QuantileTable(4, "REV", "RE", rows)
-        assert table.partition.boundaries == (0.0, 0.2, math.inf) and table.partition.n_classes == 2
+        assert table.partition.boundaries == (0.0, 0.2, math.inf)
         assert table == QuantileTable(4, "REV", "RE", list(rows))
         assert "partition" not in repr(table)
         with pytest.raises(TypeError):
@@ -194,7 +198,7 @@ class TestAssessPcm:
         verdict = assess_pcm(rmpr_v2, "REV", threshold=0.2)
         assert isinstance(verdict, AcceptanceVerdict)
         assert verdict.ati == 0.0
-        assert verdict.class_index == 1
+        assert verdict.row.class_index == 1
         assert verdict.accepted  # q90 of class 1 is 0.1765 <= 0.2
 
     def test_threshold_flips_verdict(self, rmpr_v2):
@@ -207,12 +211,8 @@ class TestAssessPcm:
         ati = compute_report(rb).ati
         row = table.rows[assign_classes(table.partition, [ati])[0] - 1]
         assert verdict.ati == ati
-        assert (verdict.estimated_q10, verdict.estimated_median, verdict.estimated_q90) == (
-            row.q10,
-            row.median,
-            row.q90,
-        )
-        assert verdict.estimated_mean == row.mean_err
+        assert (verdict.row.q10, verdict.row.median, verdict.row.q90) == (row.q10, row.median, row.q90)
+        assert verdict.row.mean_err == row.mean_err and not verdict.row.suspect_mean
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
     @pytest.mark.parametrize("method", ["REV", "GM"])
@@ -230,18 +230,20 @@ class TestAssessPcm:
         verdict = assess_pcm(pcm, method, threshold=0.2)
         ati = compute_report(pcm).ati
         assert verdict.ati == ati > 0
-        assert verdict.class_index == loop_locate_class(builtin_table(n, method), ati)
+        assert verdict.row.class_index == loop_locate_class(builtin_table(n, method), ati)
+        assert verdict.table is builtin_table(n, method)
+        assert verdict.row is verdict.table.rows[verdict.row.class_index - 1]
 
-    def test_suspect_mean_reported_as_none(self):
-        # a nearly consistent 7x7 matrix falls into the first GM class
-        rng = np.random.default_rng(0)
-        pv = PriorityVector.normalized(rng.uniform(0.5, 1.5, size=7))
-        m = round_pcm(mpr_from_pv(pv))
-        verdict = assess_pcm(m, "GM", threshold=1.0)
-        if verdict.class_index == 1:
-            assert verdict.estimated_mean is None
-        else:  # fall back: directly exercise the flag via the table row
-            assert builtin_table(7, "GM").rows[0].suspect_mean
+    def test_suspect_mean_is_flagged_and_unused(self):
+        """A consistent 7x7 matrix falls into the first GM class, whose printed mean is flagged suspect;
+        the verdict follows the chosen quantile alone, at its value and the float below it."""
+        first = builtin_table(7, "GM").rows[0]
+        for choice in QUANTILE_CHOICES:
+            value = getattr(first, choice)
+            for threshold in (value, float(np.nextafter(value, 0.0))):
+                verdict = assess_pcm(Pcm(np.ones((7, 7))), "GM", threshold, quantile_choice=choice)
+                assert verdict.row is first and verdict.row.suspect_mean
+                assert verdict.accepted == (threshold == value), (choice, threshold)
 
     def test_quantile_choice_validation(self, rb):
         assert QUANTILE_CHOICES == ("q10", "median", "q90")
@@ -345,3 +347,4 @@ class TestCustomTables:
         table = table_from_records(records, 4, "REV", loss="AE")
         verdict = assess_pcm(rb, "REV", threshold=1.0, table=table)
         assert verdict.accepted
+        assert verdict.table is table

@@ -775,6 +775,16 @@ class TestReportAndAccept:
         assert main(["accept", rb_file, "--method", "gm", "--threshold", "1", "--quantile", "median"]) == EXIT_OK
         capsys.readouterr()
 
+    def test_accept_prints_the_suspect_mean_as_unused(self, tmp_path, capsys):
+        """A matrix of ones (ATI 0) lands in the first class of the n=7 GM table, whose printed mean is suspect."""
+        path = tmp_path / "ones7.csv"
+        write_pcm(Pcm(np.ones((7, 7))), path)
+        assert main(["accept", str(path), "--method", "gm", "--threshold", "0.2"]) == EXIT_OK
+        assert capsys.readouterr() == (
+            "ATI = 0.0000 -> class 1 of the GM table\n"
+            "estimated RE quantiles: q10=0.0424 median=0.0723 q90=0.1225 mean=suspect, unused\n"
+            "verdict: ACCEPT (q90 vs threshold 0.2)\n", "")
+
 
 class TestOneProcess:
     def test_mixed_calls_match_a_fresh_parser(self, database, rb_file, tmp_path, capsys, monkeypatch):
@@ -990,8 +1000,13 @@ def test_arbitrary_argv_ends_in_a_documented_exit_code(tmp_path_factory, argv):
         paths["garbage"].write_bytes(b"\xff\x00not,a\npcm\n")
         argv = [token.format(**paths) for token in argv]
         stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = main(argv)
+        cwd = os.getcwd()
+        os.chdir(work)  # a drawn bare `--out nee` writes its file and manifest here, not where pytest runs
+        try:
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(argv)
+        finally:
+            os.chdir(cwd)
     event(f"exit {code}")
     assert code in (EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_REJECT), argv
     err = stderr.getvalue()

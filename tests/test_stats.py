@@ -123,11 +123,14 @@ class TestPartition:
             make_partition([0.1, 0.2, 0.3], n_classes=4)
 
     def test_partition_bounds_run_strictly_from_zero_to_inf(self):
-        assert ClassPartition((0.0, np.inf), 1).boundaries == (0.0, np.inf)
+        assert ClassPartition((0.0, np.inf)).boundaries == (0.0, np.inf)
+        for bounds in ((), (0.0,)):
+            with pytest.raises(ValueError, match=f"need at least 2 boundaries, not {len(bounds)}"):
+                ClassPartition(bounds)
         for bounds in ((0.1, 0.5, np.inf), (0.0, 0.5, 9.0), (0.0, 0.5, 0.5, np.inf), (0.0, 0.6, 0.5, np.inf),
                        (0.0, np.nan, np.inf)):
             with pytest.raises(ValueError, match="increase strictly from 0 to inf"):
-                ClassPartition(bounds, len(bounds) - 1)
+                ClassPartition(bounds)
 
 
 class TestSummaries:
@@ -171,7 +174,7 @@ def mask_loop_summaries(records, index, error, n_classes):
     interior = np.linspace(float(np.quantile(idx_vals, 1.0 / n_classes)),
                            float(np.quantile(idx_vals, 1.0 - 1.0 / n_classes)), n_classes - 1)
     try:
-        part = ClassPartition((0.0, *interior, np.inf), n_classes)
+        part = ClassPartition((0.0, *interior, np.inf))
     except ValueError as exc:
         raise PartitionError(f"degenerate sample: {exc}") from None
     classes = assign_classes(part, idx_vals)
@@ -261,7 +264,7 @@ def quantile_partition(values, n_classes):
         raise PartitionError(f"{arr.size} values cannot fill {n_classes} classes")
     interior = np.linspace(*np.quantile(arr, (1.0 / n_classes, 1.0 - 1.0 / n_classes)), n_classes - 1)
     try:
-        return ClassPartition((0.0, *interior, np.inf), n_classes)
+        return ClassPartition((0.0, *interior, np.inf))
     except ValueError as exc:
         raise PartitionError(f"degenerate sample: {exc}") from None
 
