@@ -1,6 +1,8 @@
 """Core pairwise-comparison matrix (PCM) types, predicates and scale rounding."""
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -167,10 +169,32 @@ def round_matrix_to_scale(values: np.ndarray) -> np.ndarray:
     return np.take(SAATY_SCALE, k)
 
 
+def _component_sum(x: np.ndarray, axis: int = -1):
+    """Sum of x's n entries along axis, added left to right: one vector add per component across all other axes.
+
+    This is the order numpy's row sum takes below 8 terms; from 8 on numpy's
+    is pairwise, in an order that follows the memory layout.  A reduction along
+    a row of only n values would also pay numpy's per-row set-up.
+    """
+    at = (slice(None),) * (axis % x.ndim)
+    total = x[at + (0,)].copy()
+    for k in range(1, x.shape[axis]):
+        total += x[at + (k,)]
+    return total
+
+
+@functools.cache
+def _upper_indices(n: int) -> tuple:
+    """Read-only index arrays iu, ju of the pairs i < j, in np.triu_indices(n, k=1) order."""
+    iuju = np.array(list(itertools.combinations(range(n), 2)), dtype=np.intp).reshape(-1, 2).T.copy()
+    iuju.setflags(write=False)
+    return tuple(iuju)
+
+
 def _from_upper(upper: np.ndarray, n: int) -> np.ndarray:
     """Reciprocal n-by-n matrices over upper's leading axes: unit diagonal, upper
     triangle from upper's last axis in np.triu_indices order, reciprocals below."""
-    iu, ju = np.triu_indices(n, k=1)
+    iu, ju = _upper_indices(n)
     a = np.ones(upper.shape[:-1] + (n, n))
     a[..., iu, ju] = upper
     a[..., ju, iu] = 1.0 / upper
@@ -183,7 +207,7 @@ def round_pcm(pcm) -> Pcm:
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError("PCM must be a square matrix")
-    iu, ju = np.triu_indices(n, k=1)
+    iu, ju = _upper_indices(n)
     return Pcm(_from_upper(round_matrix_to_scale(a[iu, ju]), n))
 
 

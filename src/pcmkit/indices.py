@@ -9,7 +9,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import SAATY_SCALE, PriorityVector, _as_matrix, _from_upper
+from .core import SAATY_SCALE, PriorityVector, _as_matrix, _from_upper, _upper_indices
 from .prioritize import ConvergenceError, RevResult, batch_rev, gm_estimate, rev_estimate
 
 __all__ = [
@@ -59,7 +59,7 @@ def batch_gi(a: np.ndarray, w: np.ndarray):
     2 / ((n-1)(n-2)) * sum_{i<j} ln^2(a_ij w_j / w_i), natural logarithm.
     """
     n = a.shape[-1]
-    iu, ju = np.triu_indices(n, k=1)
+    iu, ju = _upper_indices(n)
     terms = np.log(a[..., iu, ju] * w[..., ju] / w[..., iu]) ** 2
     return 2.0 / ((n - 1) * (n - 2)) * _sum_in_order(terms)
 

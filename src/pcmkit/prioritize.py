@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PriorityVector, _as_matrix
+from .core import PriorityVector, _as_matrix, _component_sum
 
 __all__ = ["RevResult", "ConvergenceError", "batch_rev", "batch_gm", "rev_estimate", "gm_estimate"]
 
@@ -61,15 +61,18 @@ def batch_rev(a: np.ndarray):
     weights (b, n) and, per record, lambda_max, iterations, the residual
     max |A w - lambda_max w| and whether it converged.
 
-    Both per-record reductions of a pass run across records, on a
-    component-major (n, active) copy of the product: the normaliser adds the
-    components left to right, one vector add per component (the order numpy's
-    row sum takes below 8 terms), and the convergence test ands the n
-    component tests.  A reduction along a row of only n values would pay
-    numpy's per-row set-up, and numpy's row sum from 8 terms on is pairwise,
-    in an order that follows the memory layout.  The einsum itself keeps its
-    C-contiguous (active, n, n) and (active, n) operands, because its
-    summation order also follows their layout.
+    Every per-record reduction runs across records, on component-major
+    (n, records) copies: the normaliser of each pass and lambda_max add the
+    components left to right, one vector add per component
+    (`core._component_sum`, the order numpy's row sum takes below 8 terms),
+    the convergence test ands the n component tests and the residual is the
+    maximum of the n component deviations, exact in any order.  A reduction
+    along a row of only n values would pay numpy's per-row set-up, and
+    numpy's row sum from 8 terms on is pairwise, in an order that follows
+    the memory layout; so up to n = 7 lambda_max is np.mean of the ratios
+    bit for bit, and from n = 8 it may differ from it by a few ulp.  The
+    einsums keep their C-contiguous (records, n, n) and (records, n)
+    operands, because their summation order also follows the layout.
     """
     a = np.ascontiguousarray(a)
     b, n, _ = a.shape
@@ -87,9 +90,7 @@ def batch_rev(a: np.ndarray):
     while idx.size and it < MAX_ITER:
         it += 1
         yt = np.einsum("bij,bj->bi", p_act, w_act).T.copy()
-        total = yt[0].copy()
-        for component in yt[1:]:
-            total += component
+        total = _component_sum(yt, 0)
         yt /= total
         done = np.logical_and.reduce(np.abs(yt - wt) <= TOL * yt, axis=0)
         finite = np.isfinite(total)
@@ -106,16 +107,22 @@ def batch_rev(a: np.ndarray):
             p_act = p[idx]
         w_act = np.ascontiguousarray(wt.T)
     w[idx] = w_act
-    aw = np.einsum("bij,bj->bi", a, w)
-    lam = np.mean(aw / w, axis=1)
-    residual = np.max(np.abs(aw - lam[:, None] * w), axis=1)
+    awt, wt = np.einsum("bij,bj->bi", a, w).T.copy(), w.T.copy()
+    lam = _component_sum(awt / wt, 0) / n
+    residual = np.max(np.abs(awt - lam * wt), axis=0)
     return w, lam, iterations, residual, converged
 
 
 def batch_gm(a: np.ndarray) -> np.ndarray:
-    """Row geometric mean weights, normalized to sum 1, over the last two axes."""
-    g = np.exp(np.mean(np.log(a), axis=-1))
-    return g / g.sum(axis=-1, keepdims=True)
+    """Row geometric mean weights, normalized to sum 1, over the last two axes.
+
+    The row means of log(a) and the normaliser add the n components left to
+    right across all rows (`core._component_sum`): numpy's row mean bit for
+    bit up to n = 7, and from n = 8 a few ulp from it, as numpy's row sum
+    turns pairwise there.
+    """
+    g = np.exp(_component_sum(np.log(a)) / a.shape[-1])
+    return g / _component_sum(g)[..., None]
 
 
 def rev_estimate(pcm) -> RevResult:

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import round_matrix_to_scale, _from_upper, _read_text
+from .core import round_matrix_to_scale, _from_upper, _read_text, _upper_indices
 from .indices import _sum_in_order, batch_indices
 from .loss import batch_losses
 from .prioritize import batch_gm, batch_rev
@@ -367,7 +367,7 @@ def run_mse_sf(n: int, n_runs: int = 1000, n_e: int = 25, seed: int = 0) -> Corr
     if n_runs < 1:
         raise ValueError("need n_runs >= 1")
     n_pairs = n * (n - 1) // 2
-    iu, ju = np.triu_indices(n, k=1)
+    iu, ju = _upper_indices(n)
     exponents = np.arange(1, n_e + 1)
     lo, hi = MSE_EPS_RANGE
 
@@ -405,7 +405,7 @@ def run_nee_sf(n: int, n_r: int = 200, n_p: int = 5, seed: int = 0) -> Correlati
     if min(n_r, n_p) < 1:
         raise ValueError("need n_r >= 1 and n_p >= 1")
     k_steps = n * (n - 1) // 2
-    iu, ju = np.triu_indices(n, k=1)
+    iu, ju = _upper_indices(n)
     steps = np.arange(k_steps)
     counts = np.arange(1, k_steps + 1, dtype=float)
     lo, hi = NEE_EPS_RANGE
@@ -446,7 +446,7 @@ def _msobe_chunk(n, lo, hi, total, big, seed):
     Beside the database fields, the columns hold REV's rev_iterations and rev_residual.
     """
     n_pairs = n * (n - 1) // 2
-    iu, ju = np.triu_indices(n, k=1)
+    iu, ju = _upper_indices(n)
     v = np.empty((hi - lo, n))
     factors = np.empty((hi - lo, n_pairs))
     big_flags = np.empty(hi - lo, dtype=bool)

@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import hashlib
 import inspect
 import io
 import json
@@ -22,7 +23,7 @@ from pcmkit import cli
 from pcmkit import simulate as sim
 from pcmkit.acceptance import builtin_table, write_table
 from pcmkit.cli import EXIT_DATA, EXIT_OK, EXIT_REJECT, EXIT_USAGE, main
-from pcmkit.core import Pcm, PriorityVector, mpr_from_pv, write_pcm
+from pcmkit.core import Pcm, PriorityVector, mpr_from_pv, round_pcm, write_pcm
 from pcmkit.prioritize import batch_rev
 from pcmkit.simulate import (
     RECORD_FIELDS,
@@ -499,6 +500,26 @@ class TestAnalyze:
         assert payload["ae_rev"] == pytest.approx(0.0154, abs=5e-5)
         assert payload["re_gm"] == pytest.approx(0.1023, abs=5e-4)
         assert payload["cr"] == pytest.approx(payload["si"] / payload["asi"])
+
+    @pytest.mark.parametrize(
+        "n, expected",
+        [
+            (4, "158f04f12a2f5ad2dba9c3466ef756e7c579791426b4734fb1e0c91b7169320c"),
+            (5, "973ca7e3f9923aebeb48a3377e994f97fd71df7548e390ccd791d52ff1ccbdd3"),
+            (6, "418dfaf8a2df372d7fa2836e5729a5b591589c18fdf0b2260842af1fd453daae"),
+            (7, "80ae35ab93a1b743f93c28ebc1667f8fa05b9b427bce056acd918bce136b3872"),
+        ],
+    )
+    def test_jsonl_bytes_are_pinned(self, tmp_path, capsys, n, expected):
+        """One rounded, disturbed PCM of order n with its true vector: indices, estimates and losses byte for byte."""
+        rng = np.random.default_rng(100 + n)
+        v = rng.standard_exponential(n)
+        v /= v.sum()
+        path = tmp_path / "pcm.csv"
+        write_pcm(round_pcm(mpr_from_pv(v).entries * rng.uniform(0.5, 2.0, (n, n))), path)
+        true_pv = ",".join(map(repr, v.tolist()))
+        assert main(["analyze", str(path), "--format", "jsonl", "--seed", "7", "--true-pv", true_pv]) == EXIT_OK
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == expected
 
     def test_out_file(self, tmp_path, ra_file):
         out = tmp_path / "report.txt"

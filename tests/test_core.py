@@ -12,6 +12,7 @@ from pcmkit.core import (
     Pcm,
     PcmFormatError,
     PriorityVector,
+    _upper_indices,
     is_consistent,
     is_reciprocal,
     mpr_from_pv,
@@ -328,3 +329,14 @@ def test_parse_token_matches_the_fraction_float():
     for token in ("1/0", "1" + "0" * 400 + "/1", "-1" + "0" * 400 + "/3"):
         with pytest.raises(PcmFormatError, match="^bad fraction token"):
             _parse_token(token)
+
+
+@pytest.mark.parametrize("n", range(1, 16))
+def test_upper_indices_are_read_only_triu_indices(n):
+    """The cached pair indices are np.triu_indices(n, k=1), empty below n = 3, and cannot be written."""
+    got = _upper_indices(n)
+    assert got is _upper_indices(n)
+    for arr, want in zip(got, np.triu_indices(n, k=1), strict=True):
+        assert np.array_equal(arr, want) and arr.dtype == want.dtype and arr.size == n * (n - 1) // 2
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0

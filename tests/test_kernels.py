@@ -92,6 +92,57 @@ def test_stack_equals_each_matrix_alone(n):
             assert np.array_equal(stacked[name][k], value), name
 
 
+def python_sum(x):
+    """Sum along the last axis in Python floats, from the first entry to the last."""
+    x = np.asarray(x)
+    totals = []
+    for row in x.reshape(-1, x.shape[-1]).tolist():
+        total = row[0]
+        for term in row[1:]:
+            total += term
+        totals.append(total)
+    return np.array(totals).reshape(x.shape[:-1])
+
+
+def component_order_forms(a, v, w_rev, w_gm, row_sum):
+    """GM weights, lambda_max and the four losses of a stack, each mean a row_sum over n.
+
+    With numpy's row sum these are the np.mean forms, as np.mean divides that sum by n.
+    """
+    n = a.shape[-1]
+    g = np.exp(row_sum(np.log(a)) / n)
+    forms = {"gm": g / row_sum(g)[..., None], "lam": row_sum(np.einsum("bij,bj->bi", a, w_rev) / w_rev) / n}
+    for name, w in (("rev", w_rev), ("gm", w_gm)):
+        forms["ae_" + name] = row_sum(np.abs(v - w)) / n
+        forms["re_" + name] = row_sum(np.abs(v - w) / v) / n
+    return forms
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_component_sums_run_left_to_right(n):
+    """GM, lambda_max and the losses add the n components left to right, on a stack and on each record alone.
+
+    Up to n = 7 that is also numpy's row mean bit for bit; from 8 on numpy's row sum is pairwise.
+    """
+    rng = np.random.default_rng(300 + n)
+    a = random_stack(rng, n, STACK)
+    v = rng.dirichlet(np.ones(n), size=STACK)
+    w_rev, lam = batch_rev(a)[:2]
+    w_gm = batch_gm(a)
+    got = {"gm": w_gm, "lam": lam, **batch_losses(v, w_rev, w_gm)}
+    want = component_order_forms(a, v, w_rev, w_gm, python_sum)
+    for name in want:
+        assert np.array_equal(got[name], want[name]), name
+    for k in range(STACK):
+        alone = {"gm": batch_gm(a[k]), "lam": batch_rev(a[k : k + 1])[1][0], **batch_losses(v[k], w_rev[k], w_gm[k])}
+        for name in want:
+            assert np.array_equal(alone[name], want[name][k]), (k, name)
+    if n <= 7:
+        numpy_forms = component_order_forms(a, v, w_rev, w_gm, lambda x: np.sum(x, axis=-1))
+        for name in want:
+            assert np.array_equal(got[name], numpy_forms[name]), name
+
+
 @pytest.mark.parametrize("n", [4, 7])
 def test_record_equals_analyze_of_its_matrix(monkeypatch, n):
     """A database record's indices and losses are what analyze gives its matrix and true vector, bit for bit."""
@@ -155,7 +206,10 @@ def cut_rev(a, max_iter):
 
 
 def row_wise_rev(a, normaliser, tol=1e-12, max_iter=10_000):
-    """batch_rev with each pass reducing along every record's row: einsum, y / normaliser(y), row-wise all."""
+    """batch_rev with each pass reducing along every record's row: einsum, y / normaliser(y), row-wise all.
+
+    lambda_max is normaliser of the Rayleigh ratios over n, so it adds them in the order the passes do.
+    """
     a = np.ascontiguousarray(a)
     b, n, _ = a.shape
     p = scaled_powers(a)
@@ -174,7 +228,7 @@ def row_wise_rev(a, normaliser, tol=1e-12, max_iter=10_000):
             break
     w[idx] = w_act
     aw = np.einsum("bij,bj->bi", a, w)
-    lam = np.mean(aw / w, axis=1)
+    lam = normaliser(aw / w)[:, 0] / n
     residual = np.max(np.abs(aw - lam[:, None] * w), axis=1)
     return w, lam, iterations, residual, converged
 

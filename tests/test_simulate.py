@@ -1,6 +1,7 @@
 """Monte-Carlo frameworks: error models, determinism, record IO, sanity sweeps."""
 
 import hashlib
+import json
 import math
 import os
 import subprocess
@@ -176,6 +177,24 @@ class TestEqualErrorSweep:
     def test_run_counts_below_one_raise(self, run, sizes):
         with pytest.raises(ValueError, match=">= 1"):
             run(4, **sizes)
+
+
+@pytest.mark.parametrize(
+    "run, args, expected",
+    [
+        (run_mse_sf, (5, 40, 25), "57de5b7ae050563b4cb785944f02f8a5ddd2f076174175e17c2b464adbaa73a5"),
+        (run_mse_sf, (4, 30, 10), "768251236e24db62b9665593c853cdfda77b518466adff418b947ac5a86a5d79"),
+        (run_mse_sf, (7, 20, 10), "deb90d5e3c9d3e7a9485e0364a727eda54a01806511f6674f6cc5f69bce70e6c"),
+        (run_nee_sf, (5, 8, 5), "7b41f800f9c8486ad8c76518957d06d7571070f4c975b51c315b8d927d62056f"),
+        (run_nee_sf, (4, 6, 4), "39ed45a591d253e752d4d12cfdeb408e03e838027e005c15f9b61747f593d261"),
+        (run_nee_sf, (7, 4, 3), "7f285c6635a88d8610766f2234f421774ab2542244299b5f92054d2729676dba"),
+    ],
+    ids=["mse-n5", "mse-n4", "mse-n7", "nee-n5", "nee-n4", "nee-n7"],
+)
+def test_correlation_summary_is_pinned(run, args, expected):
+    """Every coefficient of small MSE-SF and NEE-SF calls, to the last bit: the stream, kernels and tally together."""
+    text = json.dumps(run(*args, seed=11).as_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == expected
 
 
 @pytest.mark.parametrize(
