@@ -254,7 +254,9 @@ def _blocks(n: int, seed: int, lo: int, hi: int, per_vector: int):
         vector_ids = np.arange(b_lo, b_hi) // per_vector
         if vector_ids[0] // _BLOCK != vb:
             vb = vector_ids[0] // _BLOCK
-            e = _rng_for(seed, _VECTOR_KEY, vb).standard_exponential((_BLOCK, n))
+            # Only the rows up to the read's last vector: a generator fills an array in order.
+            rows = min(_BLOCK, (hi - 1) // per_vector + 1 - vb * _BLOCK)
+            e = _rng_for(seed, _VECTOR_KEY, vb).standard_exponential((rows, n))
             vectors = e / e.sum(axis=1, keepdims=True)
         yield b_lo, b_hi, _rng_for(seed, _RECORD_KEY, b_lo // _BLOCK), vectors[vector_ids - vb * _BLOCK]
 
@@ -284,7 +286,8 @@ _PAIR_ROWS = np.array(
 # n=7, a working set of about 6 MB), or one record block or run when that is
 # larger: an MSOBE chunk is at least one _BLOCK-record block (230,400 entries
 # at n=15, 409,600 at n=20), an MSE or NEE stack at least one whole run (an
-# NEE run is 219,700 entries at n=26).
+# NEE run is 219,700 entries at n=26).  The budget is a cap: a small MSOBE
+# build splits into smaller chunks (see run_msobe_sf).
 _STACK_ENTRIES = 4096 * 7 * 7
 
 
@@ -508,8 +511,11 @@ def run_msobe_sf(
     matrix count is split into equal contiguous blocks across
     default_error_models(), in order.
 
-    The records are generated in chunks of _chunk_records(n) on up to
-    `workers` threads in this process, never more threads than chunks.
+    The records are generated in chunks of whole record blocks on up to
+    `workers` threads in this process, never more threads than chunks.  A
+    chunk holds at most _chunk_records(n) records, and fewer when that leaves
+    the total at least four chunks per worker, down to one block.  The
+    records do not depend on the chunks or the worker count.
     """
     if n < 4:
         raise ValueError("need n >= 4")
@@ -519,7 +525,10 @@ def run_msobe_sf(
         raise ValueError(f"seed must lie in [0, 2**63), not {seed}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, not {workers}")
-    bounds = list(range(0, total_matrices, _chunk_records(n))) + [total_matrices]
+    # A small build holds smaller stacks: at least four chunks per worker while the total
+    # has the blocks, never above the stack budget, one block at least.
+    size = max(_BLOCK, min(_chunk_records(n), total_matrices // (4 * workers) // _BLOCK * _BLOCK))
+    bounds = list(range(0, total_matrices, size)) + [total_matrices]
 
     def chunk(lo, hi):
         return _msobe_chunk(n, lo, hi, total_matrices, big, seed)

@@ -575,8 +575,7 @@ class TestSimulate:
         assert manifest["rng"] == {"stream": "msobe-block", "block": 1024} == sim.MSOBE_RNG
 
     def test_msobe_manifest_reports_power_iteration(self, tmp_path, capsys, monkeypatch):
-        argv = ["simulate", "msobe", "--n", "5", "--total", "5000", "--seed", "8"]
-        monkeypatch.setattr(sim, "_STACK_ENTRIES", 2 * sim._BLOCK * 5 * 5)  # three chunks
+        argv = ["simulate", "msobe", "--n", "5", "--total", "5000", "--seed", "8"]  # five one-block chunks
         manifests = []
         for workers in ("1", "2"):
             out = tmp_path / f"db{workers}.csv"

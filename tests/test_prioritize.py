@@ -78,8 +78,9 @@ class TestAgainstEigensolver:
             return batch_metrics(a, v)
 
         monkeypatch.setattr(simulate, "_batch_metrics", recording)
-        simulate.run_msobe_sf(n, simulate._stack_matrices(n) // 1024 * 1024, seed=1)
-        assert len(stacks) == 1 and len(stacks[0]) >= 4096
+        budget = simulate._chunk_records(n)
+        simulate.run_msobe_sf(n, 4 * budget, seed=1)  # four chunks for the one worker: the budget binds
+        assert len(stacks) == 4 and len(stacks[0]) == budget >= 4096
         self.assert_matches_dense_oracle(stacks[0])
 
     @pytest.mark.parametrize("span", [1.0, 1e20, 1e100, 1e150])

@@ -309,6 +309,77 @@ def seed_sequences(monkeypatch):
     return built
 
 
+@pytest.mark.parametrize("n", [4, 7, 9])
+@pytest.mark.parametrize(
+    "lo, hi, per_vector",
+    [(0, 40, 1), (0, 40, 5), (0, 2100, 3), (0, 2100, 2), (4096, 8200, 1), (1024, 2048, 1)],
+    ids=["mse-40-runs", "nee-8-vectors", "nee-member-blocks-share-a-vector-block", "nee-two-vector-blocks",
+         "msobe-tail-chunk", "msobe-one-block-chunk"],
+)
+def test_blocks_draw_only_the_vectors_a_read_uses(n, lo, hi, per_vector, monkeypatch):
+    """Each vector block draws the rows up to the read's last vector, and they equal a full-block draw bit for bit."""
+    drawn, rng_for = [], simulate._rng_for
+
+    class Recording:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def standard_exponential(self, size):
+            drawn.append(size)
+            return self.rng.standard_exponential(size)
+
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+    monkeypatch.setattr(simulate, "_rng_for", lambda *args: Recording(rng_for(*args)))
+    blocks = list(simulate._blocks(n, 37, lo, hi, per_vector))
+    first, last = lo // per_vector, (hi - 1) // per_vector
+    reads = range(first // simulate._BLOCK, last // simulate._BLOCK + 1)
+    assert drawn == [(min(simulate._BLOCK, last + 1 - vb * simulate._BLOCK), n) for vb in reads]
+    full = {}
+    for vb in reads:
+        e = rng_for(37, 0, vb).standard_exponential((simulate._BLOCK, n))
+        full[vb] = e / e.sum(axis=1, keepdims=True)
+    assert [b_lo for b_lo, *_ in blocks] == list(range(lo, hi, simulate._BLOCK))
+    for b_lo, b_hi, _, v in blocks:
+        ids = np.arange(b_lo, b_hi) // per_vector
+        want = np.stack([full[i // simulate._BLOCK][i % simulate._BLOCK] for i in ids])
+        assert v.tobytes() == want.tobytes()
+
+
+def inline_pools(monkeypatch):
+    """The max_workers of every pool run_msobe_sf starts from now on; a stub pool runs each chunk inline."""
+    pools = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", InlinePool)
+    return pools
+
+
+def chunk_bounds(monkeypatch):
+    """The (lo, hi) of every MSOBE chunk from now on, in the order they are mapped; no chunk computes records."""
+    bounds = []
+
+    def record_bounds(n, lo, hi, *rest):
+        bounds.append((lo, hi))
+        return {"rev_iterations": np.ones(hi - lo, int), "rev_residual": np.zeros(hi - lo)}, np.zeros(hi - lo, bool)
+
+    monkeypatch.setattr(simulate, "_msobe_chunk", record_bounds)
+    return bounds
+
+
 class TestRunStreams:
     """MSE-SF and NEE-SF draw every run's inputs from its block's generators."""
 
@@ -426,7 +497,8 @@ class TestBigErrorDatabase:
         assert res.records["big_error"].all()
 
     def test_worker_count_does_not_change_output(self, monkeypatch):
-        # Chunks of two record blocks: four chunks for three threads, which switch as often as they can.
+        # A budget of two record blocks: four chunks of two blocks for one thread, then eight
+        # one-block chunks for three threads, which switch as often as they can.
         monkeypatch.setattr(simulate, "_STACK_ENTRIES", 2 * simulate._BLOCK * 4 * 4)
         a = run_msobe_sf(4, 8192, seed=16, workers=1)
         interval = sys.getswitchinterval()
@@ -440,25 +512,10 @@ class TestBigErrorDatabase:
 
     def test_pool_is_capped_at_the_chunk_count(self, monkeypatch):
         """A huge --workers starts no more threads than there are chunks (the stub runs each chunk inline)."""
-        pools = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(simulate, "ThreadPoolExecutor", InlinePool)
+        pools = inline_pools(monkeypatch)
         assert len(run_msobe_sf(4, 8192, seed=16, workers=10**6).records) > 0
         assert len(run_msobe_sf(7, 8192, seed=16, workers=10**6).records) > 0
-        assert pools == [1, 2]  # one 12288-record chunk at n=4, two of 4096 at n=7
+        assert pools == [8, 8]  # the plan bottoms out at eight one-block chunks at either order
 
     @pytest.mark.parametrize("n", range(4, 10))
     def test_chunks_are_whole_blocks_within_the_entry_budget(self, n, monkeypatch):
@@ -466,16 +523,30 @@ class TestBigErrorDatabase:
         assert size % simulate._BLOCK == 0 and size * n * n <= simulate._STACK_ENTRIES
         assert (size + simulate._BLOCK) * n * n > simulate._STACK_ENTRIES  # the most whole blocks that fit
         assert size == {4: 12288, 7: 4096, 9: 2048}.get(n, size)
-        bounds = []
-
-        def record_bounds(n, lo, hi, *rest):
-            bounds.append((lo, hi))
-            return {"rev_iterations": np.ones(hi - lo, int), "rev_residual": np.zeros(hi - lo)}, np.zeros(hi - lo, bool)
-
-        monkeypatch.setattr(simulate, "_msobe_chunk", record_bounds)
-        total = 2 * size + 100
+        bounds = chunk_bounds(monkeypatch)
+        total = 8 * size + 100  # four budget chunks per worker and a tail: the budget binds
         run_msobe_sf(n, total, workers=2)
-        assert bounds == [(0, size), (size, 2 * size), (2 * size, total)]
+        assert bounds == [(k * size, (k + 1) * size) for k in range(8)] + [(8 * size, total)]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 10**6])
+    @pytest.mark.parametrize("n", range(4, 10))
+    def test_chunk_plan(self, n, workers, monkeypatch):
+        """At least four whole-block chunks per worker while the total has the blocks, none above the budget."""
+        pools, bounds = inline_pools(monkeypatch), chunk_bounds(monkeypatch)
+        budget = simulate._chunk_records(n)
+        for total in (4, 1028, 4100, 8192, 240000):
+            pools.clear()
+            bounds.clear()
+            run_msobe_sf(n, total, workers=workers)
+            assert bounds[0][0] == 0 and bounds[-1][1] == total
+            assert all(lo < hi == next_lo for (lo, hi), (next_lo, _) in zip(bounds, bounds[1:]))
+            sizes = [hi - lo for lo, hi in bounds]
+            assert all(size % simulate._BLOCK == 0 for size in sizes[:-1]) and max(sizes) <= budget
+            assert len(bounds) >= min(4 * workers, total // simulate._BLOCK)
+            assert pools == [min(workers, len(bounds))]
+            if total == 240000 and workers <= 2:  # large builds keep the budget plan
+                stops = list(range(budget, total, budget)) + [total]
+                assert bounds == list(zip(range(0, total, budget), stops))
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_an_interrupt_stops_after_at_most_one_chunk_per_thread(self, monkeypatch, workers):
@@ -521,16 +592,16 @@ class TestBigErrorDatabase:
         assert res.rev == dict.fromkeys(("iterations_mean", "iterations_p99", "iterations_max", "residual_max"))
 
     def test_blocks_do_not_depend_on_workers_or_chunks(self, monkeypatch, tmp_path):
-        # 4100 records: the model quarters (1025 records) end inside record
-        # blocks, and the last block holds 4 records.  One chunk by default,
-        # then chunks of two blocks (three chunks) and of one block (five).
-        a = run_msobe_sf(4, 4100, seed=20, workers=1)
-        assert len(a.records) + a.skipped == 4100
+        # 16400 records: the model quarters (4100 records) end inside record
+        # blocks, and the last block holds 16 records.  Chunks of four blocks
+        # by default (five chunks), then of two blocks (nine) and of one (17).
+        a = run_msobe_sf(4, 16400, seed=20, workers=1)
+        assert len(a.records) + a.skipped == 16400
         monkeypatch.setattr(simulate, "_STACK_ENTRIES", 2 * simulate._BLOCK * 4 * 4)
-        b = run_msobe_sf(4, 4100, seed=20, workers=2)
-        c = run_msobe_sf(4, 4100, seed=20, workers=1)
+        b = run_msobe_sf(4, 16400, seed=20, workers=2)
+        c = run_msobe_sf(4, 16400, seed=20, workers=1)
         monkeypatch.setattr(simulate, "_STACK_ENTRIES", simulate._BLOCK * 4 * 4)
-        d = run_msobe_sf(4, 4100, seed=20, workers=3)
+        d = run_msobe_sf(4, 16400, seed=20, workers=3)
         for other in (b, c, d):
             assert a.records == other.records and a.skipped == other.skipped
 
@@ -727,7 +798,7 @@ class TestRecordIO:
         "n, total, workers, expected",
         [
             (4, 400, 1, "a525c8536bf6b1b70d56e369fc8538f5afc010bf3084e7d4cb90b18cae96e0ce"),
-            # the benchmark's build shape: two n=7 chunks on two threads
+            # the benchmark's build shape: eight one-block n=7 chunks on two threads
             (7, 8192, 2, "85e6e8d95ad97760ed2b894a69269e1726e9abe41fdee0a15e7f8340c67bee6a"),
         ],
         ids=["n4", "n7-two-workers"],
