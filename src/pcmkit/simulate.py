@@ -27,7 +27,7 @@ from .core import round_matrix_to_scale, _from_upper, _read_text, _upper_indices
 from .indices import _sum_in_order, batch_indices
 from .loss import batch_losses
 from .prioritize import batch_gm, batch_rev
-from .stats import average_ranks, pearson_pairs
+from .stats import pearson_pairs, spearman_pairs
 
 __all__ = [
     "BigErrorModel",
@@ -330,7 +330,7 @@ def _correlate_blocks(framework: str, n: int, blocks) -> CorrelationSummary:
         metrics, failed = _batch_metrics(a.reshape(-1, n, n), np.repeat(v, steps, axis=0))
         ok = ~failed.reshape(b, steps).any(axis=1)
         rows = np.stack([metrics[name].reshape(b, steps) for name in TRACKED_NAMES] + [target], axis=1)[ok]
-        coeffs = np.stack([pearson_pairs(average_ranks(rows), x, y), pearson_pairs(rows, x, y)])
+        coeffs = np.stack([spearman_pairs(rows, x, y), pearson_pairs(rows, x, y)])
         valid = ~np.isnan(coeffs)
         # Added left to right, one run after another, so the means do not depend on the block size.
         terms = np.concatenate([sums[:, None], np.where(valid, coeffs, 0.0)], axis=1)

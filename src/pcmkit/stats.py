@@ -1,6 +1,7 @@
 """Correlation coefficients and index-value class binning with per-class quantiles."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -13,6 +14,7 @@ __all__ = [
     "ClassSummary",
     "batch_pearson",
     "pearson_pairs",
+    "spearman_pairs",
     "pearson",
     "spearman",
     "average_ranks",
@@ -30,6 +32,14 @@ class PartitionError(ValueError):
     """The sample cannot be split into the requested quantile classes."""
 
 
+def _coefficients(numerators, ss, x, y) -> np.ndarray:
+    """Pair coefficients from their numerators and each row's sum of squares; NaN where a row has zero variance."""
+    denom = np.sqrt(ss[..., x] * ss[..., y])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        r = np.where(denom == 0, np.nan, numerators / denom)
+    return np.clip(r, -1.0, 1.0)
+
+
 def pearson_pairs(rows, x, y) -> np.ndarray:
     """Pearson coefficients of the row pairs (x[p], y[p]) of a (..., rows, L) stack, as (..., pairs).
 
@@ -37,13 +47,26 @@ def pearson_pairs(rows, x, y) -> np.ndarray:
     pair gives what the two rows give alone; NaN where a row has zero variance.
     """
     d = rows - rows.mean(axis=-1, keepdims=True)
-    ss = (d * d).sum(axis=-1)
-    denom = np.sqrt(ss[..., x] * ss[..., y])
     products = np.take(d, x, axis=-2)
     products *= np.take(d, y, axis=-2)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        r = np.where(denom == 0, np.nan, products.sum(axis=-1) / denom)
-    return np.clip(r, -1.0, 1.0)
+    return _coefficients(products.sum(axis=-1), (d * d).sum(axis=-1), x, y)
+
+
+def spearman_pairs(rows, x, y) -> np.ndarray:
+    """Spearman coefficients of the row pairs (x[p], y[p]) of a (..., rows, L) stack, as (..., pairs).
+
+    Equal, bit for bit, to pearson_pairs(average_ranks(rows), x, y) for
+    L <= 2**18.  Average ranks sum to L(L + 1)/2, so (L + 1)/2 is their mean
+    exactly.  The centred ranks are multiples of 1/2, so every product and
+    every partial sum of the one Gram product d @ d.T (sums of squares on its
+    diagonal, the numerators off it) is a multiple of 1/4 no larger in size
+    than L(L**2 - 1)/12, which is below 2**51 there: exact, in whatever order
+    the sums are taken.
+    """
+    d = average_ranks(rows)
+    d -= (d.shape[-1] + 1) / 2
+    gram = d @ d.swapaxes(-1, -2)
+    return _coefficients(gram[..., x, y], np.diagonal(gram, axis1=-2, axis2=-1), x, y)
 
 
 def batch_pearson(x, y) -> np.ndarray:
@@ -51,41 +74,63 @@ def batch_pearson(x, y) -> np.ndarray:
     return pearson_pairs(np.stack(np.broadcast_arrays(x, y), axis=-2), [0], [1])[..., 0]
 
 
-def pearson(x: Sequence[float], y: Sequence[float]) -> float:
-    """Product-moment correlation coefficient."""
+def _one_pair(kernel, name, x, y) -> float:
+    """kernel's coefficient of two sequences, raising DegenerateDataError where it is NaN."""
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
     if xa.shape != ya.shape or xa.ndim != 1 or xa.size < 2:
         raise ValueError("need two equally long sequences of length >= 2")
-    r = batch_pearson(xa, ya)
+    r = kernel(np.stack([xa, ya]), [0], [1])[0]
     if np.isnan(r):
-        raise DegenerateDataError("pearson input has zero variance or is not finite")
+        raise DegenerateDataError(f"{name} input has zero variance or is not finite")
     return float(r)
 
 
+def pearson(x: Sequence[float], y: Sequence[float]) -> float:
+    """Product-moment correlation coefficient."""
+    return _one_pair(pearson_pairs, "pearson", x, y)
+
+
 def average_ranks(x) -> np.ndarray:
-    """1-based ranks over the last axis, ties receiving the average of their rank range."""
+    """1-based ranks over the last axis, ties receiving the average of their rank range.
+
+    NaN ranks after every number, and each NaN on its own, in position order.
+    All rows are sorted at once and ranked on one flat (rows * L) view: a
+    tie run starts wherever a sorted value differs from the one before it
+    (NaN never equals itself) or a row starts, and each run's average rank is
+    scattered back through the flat sort index.  The ranks are exact
+    multiples of 1/2.
+    """
     xa = np.asarray(x, dtype=float)
     n = xa.shape[-1]
-    order = np.argsort(xa, axis=-1, kind="stable")
-    sorted_x = np.take_along_axis(xa, order, axis=-1)
-    # A tie run spans sorted positions first..last; NaN never equals itself,
-    # so each NaN is a run of its own.
-    starts = np.ones(xa.shape, dtype=bool)
-    starts[..., 1:] = sorted_x[..., 1:] != sorted_x[..., :-1]
-    ends = np.ones(xa.shape, dtype=bool)
-    ends[..., :-1] = starts[..., 1:]
-    pos = np.arange(n)
-    first = np.maximum.accumulate(np.where(starts, pos, 0), axis=-1)
-    last = np.minimum.accumulate(np.where(ends, pos, n)[..., ::-1], axis=-1)[..., ::-1]
-    ranks = np.empty(xa.shape)
-    np.put_along_axis(ranks, order, (first + last) / 2.0 + 1.0, axis=-1)
-    return ranks
+    if n == 0:
+        return np.empty(xa.shape)
+    flat = xa.reshape(math.prod(xa.shape[:-1]), n)
+    size = flat.size
+    index = np.argsort(flat, axis=-1)
+    index += np.arange(0, size, n)[:, None]
+    index = index.ravel()
+    sorted_x = flat.ravel()[index]
+    starts = np.empty(size + 1, dtype=bool)
+    np.not_equal(sorted_x[1:], sorted_x[:-1], out=starts[1:-1])
+    starts[::n] = True  # every row starts a run, and the end closes the last one
+    first = np.flatnonzero(starts)
+    length = np.diff(first)
+    ranks = np.empty(size)
+    # Sorted positions f .. f + length - 1 of a row average to rank f + (length + 1)/2.
+    ranks[index] = ((first[:-1] % n * 2 + length + 1) / 2.0).repeat(length)
+    ranks = ranks.reshape(flat.shape)
+    # The sort is not stable: give the NaNs of each row their ranks in position order.
+    nan = np.isnan(flat)
+    if nan.any():
+        k = nan.cumsum(axis=-1)
+        ranks[nan] = (k + (n - k[:, -1:]))[nan]
+    return ranks.reshape(xa.shape)
 
 
 def spearman(x: Sequence[float], y: Sequence[float]) -> float:
-    """Rank correlation: Pearson coefficient of average-rank transforms."""
-    return pearson(average_ranks(x), average_ranks(y))
+    """Rank correlation: spearman_pairs on the stack of the two sequences (see its exactness bound)."""
+    return _one_pair(spearman_pairs, "spearman", x, y)
 
 
 def spearman_or_nan(x: Sequence[float], y: Sequence[float]) -> float:

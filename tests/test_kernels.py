@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pcmkit import prioritize, simulate
+from pcmkit import prioritize, simulate, stats
 from pcmkit.core import SAATY_SCALE, Pcm, round_matrix_to_scale
 from pcmkit.indices import batch_gi, batch_ki_ati, batch_si, compute_report, estimate_asi, triad_values
 from pcmkit.loss import batch_absolute_error, batch_losses, batch_relative_error
@@ -580,10 +580,12 @@ def test_non_converged_record_skips_its_whole_run(monkeypatch, framework, n, siz
         stack_sizes.append(len(a))
         return metrics, failed
 
-    calls = {"average_ranks": 0, "pearson_pairs": 0}
+    # Where each kernel is looked up: the tally calls both correlation kernels, and the Spearman one ranks.
+    homes = {"average_ranks": stats, "spearman_pairs": simulate, "pearson_pairs": simulate}
+    calls = dict.fromkeys(homes, 0)
 
     def counted(name):
-        function = getattr(simulate, name)
+        function = getattr(homes[name], name)
 
         def call(*args):
             calls[name] += 1
@@ -592,8 +594,8 @@ def test_non_converged_record_skips_its_whole_run(monkeypatch, framework, n, siz
         return call
 
     monkeypatch.setattr(simulate, "_batch_metrics", one_failure)
-    for name in calls:
-        monkeypatch.setattr(simulate, name, counted(name))
+    for name, module in homes.items():
+        monkeypatch.setattr(module, name, counted(name))
     summary = run(n, **sizes, seed=5)
     monkeypatch.undo()
     assert (summary.runs, summary.skipped) == (runs - 1, 1)
@@ -603,7 +605,7 @@ def test_non_converged_record_skips_its_whole_run(monkeypatch, framework, n, siz
     assert sum(stack_sizes) == runs * steps and blocks >= 2
     assert all(size % steps == 0 for size in stack_sizes)
     assert max(stack_sizes) <= simulate._stack_matrices(n)
-    assert calls == {"average_ranks": blocks, "pearson_pairs": 2 * blocks}
+    assert calls == dict.fromkeys(homes, blocks)
     assert_same_summary(summary, reference(n, **sizes, seed=5, skip_run=flagged_run))
 
 

@@ -611,19 +611,35 @@ class TestBigErrorDatabase:
 
         assert written(a) == written(b) == written(c) == written(d)
 
-    @given(n=st.integers(4, 7), total=st.integers(1, 750).map(lambda k: 4 * k), workers=st.integers(1, 3),
+    @given(n=st.integers(4, 7), more=st.integers(1, 750).map(lambda k: 4 * k), workers=st.integers(1, 3),
            blocks=st.integers(1, 2), extra=st.integers(0, 16 * simulate._BLOCK - 1), seed=st.integers(0, 2**63 - 1))
     @settings(max_examples=25, deadline=None)
-    def test_any_workers_and_stack_budget_give_the_default_run(self, tmp_path_factory, n, total, workers, blocks,
+    def test_any_workers_and_stack_budget_give_the_default_run(self, tmp_path_factory, n, more, workers, blocks,
                                                                extra, seed):
-        """A _STACK_ENTRIES budget of `blocks` record blocks per chunk, chunks that do not divide the total."""
+        """A _STACK_ENTRIES budget of `blocks` record blocks per chunk, chunks that do not divide the total.
+
+        The total leaves every worker at least four such chunks and gives the
+        default one-worker run chunks of at least twice that size, so the budget
+        binds and the two runs are cut differently.
+        """
+        total = 4 * max(workers, 2) * blocks * simulate._BLOCK + more
         assume(total % (blocks * simulate._BLOCK))
         budget = blocks * simulate._BLOCK * n * n + extra  # extra < one block's entries at n >= 4
-        default = run_msobe_sf(n, total, seed=seed)
+        first_chunks = []  # the records of each run's first chunk
+        msobe_chunk = simulate._msobe_chunk
+
+        def chunk(n, lo, hi, *rest):
+            if lo == 0:
+                first_chunks.append(hi)
+            return msobe_chunk(n, lo, hi, *rest)
+
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulate, "_msobe_chunk", chunk)
+            default = run_msobe_sf(n, total, seed=seed)
             mp.setattr(simulate, "_STACK_ENTRIES", budget)
             assert simulate._chunk_records(n) == blocks * simulate._BLOCK
             other = run_msobe_sf(n, total, seed=seed, workers=workers)
+        assert first_chunks[1] == blocks * simulate._BLOCK < first_chunks[0]
         assert default.records == other.records
         assert (default.skipped, default.rev) == (other.skipped, other.rev)
         with tempfile.TemporaryDirectory(dir=tmp_path_factory.getbasetemp()) as work:

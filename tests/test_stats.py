@@ -18,7 +18,9 @@ from pcmkit.stats import (
     average_ranks,
     make_partition,
     pearson,
+    pearson_pairs,
     spearman,
+    spearman_pairs,
     spearman_or_nan,
     summarize_classes,
 )
@@ -60,6 +62,8 @@ class TestCorrelations:
 
     def test_average_ranks_with_ties(self):
         assert average_ranks([10.0, 20.0, 20.0, 30.0]) == pytest.approx([1.0, 2.5, 2.5, 4.0])
+        for empty in (np.empty(0), np.empty((3, 0)), np.empty((0, 4))):
+            assert average_ranks(empty).shape == empty.shape
 
     def test_average_ranks_rows_match_tie_loop(self):
         rng = np.random.default_rng(8)
@@ -68,6 +72,54 @@ class TestCorrelations:
         ranks = average_ranks(x)
         for row, got in zip(x, ranks):
             assert np.array_equal(got, loop_average_ranks(row))
+
+    @staticmethod
+    def tie_stack(length, runs=3, rows=6, seed=0):
+        """(runs, rows, length) values: heavy ties, signed zeros and infinities, NaNs, and a constant row."""
+        rng = np.random.default_rng([seed, length])
+        x = rng.integers(0, 4, size=(runs, rows, length)).astype(float)
+        x[:, 1] += rng.normal(size=(runs, length))  # no ties
+        x[:, 3] = rng.choice([-0.0, 0.0, 1.0, np.inf, -np.inf], size=(runs, length))
+        x[rng.random(x.shape) < 0.1] = np.nan
+        x[:, 4, ::2] = np.nan  # several NaNs in one row
+        x[:, 2] = 2.0  # zero variance
+        x[0, 5] = np.nan  # all NaN
+        return x
+
+    @pytest.mark.parametrize("length", [2, 3, 8, 10, 25, 1000, 4096])
+    def test_average_ranks_of_tie_stacks_match_tie_loop(self, length):
+        x = self.tie_stack(length)
+        ranks = average_ranks(x)
+        assert ranks.shape == x.shape
+        for row, got in zip(x.reshape(-1, length), ranks.reshape(-1, length)):
+            assert np.array_equal(got, loop_average_ranks(row))
+
+    def test_nan_ranks_after_every_number_in_position_order(self):
+        assert average_ranks([np.nan, 3.0, np.nan, 1.0, np.nan, 3.0]).tolist() == [4.0, 2.5, 5.0, 1.0, 6.0, 2.5]
+        row = np.arange(1000.0)[::-1].copy()
+        row[::7] = np.nan
+        numbers = ~np.isnan(row)
+        ranks = average_ranks(row)
+        assert ranks[~numbers].tolist() == list(range(numbers.sum() + 1, row.size + 1))
+        assert np.array_equal(ranks[numbers], loop_average_ranks(row[numbers]))
+
+    @pytest.mark.parametrize("length", [2, 3, 8, 10, 25, 1000, 4096])
+    def test_spearman_pairs_equal_pearson_pairs_of_ranks(self, length):
+        """Bit for bit, on every ordered pair of rows, a row with itself included."""
+        x = self.tie_stack(length)
+        rows = x.shape[1]
+        i, j = np.divmod(np.arange(rows * rows), rows)
+        got = spearman_pairs(x, i, j)
+        assert got.shape == (x.shape[0], rows * rows)
+        assert np.isnan(got[:, (i == 2) | (j == 2)]).all()
+        assert np.array_equal(got, pearson_pairs(average_ranks(x), i, j), equal_nan=True)
+
+    def test_spearman_pairs_exact_at_the_length_bound(self):
+        rng = np.random.default_rng(5)
+        length = 2**18
+        x = np.stack([rng.integers(0, 50, length), rng.permutation(length), np.arange(length)]).astype(float)
+        i, j = np.array([0, 0, 1, 1, 2]), np.array([1, 2, 2, 0, 2])
+        assert np.array_equal(spearman_pairs(x, i, j), pearson_pairs(average_ranks(x), i, j))
 
     def test_perfect_monotone(self):
         x = [1.0, 2.0, 3.0, 4.0]
