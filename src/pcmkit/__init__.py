@@ -17,7 +17,6 @@ from .core import (
     PriorityVector,
     is_consistent,
     is_reciprocal,
-    mpr_from_pv,
     read_pcm,
     round_pcm,
     write_pcm,

@@ -15,7 +15,6 @@ __all__ = [
     "PcmFormatError",
     "is_reciprocal",
     "is_consistent",
-    "mpr_from_pv",
     "round_matrix_to_scale",
     "round_pcm",
     "read_pcm",
@@ -128,12 +127,6 @@ def is_consistent(pcm, tol: float = 1e-9) -> bool:
         # products[i, k, j] = a_ij * a_jk
         products = a[:, None, :] * a.T[None, :, :]
         return bool(np.max(np.abs(products - a[:, :, None])) <= tol)
-
-
-def mpr_from_pv(v: PriorityVector) -> Pcm:
-    """Perfect ratio matrix m_ij = v_i / v_j; consistent by construction."""
-    w = v.weights if isinstance(v, PriorityVector) else np.asarray(v, dtype=float)
-    return Pcm(w[:, None] / w[None, :])
 
 
 def _switch_point(lo: float, hi: float) -> float:

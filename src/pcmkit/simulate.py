@@ -14,6 +14,15 @@ upper-triangle ratios v_i / v_j of a perfect ratio matrix, in np.triu_indices
 order (MSOBE then rounds the products to the scale).  All three build their
 matrices from those upper triangles through core._from_upper, so every matrix
 they evaluate has a unit diagonal and a_ji == 1 / a_ij bit for bit.
+
+Each framework is one input stream that _batch_metrics evaluates.
+_mse_stacks and _nee_stacks yield a call's runs as stacks of (matrices, true
+vectors, driving variable) for _correlate_blocks.  _msobe_matrices returns the
+matrices, true vectors, big-error flags and positions and model ids of a
+record range for _msobe_chunk.  Record i of a database is replayed from its
+manifest (the config's n, total, big_prob and seed; rng is MSOBE_RNG, whose
+block is _BLOCK) as row i % block of _msobe_matrices(n, lo, min(lo + block,
+total), total, BigErrorModel(big_prob), seed) with lo = i - i % block.
 """
 from __future__ import annotations
 
@@ -352,6 +361,24 @@ def _correlate_blocks(framework: str, n: int, blocks) -> CorrelationSummary:
     )
 
 
+def _mse_stacks(n: int, n_runs: int, n_e: int, seed: int):
+    """MSE-SF's runs in order, as stacks of b runs: (b, n_e, n, n) matrices, (b, n) true vectors, (b, n_e) magnitudes.
+
+    Run r examines vector r and reads two uniforms from its run block (see
+    RUN_RNG): the first picks the position, the second gives eps.
+    """
+    n_pairs = n * (n - 1) // 2
+    iu, ju = _upper_indices(n)
+    exponents = np.arange(1, n_e + 1)
+    lo, hi = MSE_EPS_RANGE
+    for v, u in _run_stacks(n, seed, n_runs, 2, n_e):
+        position = (u[:, 0] * n_pairs).astype(np.intp)
+        eps = lo + (hi - lo) * u[:, 1]
+        magnitudes = eps[:, None] ** exponents
+        factors = np.where(np.arange(n_pairs) == position[:, None, None], magnitudes[..., None], 1.0)
+        yield _from_upper((v[:, iu] / v[:, ju])[:, None] * factors, n), v, magnitudes
+
+
 def run_mse_sf(n: int, n_runs: int = 1000, n_e: int = 25, seed: int = 0) -> CorrelationSummary:
     """Sweep a single judgment error through magnitudes eps^1..eps^n_e.
 
@@ -359,9 +386,6 @@ def run_mse_sf(n: int, n_runs: int = 1000, n_e: int = 25, seed: int = 0) -> Corr
     random upper-triangle position, eps uniform on [1.01, 1.075]; at step k
     the chosen entry carries the cumulative factor eps^k.  Correlations are
     taken against the error vector (eps, eps^2, ..., eps^n_e).
-
-    Run r examines vector r and reads two uniforms from its run block (see
-    RUN_RNG): the first picks the position, the second gives eps.
     """
     if n < 4:
         raise ValueError("need n >= 4")
@@ -369,26 +393,34 @@ def run_mse_sf(n: int, n_runs: int = 1000, n_e: int = 25, seed: int = 0) -> Corr
         raise ValueError("need n_e >= 2")
     if n_runs < 1:
         raise ValueError("need n_runs >= 1")
-    n_pairs = n * (n - 1) // 2
-    iu, ju = _upper_indices(n)
-    exponents = np.arange(1, n_e + 1)
-    lo, hi = MSE_EPS_RANGE
-
-    def blocks():
-        for v, u in _run_stacks(n, seed, n_runs, 2, n_e):
-            position = (u[:, 0] * n_pairs).astype(np.intp)
-            eps = lo + (hi - lo) * u[:, 1]
-            magnitudes = eps[:, None] ** exponents
-            factors = np.where(np.arange(n_pairs) == position[:, None, None], magnitudes[..., None], 1.0)
-            yield _from_upper((v[:, iu] / v[:, ju])[:, None] * factors, n), v, magnitudes
-
-    return _correlate_blocks("mse", n, blocks())
+    return _correlate_blocks("mse", n, _mse_stacks(n, n_runs, n_e, seed))
 
 
 # ---------------------------------------------------------------------------
 # NEE-SF: number of equal errors
 
 NEE_EPS_RANGE = (1.1, 1.8)
+
+
+def _nee_stacks(n: int, n_r: int, n_p: int, seed: int):
+    """NEE-SF's runs in order, as stacks of b runs: (b, k, n, n) matrices, (b, n) true vectors, (b, k) counts 1..k.
+
+    k = n(n-1)/2.  Run q examines vector q // n_p and reads k + 1 uniforms
+    from its run block (see RUN_RNG): the entries are disturbed in the order
+    their uniforms ascend, and the last uniform gives eps.
+    """
+    k_steps = n * (n - 1) // 2
+    iu, ju = _upper_indices(n)
+    steps = np.arange(k_steps)
+    counts = np.arange(1, k_steps + 1, dtype=float)
+    lo, hi = NEE_EPS_RANGE
+    for v, u in _run_stacks(n, seed, n_r * n_p, k_steps + 1, k_steps, runs_per_vector=n_p):
+        order = np.argsort(u[:, :k_steps], axis=1, kind="stable")
+        disturbed_at = np.argsort(order, axis=1)  # step that disturbs each entry
+        eps = lo + (hi - lo) * u[:, k_steps]
+        factors = np.where(disturbed_at[:, None, :] <= steps[:, None], eps[:, None, None], 1.0)
+        a = _from_upper((v[:, iu] / v[:, ju])[:, None] * factors, n)
+        yield a, v, np.broadcast_to(counts, factors.shape[:2])
 
 
 def run_nee_sf(n: int, n_r: int = 200, n_p: int = 5, seed: int = 0) -> CorrelationSummary:
@@ -398,31 +430,12 @@ def run_nee_sf(n: int, n_r: int = 200, n_p: int = 5, seed: int = 0) -> Correlati
     orders; the disturbance factor is uniform on [1.1, 1.8].  After each
     disturbed entry the indices and estimate errors are recorded and finally
     correlated against the running error count 1..n(n-1)/2.
-
-    Run q examines vector q // n_p and reads n(n-1)/2 + 1 uniforms from its
-    run block (see RUN_RNG): the entries are disturbed in the order their
-    uniforms ascend, and the last uniform gives eps.
     """
     if n < 4:
         raise ValueError("need n >= 4")
     if min(n_r, n_p) < 1:
         raise ValueError("need n_r >= 1 and n_p >= 1")
-    k_steps = n * (n - 1) // 2
-    iu, ju = _upper_indices(n)
-    steps = np.arange(k_steps)
-    counts = np.arange(1, k_steps + 1, dtype=float)
-    lo, hi = NEE_EPS_RANGE
-
-    def blocks():
-        for v, u in _run_stacks(n, seed, n_r * n_p, k_steps + 1, k_steps, runs_per_vector=n_p):
-            order = np.argsort(u[:, :k_steps], axis=1, kind="stable")
-            disturbed_at = np.argsort(order, axis=1)  # step that disturbs each entry
-            eps = lo + (hi - lo) * u[:, k_steps]
-            factors = np.where(disturbed_at[:, None, :] <= steps[:, None], eps[:, None, None], 1.0)
-            a = _from_upper((v[:, iu] / v[:, ju])[:, None] * factors, n)
-            yield a, v, np.broadcast_to(counts, factors.shape[:2])
-
-    return _correlate_blocks("nee", n, blocks())
+    return _correlate_blocks("nee", n, _nee_stacks(n, n_r, n_p, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -443,16 +456,19 @@ def _chunk_records(n: int) -> int:
     return max(1, _stack_matrices(n) // _BLOCK) * _BLOCK
 
 
-def _msobe_chunk(n, lo, hi, total, big, seed):
-    """Columns of records [lo, hi), a union of whole record blocks, and their non-convergence mask.
+def _msobe_matrices(n, lo, hi, total, big, seed):
+    """MSOBE-SF's records [lo, hi) of a `total`-record build, lo a record-block start.
 
-    Beside the database fields, the columns hold REV's rev_iterations and rev_residual.
+    Returns the (hi - lo, n, n) rounded reciprocal matrices, the true vectors,
+    the big-error flags, the big error's upper-triangle index (drawn for every
+    record, used where its flag is set) and the indices into default_error_models().
     """
     n_pairs = n * (n - 1) // 2
     iu, ju = _upper_indices(n)
     v = np.empty((hi - lo, n))
     factors = np.empty((hi - lo, n_pairs))
     big_flags = np.empty(hi - lo, dtype=bool)
+    big_positions = np.empty(hi - lo, dtype=np.intp)
     model_ids = np.empty(hi - lo, dtype=np.intp)
     models = default_error_models()
     quarter = total // len(models)
@@ -460,16 +476,24 @@ def _msobe_chunk(n, lo, hi, total, big, seed):
         v[b_lo - lo:b_hi - lo] = block_v
         for s_lo, s_hi, model in _segments(b_lo, b_hi, quarter, len(models)):
             k, rows = s_hi - s_lo, slice(s_lo - lo, s_hi - lo)
-            applied = rng.random(k) < big.apply_probability
-            big_pos = rng.integers(n_pairs, size=k)
+            applied = big_flags[rows] = rng.random(k) < big.apply_probability
+            big_pos = big_positions[rows] = rng.integers(n_pairs, size=k)
             eps_b = rng.uniform(*BIG_ERROR_RANGE, k)
             f = models[model].draw(rng, (k, n_pairs))
             f[applied, big_pos[applied]] = eps_b[applied]
             factors[rows] = f
-            big_flags[rows] = applied
             model_ids[rows] = model
     a = _from_upper(round_matrix_to_scale(v[:, iu] / v[:, ju] * factors), n)
-    del factors  # out of the way of the kernels' temporaries
+    return a, v, big_flags, big_positions, model_ids
+
+
+def _msobe_chunk(n, lo, hi, total, big, seed):
+    """Columns of records [lo, hi), a union of whole record blocks, and their non-convergence mask.
+
+    Beside the database fields, the columns hold REV's rev_iterations and rev_residual.
+    """
+    # The stream's small-error factors are freed on its return, out of the way of the kernels' temporaries.
+    a, v, big_flags, _, model_ids = _msobe_matrices(n, lo, hi, total, big, seed)
     metrics, failed = _batch_metrics(a, v)
     columns = dict(
         vector_id=np.arange(lo, hi),

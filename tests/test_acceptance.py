@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from pcmkit.acceptance import builtin_table, BUILTIN_DATA_SHA256
-from pcmkit.core import SAATY_SCALE, Pcm, PriorityVector, mpr_from_pv
+from pcmkit.core import SAATY_SCALE, Pcm, PriorityVector
 from pcmkit.indices import batch_gi, batch_ki_ati, batch_si, compute_report, triad_values
 from pcmkit.loss import avg_absolute_error, avg_relative_error
 from pcmkit.prioritize import batch_gm, gm_estimate, rev_estimate
@@ -423,15 +423,15 @@ def test_index_properties_random_pcms():
     _check(failures, bad_scalar == 0, f"{bad_scalar} matrices where a kernel or estimator differs from compute_report")
     # consistent matrices score zero on every index
     for n in range(3, 10):
-        v = PriorityVector.normalized(rng.uniform(0.2, 1.0, size=n))
-        m = mpr_from_pv(v)
+        w = PriorityVector.normalized(rng.uniform(0.2, 1.0, size=n)).weights
+        m = Pcm(w[:, None] / w[None, :])
         report = compute_report(m)
         worst = max(abs(report.si), report.gi, report.ki, report.ati)
         _check(failures, worst <= 1e-10, f"consistent n={n}: max index {worst} > 1e-10")
     # one disturbed entry: n-2 inconsistent triads, each with TI = 1 - 1/1.5
     for n in range(3, 10):
-        v = PriorityVector.normalized(rng.uniform(0.2, 1.0, size=n))
-        a = mpr_from_pv(v).entries.copy()
+        w = PriorityVector.normalized(rng.uniform(0.2, 1.0, size=n)).weights
+        a = Pcm(w[:, None] / w[None, :]).entries.copy()
         a[0, 1] *= 1.5
         a[1, 0] = 1 / a[0, 1]
         m = Pcm(a)

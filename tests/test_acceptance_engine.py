@@ -20,7 +20,7 @@ from pcmkit.acceptance import (
     table_from_records,
     write_table,
 )
-from pcmkit.core import Pcm, PriorityVector, mpr_from_pv, round_pcm
+from pcmkit.core import Pcm, PriorityVector, round_pcm
 from pcmkit.indices import compute_report
 from pcmkit.simulate import BIG_ERROR_RANGE, default_error_models, run_msobe_sf
 from pcmkit.stats import assign_classes
@@ -221,7 +221,8 @@ class TestAssessPcm:
         from one of the four models, one big error, scale rounding), assess_pcm's ATI is bit for bit
         compute_report's, and its class is the row loop's."""
         rng = np.random.default_rng(n)
-        a = np.array(mpr_from_pv(PriorityVector.normalized(rng.uniform(0.1, 1.0, size=n))).entries)
+        w = PriorityVector.normalized(rng.uniform(0.1, 1.0, size=n)).weights
+        a = np.array(Pcm(w[:, None] / w[None, :]).entries)
         iu, ju = np.triu_indices(n, k=1)
         factors = default_error_models()[n % 4].draw(rng, iu.size)
         factors[rng.integers(iu.size)] = rng.uniform(*BIG_ERROR_RANGE)

@@ -23,7 +23,7 @@ from pcmkit import cli
 from pcmkit import simulate as sim
 from pcmkit.acceptance import builtin_table, write_table
 from pcmkit.cli import EXIT_DATA, EXIT_OK, EXIT_REJECT, EXIT_USAGE, main
-from pcmkit.core import Pcm, PriorityVector, mpr_from_pv, round_pcm, write_pcm
+from pcmkit.core import Pcm, PriorityVector, round_pcm, write_pcm
 from pcmkit.prioritize import batch_rev
 from pcmkit.simulate import (
     RECORD_FIELDS,
@@ -516,7 +516,7 @@ class TestAnalyze:
         v = rng.standard_exponential(n)
         v /= v.sum()
         path = tmp_path / "pcm.csv"
-        write_pcm(round_pcm(mpr_from_pv(v).entries * rng.uniform(0.5, 2.0, (n, n))), path)
+        write_pcm(round_pcm(Pcm(v[:, None] / v[None, :]).entries * rng.uniform(0.5, 2.0, (n, n))), path)
         true_pv = ",".join(map(repr, v.tolist()))
         assert main(["analyze", str(path), "--format", "jsonl", "--seed", "7", "--true-pv", true_pv]) == EXIT_OK
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == expected
@@ -529,7 +529,8 @@ class TestAnalyze:
     def test_consistent_matrix_file(self, tmp_path, capsys):
         """A consistent matrix off the scale, written by write_pcm, reads back reciprocal and scores zero."""
         path = tmp_path / "m.csv"
-        write_pcm(mpr_from_pv(PriorityVector.normalized([0.41, 0.27, 0.19, 0.13])), path)
+        w = PriorityVector.normalized([0.41, 0.27, 0.19, 0.13]).weights
+        write_pcm(Pcm(w[:, None] / w[None, :]), path)
         assert main(["analyze", str(path), "--seed", "1", "--format", "jsonl"]) == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert payload["ki"] == pytest.approx(0.0, abs=1e-12)
@@ -1101,7 +1102,8 @@ def test_arbitrary_file_contents_end_in_a_documented_exit_code(tmp_path_factory,
         work = Path(work)
         files = {name: work / f"{name}.csv" for name in ("pcm", "pcm3", "table", "table9", "db")}
         write_pcm(Pcm(RB), files["pcm"])
-        write_pcm(mpr_from_pv(PriorityVector.normalized([0.5, 0.3, 0.2])), files["pcm3"])
+        w = PriorityVector.normalized([0.5, 0.3, 0.2]).weights
+        write_pcm(Pcm(w[:, None] / w[None, :]), files["pcm3"])
         write_table(builtin_table(4, "REV"), files["table"])
         files["table9"].write_text("".join(line.rpartition(",")[0] + "\n"
                                            for line in files["table"].read_text().splitlines()))

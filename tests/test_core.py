@@ -15,7 +15,6 @@ from pcmkit.core import (
     _upper_indices,
     is_consistent,
     is_reciprocal,
-    mpr_from_pv,
     read_pcm,
     round_pcm,
     round_matrix_to_scale,
@@ -157,8 +156,8 @@ class TestPcm:
             warnings.simplefilter("error")
             assert not is_consistent(Pcm([[1, 1e200, 1e300], [1e-200, 1, 1e200], [1e-300, 1e-200, 1]]))
 
-    def test_mpr_from_pv(self, v1, mpr_v1):
-        m = mpr_from_pv(v1)
+    def test_perfect_ratio_matrix(self, v1, mpr_v1):
+        m = Pcm(v1.weights[:, None] / v1.weights[None, :])
         assert m.entries == pytest.approx(mpr_v1.entries, abs=1e-12)
         assert is_consistent(m)
 
@@ -289,12 +288,13 @@ class TestPcmIO:
                 assert np.array_equal(read_pcm(path).entries, m.entries)
 
     def test_consistent_matrices_round_trip_exactly(self, tmp_path):
-        """mpr_from_pv matrices, whose entries are off the scale, read back bit for bit and stay consistent."""
+        """Perfect ratio matrices, whose entries are off the scale, read back bit for bit and stay consistent."""
         rng = np.random.default_rng(5)
         path = tmp_path / "m.csv"
         vectors = [[0.41, 0.27, 0.19, 0.13]] + [rng.uniform(0.05, 1.0, size=n) for n in range(3, 10) for _ in range(20)]
         for values in vectors:
-            m = mpr_from_pv(PriorityVector.normalized(values))
+            w = PriorityVector.normalized(values).weights
+            m = Pcm(w[:, None] / w[None, :])
             write_pcm(m, path)
             back = read_pcm(path)
             assert np.array_equal(back.entries, m.entries)

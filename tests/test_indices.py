@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from pcmkit.core import SAATY_SCALE, Pcm, mpr_from_pv, PriorityVector
+from pcmkit.core import SAATY_SCALE, Pcm, PriorityVector
 from pcmkit.indices import batch_gi, batch_ki_ati, batch_si, compute_report, estimate_asi, triad_values
 from pcmkit.prioritize import batch_gm, batch_rev, rev_estimate
 

@@ -144,19 +144,11 @@ def test_component_sums_run_left_to_right(n):
 
 
 @pytest.mark.parametrize("n", [4, 7])
-def test_record_equals_analyze_of_its_matrix(monkeypatch, n):
+def test_record_equals_analyze_of_its_matrix(n):
     """A database record's indices and losses are what analyze gives its matrix and true vector, bit for bit."""
-    batch_metrics, stacks = simulate._batch_metrics, []
-
-    def captured(a, v):
-        stacks.append((a.copy(), v.copy()))
-        return batch_metrics(a, v)
-
-    monkeypatch.setattr(simulate, "_batch_metrics", captured)
-    records = simulate.run_msobe_sf(n, simulate._chunk_records(4) + 400, seed=31).records
-    monkeypatch.undo()
-    assert len(stacks) >= 2  # records of more than one chunk
-    a, v = (np.concatenate(parts) for parts in zip(*stacks))
+    total = simulate._chunk_records(4) + 400  # records of more than one chunk
+    records = simulate.run_msobe_sf(n, total, seed=31).records
+    a, v = simulate._msobe_matrices(n, 0, total, total, simulate.BigErrorModel(), 31)[:2]
     for k in range(0, len(records["vector_id"]), 13):
         rid = records["vector_id"][k]
         rep = compute_report(Pcm(a[rid]))
@@ -610,13 +602,12 @@ def test_non_converged_record_skips_its_whole_run(monkeypatch, framework, n, siz
 
 
 @pytest.mark.parametrize("framework", ["mse", "nee"])
-def test_run_replays_from_its_blocks_generators(monkeypatch, framework):
+def test_run_replays_from_its_blocks_generators(framework):
     """Run 1030 of an 1105-run call from its run block's and vector block's generators alone: the stream, pinned."""
-    monkeypatch.setattr(simulate, "_correlate_blocks", lambda framework, n, blocks: list(blocks))
     if framework == "mse":
-        blocks, want = simulate.run_mse_sf(4, n_runs=1105, n_e=3, seed=8), mse_run(4, 3, 8, 1030)
+        blocks, want = simulate._mse_stacks(4, n_runs=1105, n_e=3, seed=8), mse_run(4, 3, 8, 1030)
     else:
-        blocks, want = simulate.run_nee_sf(4, n_r=221, n_p=5, seed=8), nee_run(4, 5, 8, 1030)
+        blocks, want = simulate._nee_stacks(4, n_r=221, n_p=5, seed=8), nee_run(4, 5, 8, 1030)
     for parts, value in zip(zip(*blocks), want):  # the stack, the true vectors, the driving variable
         assert np.array_equal(np.concatenate(parts)[1030], value)
 

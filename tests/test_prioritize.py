@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pcmkit import prioritize, simulate
-from pcmkit.core import SAATY_SCALE, Pcm, PriorityVector, _from_upper, mpr_from_pv
+from pcmkit.core import SAATY_SCALE, Pcm, PriorityVector, _from_upper
 from pcmkit.prioritize import ConvergenceError, batch_rev, gm_estimate, rev_estimate
 
 from conftest import random_reciprocal_pcm
@@ -26,7 +26,7 @@ class TestConsistentMatrices:
     def test_recovers_generating_vector(self, n, seed):
         rng = np.random.default_rng(seed)
         v = PriorityVector.normalized(rng.uniform(0.1, 1.0, size=n))
-        m = mpr_from_pv(v)
+        m = Pcm(v.weights[:, None] / v.weights[None, :])
         res = rev_estimate(m)
         assert res.weights.weights == pytest.approx(v.weights, abs=1e-10)
         assert res.lambda_max == pytest.approx(n, abs=1e-10)
@@ -69,19 +69,12 @@ class TestAgainstEigensolver:
         self.assert_matches_dense_oracle(_from_upper(upper, n))
 
     @pytest.mark.parametrize("n", [4, 7])
-    def test_msobe_chunk_matches_dense_oracle(self, n, monkeypatch):
-        """One whole MSOBE-SF stack of rounded, disturbed PCMs, as the database build passes it to batch_rev."""
-        batch_metrics, stacks = simulate._batch_metrics, []
-
-        def recording(a, v):
-            stacks.append(a.copy())
-            return batch_metrics(a, v)
-
-        monkeypatch.setattr(simulate, "_batch_metrics", recording)
+    def test_msobe_chunk_matches_dense_oracle(self, n):
+        """One whole MSOBE-SF stack of rounded, disturbed PCMs: the first chunk of a build that the budget binds."""
         budget = simulate._chunk_records(n)
-        simulate.run_msobe_sf(n, 4 * budget, seed=1)  # four chunks for the one worker: the budget binds
-        assert len(stacks) == 4 and len(stacks[0]) == budget >= 4096
-        self.assert_matches_dense_oracle(stacks[0])
+        a = simulate._msobe_matrices(n, 0, budget, 4 * budget, simulate.BigErrorModel(), 1)[0]
+        assert len(a) == budget >= 4096
+        self.assert_matches_dense_oracle(a)
 
     @pytest.mark.parametrize("span", [1.0, 1e20, 1e100, 1e150])
     @pytest.mark.parametrize("n", [3, 4, 7, 12])

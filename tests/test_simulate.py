@@ -20,7 +20,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pcmkit import simulate
-from pcmkit.core import mpr_from_pv, round_matrix_to_scale
+from pcmkit.core import round_matrix_to_scale
 from pcmkit.prioritize import batch_rev
 from pcmkit.simulate import (
     ERROR_NAMES,
@@ -198,30 +198,22 @@ def test_correlation_summary_is_pinned(run, args, expected):
 
 
 @pytest.mark.parametrize(
-    "run, sizes",
+    "stream",
     [
-        (run_mse_sf, dict(n_runs=40, n_e=25)),
-        (run_nee_sf, dict(n_r=20, n_p=2)),
-        (run_msobe_sf, dict(total_matrices=400)),
+        lambda: simulate._mse_stacks(5, 40, 25, 7),
+        lambda: simulate._nee_stacks(5, 20, 2, 7),
+        lambda: [simulate._msobe_matrices(5, 0, 400, 400, BigErrorModel(), 7)],
     ],
     ids=["mse", "nee", "msobe"],
 )
-def test_every_evaluated_matrix_is_reciprocal_bit_for_bit(run, sizes, monkeypatch):
-    """Every stack a framework evaluates has a unit diagonal and a_ji == 1 / a_ij exactly."""
-    stacks = []
-    batch_metrics = simulate._batch_metrics
-
-    def recorded(a, v):
-        stacks.append(a.copy())
-        return batch_metrics(a, v)
-
-    monkeypatch.setattr(simulate, "_batch_metrics", recorded)
-    run(5, **sizes, seed=7)
+def test_every_evaluated_matrix_is_reciprocal_bit_for_bit(stream):
+    """Every matrix a framework's stream gives has a unit diagonal and a_ji == 1 / a_ij exactly."""
+    stacks = [a for a, *_ in stream()]
     iu, ju = np.triu_indices(5, k=1)
     assert stacks
     for a in stacks:
-        assert np.all(np.diagonal(a, axis1=1, axis2=2) == 1.0)
-        assert np.array_equal(a[:, ju, iu], 1.0 / a[:, iu, ju])
+        assert np.all(np.diagonal(a, axis1=-2, axis2=-1) == 1.0)
+        assert np.array_equal(a[..., ju, iu], 1.0 / a[..., iu, ju])
 
 
 # (run function, sizes, runs, vectors, steps per run) at n=4: more than one run block each.
@@ -229,37 +221,25 @@ RUN_CALLS = {
     "mse": (run_mse_sf, dict(n_runs=1100, n_e=2), 1100, 1100, 2),
     "nee": (run_nee_sf, dict(n_r=221, n_p=5), 1105, 221, 6),
 }
+STREAMS = {run_mse_sf: simulate._mse_stacks, run_nee_sf: simulate._nee_stacks}
 
 
-def drain(framework, n, blocks):
-    """Build a call's stacks without their metrics."""
-    for _ in blocks:
-        pass
-
-
-def disturbances(monkeypatch, run, n, **sizes):
-    """The factor arrays of every stack of one call, concatenated over its stacks, as (hit, factors).
+def disturbances(monkeypatch, stream, n, **sizes):
+    """The factor arrays of every stack of a run stream, concatenated over its stacks, as (hit, factors).
 
     Every true vector is made uniform, so each upper-triangle ratio v_i / v_j is 1
-    and the upper triangles the call hands to _from_upper are its factor arrays
-    bit for bit.  hit = factors != 1 flags the disturbed entries.
+    and the upper triangles of the stream's matrices are its factor arrays bit
+    for bit.  hit = factors != 1 flags the disturbed entries.
     """
-    calls = []
-    blocks, from_upper = simulate._blocks, simulate._from_upper
+    blocks = simulate._blocks
 
     def uniform_vectors(*args):
         for b_lo, b_hi, rng, v in blocks(*args):
             yield b_lo, b_hi, rng, np.full_like(v, 1.0 / n)
 
-    def recorded(upper, order):
-        calls.append(upper)
-        return from_upper(upper, order)
-
     monkeypatch.setattr(simulate, "_blocks", uniform_vectors)
-    monkeypatch.setattr(simulate, "_from_upper", recorded)
-    monkeypatch.setattr(simulate, "_correlate_blocks", drain)
-    run(n, **sizes, seed=31)
-    factors = np.concatenate(calls)
+    iu, ju = np.triu_indices(n, k=1)
+    factors = np.concatenate([a[..., iu, ju] for a, _, _ in stream(n, **sizes, seed=31)])
     return factors != 1, factors
 
 
@@ -268,23 +248,6 @@ def assert_uniform(counts, p):
     total = counts.sum(axis=0)
     sigma = np.sqrt(total * p * (1 - p))
     assert np.all(np.abs(counts - total * p) <= 5 * sigma), counts
-
-
-def recorded_stacks(monkeypatch):
-    """The (stack, true vectors, driving variable) triples that _correlate_blocks receives, in order."""
-    stacks = []
-    correlate_blocks = simulate._correlate_blocks
-
-    def recorded(framework, n, blocks):
-        def read():
-            for stack in blocks:
-                stacks.append(stack)
-                yield stack
-
-        return correlate_blocks(framework, n, read())
-
-    monkeypatch.setattr(simulate, "_correlate_blocks", recorded)
-    return stacks
 
 
 def true_vectors(seed, count):
@@ -387,12 +350,10 @@ class TestRunStreams:
     @pytest.mark.parametrize("runs_per_stack", [300, 7])
     def test_stack_budgets_change_nothing(self, framework, runs_per_stack, monkeypatch):
         run, sizes, runs, vectors, steps = RUN_CALLS[framework]
-        stacks = recorded_stacks(monkeypatch)
-        whole = run(4, **sizes, seed=30)
-        whole_stacks = stacks[:]
-        stacks.clear()
+        whole, whole_stacks = run(4, **sizes, seed=30), list(STREAMS[run](4, **sizes, seed=30))
         monkeypatch.setattr(simulate, "_STACK_ENTRIES", runs_per_stack * steps * 4 * 4)
         assert run(4, **sizes, seed=30) == whole
+        stacks = list(STREAMS[run](4, **sizes, seed=30))
         lengths = np.array([len(v) for _, v, _ in stacks])
         stops = np.cumsum(lengths)
         starts = stops - lengths
@@ -435,7 +396,7 @@ class TestRunStreams:
 
     def test_nee_orders_are_uniform_permutations(self, monkeypatch):
         k = 6  # entries of an order-4 matrix
-        hit, factors = disturbances(monkeypatch, run_nee_sf, 4, n_r=4000, n_p=5)
+        hit, factors = disturbances(monkeypatch, simulate._nee_stacks, 4, n_r=4000, n_p=5)
         assert hit.shape == (20000, k, k)
         assert np.array_equal(hit.sum(axis=2), np.broadcast_to(np.arange(1, k + 1), (20000, k)))
         assert np.all(hit[:, 1:] >= hit[:, :-1])  # a disturbed entry stays disturbed
@@ -448,7 +409,7 @@ class TestRunStreams:
 
     def test_mse_positions_are_uniform(self, monkeypatch):
         pairs = 10  # entries of an order-5 matrix
-        hit, factors = disturbances(monkeypatch, run_mse_sf, 5, n_runs=20000, n_e=2)
+        hit, factors = disturbances(monkeypatch, simulate._mse_stacks, 5, n_runs=20000, n_e=2)
         assert hit.shape == (20000, 2, pairs) and np.all(hit.sum(axis=2) == 1)
         assert_uniform(np.bincount(hit[:, 0].argmax(axis=1), minlength=pairs), 1 / pairs)
         eps = factors[:, 0][hit[:, 0]]  # step 1 carries eps^1
@@ -654,7 +615,8 @@ class TestBigErrorDatabase:
         assert res.records["seed"].tolist() == [21] * len(res.records)
 
     def test_record_replays_from_seed_index_and_block(self):
-        """Record 3075 of 4100 from its block's stream alone: the stream definition, pinned."""
+        """Record 3075 of 4100 from its block's stream alone: the stream definition, pinned, and _msobe_matrices
+        of its block gives that record's inputs."""
         seed, total, idx = 23, 4100, 3075
         records = run_msobe_sf(4, total, seed=seed).records
         block, row = divmod(idx, simulate._BLOCK)  # block 3 = records 3072..4095
@@ -673,11 +635,35 @@ class TestBigErrorDatabase:
         upper = round_matrix_to_scale(v[iu] / v[ju] * factors)
         a = np.ones((1, 4, 4))
         a[0, iu, ju], a[0, ju, iu] = upper, 1.0 / upper
+        stream = simulate._msobe_matrices(4, 3072, total, total, BigErrorModel(), seed)
+        assert [part[row].tolist() for part in stream] == [a[0].tolist(), v.tolist(), applied, pos, 3]
+        assert applied  # so the big position is the one the record uses
         metrics, failed = simulate._batch_metrics(a, v[None])
         assert not failed[0]
         want = dict(n=4, vector_id=idx, perturbation_id=0, distribution="uniform", big_error=bool(applied),
                     **{f: float(metrics[f][0]) for f in INDEX_NAMES + ERROR_NAMES}, seed=seed)
         assert {name: records[name].tolist()[idx] for name in RECORD_FIELDS} == want
+
+    @pytest.mark.parametrize("n", [4, 7])
+    def test_stream_does_not_depend_on_how_a_range_is_cut(self, n):
+        """_msobe_matrices over [0, total) is its pieces' concatenation, and a chunk is _batch_metrics of its piece.
+
+        The model quarters (4100 records) end inside record blocks; the pieces are one block, several blocks
+        and the 16-record tail.
+        """
+        total, big, seed, cuts = 16400, BigErrorModel(0.6), 24, (0, 1024, 16384, 16400)
+        whole = simulate._msobe_matrices(n, 0, total, total, big, seed)
+        pieces = [simulate._msobe_matrices(n, lo, hi, total, big, seed) for lo, hi in zip(cuts, cuts[1:])]
+        for got, parts in zip(whole, zip(*pieces)):
+            assert got.tobytes() == np.concatenate(parts).tobytes()
+        lo, hi = cuts[1:3]
+        a, v, flags, _, model_ids = pieces[1]
+        columns, failed = simulate._msobe_chunk(n, lo, hi, total, big, seed)
+        metrics, want_failed = simulate._batch_metrics(a, v)
+        assert np.array_equal(failed, want_failed)
+        assert all(columns[name].tobytes() == col.tobytes() for name, col in metrics.items())
+        assert np.array_equal(columns["big_error"], flags) and np.array_equal(columns["vector_id"], np.arange(lo, hi))
+        assert columns["distribution"].tolist() == [simulate.ERROR_DISTRIBUTIONS[m] for m in model_ids]
 
     def test_no_per_record_seeding(self, monkeypatch):
         built = seed_sequences(monkeypatch)
