@@ -1,6 +1,6 @@
 """Command-line surface: analyze, simulate, report, accept.
 
-Exit codes: 0 success/accept, 1 usage error, 2 data error, 3 reject.
+Exit codes: 0 success/accept, 1 usage error, 2 data error (or out of memory), 3 reject.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from .core import Pcm, PcmFormatError, PriorityVector, read_pcm
 from .indices import compute_report, estimate_asi
 from .loss import batch_losses
 from .prioritize import ConvergenceError
-from .stats import PartitionError, batch_pearson, spearman_or_nan, summarize_classes
+from .stats import PartitionError, pearson_pairs, spearman_pairs, summarize_classes
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -247,11 +247,11 @@ def cmd_report(args) -> int:
         summaries = summarize_classes(records, args.index, args.error, args.classes)
     except PartitionError as exc:
         raise DataError(f"cannot split the {args.index} values into classes: {exc}") from exc
-    # Correlations of the class-mean index values with each error statistic; NaN where one is constant.
+    # Correlations of the class-mean index values (row 0) with each error statistic; NaN where one is constant.
     stats = ("q10", "median", "q90", "mean_error")
-    x = np.array([s.mean_index_value for s in summaries])
-    y = np.array([[getattr(s, stat) for s in summaries] for stat in stats])
-    corr = list(zip(stats, [spearman_or_nan(x, row) for row in y], batch_pearson(x, y)))
+    rows = np.array([[getattr(s, field) for s in summaries] for field in ("mean_index_value", *stats)])
+    x, y = [0, 0, 0, 0], [1, 2, 3, 4]
+    corr = list(zip(stats, spearman_pairs(rows, x, y), pearson_pairs(rows, x, y)))
     if args.format == "csv":
         lines = ["class,lo,hi,count,mean_index,q10,median,q90,mean_error"]
         for s in summaries:
@@ -329,6 +329,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except DataError as exc:
         print(f"pcmkit: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError:  # simulate names its size and exits 1; the other commands' input is too large
+        print(f"pcmkit: {argv[0]} ran out of memory on this input", file=sys.stderr)
         return EXIT_DATA
 
 

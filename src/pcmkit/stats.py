@@ -12,7 +12,6 @@ __all__ = [
     "PartitionError",
     "ClassPartition",
     "ClassSummary",
-    "batch_pearson",
     "pearson_pairs",
     "spearman_pairs",
     "pearson",
@@ -67,11 +66,6 @@ def spearman_pairs(rows, x, y) -> np.ndarray:
     d -= (d.shape[-1] + 1) / 2
     gram = d @ d.swapaxes(-1, -2)
     return _coefficients(gram[..., x, y], np.diagonal(gram, axis1=-2, axis2=-1), x, y)
-
-
-def batch_pearson(x, y) -> np.ndarray:
-    """Pearson coefficients of paired rows (last axis); NaN where a row has zero variance."""
-    return pearson_pairs(np.stack(np.broadcast_arrays(x, y), axis=-2), [0], [1])[..., 0]
 
 
 def _one_pair(kernel, name, x, y) -> float:

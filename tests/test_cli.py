@@ -302,6 +302,19 @@ class TestDataErrors:
         assert main(["analyze", "/nonexistent/file.csv"]) == EXIT_DATA
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command, module, name", [("analyze", cli, "estimate_asi"),
+                                                        ("report", sim, "read_records_csv"),
+                                                        ("accept", cli, "read_pcm")])
+    def test_out_of_memory(self, ra_file, capsys, monkeypatch, command, module, name):
+        """An input too large for memory exits 2 with one line naming the command, not a traceback."""
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+        monkeypatch.setattr(module, name, exhausted)
+        argv = {"analyze": [ra_file, "--seed", "1"], "report": ["db.csv"],
+                "accept": [ra_file, "--threshold", "0.1"]}[command]
+        assert main([command, *argv]) == EXIT_DATA
+        assert assert_one_line_error(capsys) == f"pcmkit: {command} ran out of memory on this input\n"
+
     def test_unwritable_out(self, ra_file, database, tmp_path, capsys):
         out = str(tmp_path / "missing" / "x")
         for argv in (["analyze", ra_file, "--seed", "1"], ["report", database]):
@@ -737,6 +750,20 @@ class TestReportAndAccept:
         assert capsys.readouterr().out.splitlines()[-4:] == ["q10,,", "median,,", "q90,,", "mean_error,,"]
         assert main(["report", flat, "--classes", "3"]) == EXIT_OK
         assert capsys.readouterr().out.count("undefined") == 8
+
+    @pytest.mark.parametrize("argv, expected", [
+        ([], "cc9480d0f0c905b4c3b5ba16d8149c81ffd56f13b919d645fbd383719adff11e"),
+        (["--format", "csv"], "24d37302b7ff9991dced0c36d556beaeae63315018cfd449e3577312f528eb90"),
+        (["--index", "si", "--error", "re_gm", "--classes", "7"],
+         "d0892e76327da4d23ba47ce59e8a895aaad80c9ebac7228abfa8095136e994b3"),
+        (["--index", "si", "--error", "re_gm", "--classes", "7", "--format", "csv"],
+         "ff65641c3ba939384d59681d252fecaf562f9588b453e29759a6e591c62292a3"),
+    ])
+    def test_report_bytes_are_pinned(self, database, capsys, argv, expected):
+        """The class table and the correlation grid, byte for byte, in both formats."""
+        assert main(["report", database, *argv]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == expected, out
 
     def test_report_csv_to_file(self, database, tmp_path, capsys):
         out = tmp_path / "rep.csv"

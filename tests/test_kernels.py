@@ -18,7 +18,7 @@ from pcmkit.core import SAATY_SCALE, Pcm, round_matrix_to_scale
 from pcmkit.indices import batch_gi, batch_ki_ati, batch_si, compute_report, estimate_asi, triad_values
 from pcmkit.loss import batch_absolute_error, batch_losses, batch_relative_error
 from pcmkit.prioritize import SQUARINGS, batch_gm, batch_rev
-from pcmkit.stats import average_ranks, batch_pearson, pearson_pairs
+from pcmkit.stats import average_ranks, pearson_pairs
 
 STACK = 48
 
@@ -380,11 +380,11 @@ def test_correlation_rows_equal_each_row_alone():
     x = rng.integers(0, 6, size=(12, 25)).astype(float)  # ties
     y = x + rng.normal(size=x.shape)
     y[4] = 2.0  # zero variance gives NaN, not an error
-    r = batch_pearson(x, y)
+    r = pearson_pairs(np.stack([x, y], axis=1), [0], [1])
     ranks = average_ranks(x)
     assert np.isnan(r[4])
     for k in range(x.shape[0]):
-        assert np.array_equal(r[k], batch_pearson(x[k], y[k]), equal_nan=True)
+        assert np.array_equal(r[k], pearson_pairs(np.stack([x[k], y[k]]), [0], [1]), equal_nan=True)
         assert np.array_equal(ranks[k], average_ranks(x[k]))
 
 
@@ -411,7 +411,6 @@ def test_pearson_pairs_equal_gathered_pairs(runs):
         assert got.shape == (runs, x.size)
         assert np.isnan(got[0, (x == 2) | (y == 2)]).all() and not np.isnan(got[0, (x != 2) & (y != 2)]).any()
         assert np.array_equal(got, gathered_pearson(rows[:, x], rows[:, y]), equal_nan=True)
-        assert np.array_equal(got, batch_pearson(rows[:, x], rows[:, y]), equal_nan=True)
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +433,8 @@ class ReferenceTally:
     def add(self, vectors, target):
         rows = {**vectors, "target": target}
         for key, (x, y) in zip(CORRELATION_KEYS, CORRELATED_PAIRS):
-            s = float(batch_pearson(average_ranks(rows[x]), average_ranks(rows[y])))
-            p = float(batch_pearson(rows[x], rows[y]))
+            s = float(gathered_pearson(average_ranks(rows[x]), average_ranks(rows[y])))
+            p = float(gathered_pearson(rows[x], rows[y]))
             for kind, value in (("spearman", s), ("pearson", p)):
                 if not np.isnan(value):
                     self.sums[kind][key] += value
