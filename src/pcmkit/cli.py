@@ -1,6 +1,8 @@
 """Command-line surface: analyze, simulate, report, accept.
 
 Exit codes: 0 success/accept, 1 usage error, 2 data error (or out of memory), 3 reject.
+For analyze, report and accept, main alone maps an OSError, a ValueError or a non-converging
+power iteration to exit 2 with one line; simulate exits 1 itself on a bad value or out of memory.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ import numpy as np
 
 from . import acceptance as acc
 from . import simulate as sim
-from .core import Pcm, PcmFormatError, PriorityVector, read_pcm
+from .core import PriorityVector, read_pcm
 from .indices import compute_report, estimate_asi
 from .loss import batch_losses
 from .prioritize import ConvergenceError
@@ -136,29 +138,19 @@ def _emit(text: str, out_path):
     if out_path:
         try:
             Path(out_path).write_text(text if text.endswith("\n") else text + "\n")
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: a path the OS cannot name, such as one with a NUL
             raise DataError(f"cannot write output: {exc}") from exc
     else:
         print(text)
 
 
-def _load_pcm(path) -> Pcm:
-    try:
-        return read_pcm(path)
-    except (OSError, PcmFormatError, ValueError) as exc:
-        raise DataError(str(exc)) from exc
-
-
 def cmd_analyze(args) -> int:
-    pcm = _load_pcm(args.pcm_path)
+    pcm = read_pcm(args.pcm_path)
     if args.true_pv is not None and args.true_pv.n != pcm.n:
         raise UsageError("--true-pv dimension does not match the PCM order")
     seed = secrets.randbits(32) if args.seed is None else args.seed
     asi = estimate_asi(pcm.n, seed=seed)
-    try:
-        report = compute_report(pcm, asi)
-    except ConvergenceError as exc:
-        raise DataError(str(exc)) from exc
+    report = compute_report(pcm, asi)
     rev, gm = report.rev, report.gm
     payload = {
         "n": pcm.n,
@@ -239,10 +231,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    try:
-        records = sim.read_records_csv(args.database_path)
-    except (OSError, ValueError) as exc:
-        raise DataError(str(exc)) from exc
+    records = sim.read_records_csv(args.database_path)
     try:
         summaries = summarize_classes(records, args.index, args.error, args.classes)
     except PartitionError as exc:
@@ -286,12 +275,9 @@ def cmd_report(args) -> int:
 
 
 def cmd_accept(args) -> int:
-    pcm = _load_pcm(args.pcm_path)
-    try:
-        table = acc.read_table(args.table) if args.table else None
-        verdict = acc.assess_pcm(pcm, args.method.upper(), args.threshold, args.quantile, table)
-    except (OSError, ValueError) as exc:
-        raise DataError(str(exc)) from exc
+    pcm = read_pcm(args.pcm_path)
+    table = acc.read_table(args.table) if args.table else None
+    verdict = acc.assess_pcm(pcm, args.method.upper(), args.threshold, args.quantile, table)
     row, table = verdict.row, verdict.table
     mean_s = "suspect, unused" if row.suspect_mean else f"{row.mean_err:.4f}"
     print(f"ATI = {verdict.ati:.4f} -> class {row.class_index} of the {table.method} table")
@@ -327,7 +313,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"pcmkit: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DataError as exc:
+    except (DataError, OSError, ValueError, ConvergenceError) as exc:  # a file, its contents or what they compute
         print(f"pcmkit: {exc}", file=sys.stderr)
         return EXIT_DATA
     except MemoryError:  # simulate names its size and exits 1; the other commands' input is too large

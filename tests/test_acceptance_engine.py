@@ -91,6 +91,16 @@ class TestBuiltinTables:
         data = resources.files("pcmkit.data").joinpath("appendix_tables.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == BUILTIN_DATA_SHA256
 
+    def test_corrupted_data_is_refused(self, monkeypatch):
+        """Data whose digest is not the pinned one raises, naming the digest it has; the cache keeps no failure."""
+        acceptance._load_builtin.cache_clear()
+        monkeypatch.setattr(acceptance, "BUILTIN_DATA_SHA256", "0" * 64)
+        try:
+            with pytest.raises(RuntimeError, match=re.escape(f"builtin table data corrupted (sha256 {BUILTIN_DATA_SHA256})")):
+                acceptance._load_builtin()
+        finally:
+            acceptance._load_builtin.cache_clear()
+
 
 def loop_locate_class(table, ati):
     """The row loop that the partition's class rule replaced."""

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from pcmkit import cli
+from pcmkit import cli, prioritize
 from pcmkit import simulate as sim
 from pcmkit.acceptance import builtin_table, write_table
 from pcmkit.cli import EXIT_DATA, EXIT_OK, EXIT_REJECT, EXIT_USAGE, main
@@ -321,6 +321,20 @@ class TestDataErrors:
             assert main(argv + ["--out", out]) == EXIT_DATA
             assert assert_one_line_error(capsys).startswith("pcmkit: cannot write output: ")
 
+    def test_out_path_with_a_null_byte(self, ra_file, database, capsys):
+        """Path.write_text rejects the path with a ValueError, which reads as an unwritable one."""
+        for argv in (["analyze", ra_file, "--seed", "1"], ["report", database]):
+            assert main(argv + ["--out", "a\0b"]) == EXIT_DATA
+            assert capsys.readouterr() == ("", "pcmkit: cannot write output: embedded null byte\n")
+
+    def test_asi_that_does_not_converge(self, ra_file, capsys, monkeypatch):
+        """One power-iteration pass cannot stop, so the ASI sample behind CR fails: one line, nothing on stdout."""
+        monkeypatch.setattr(prioritize, "MAX_ITER", 1)
+        assert main(["analyze", ra_file, "--seed", "1"]) == EXIT_DATA
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("pcmkit: power iteration did not converge")
+
     def test_file_that_is_not_utf8_is_named(self, tmp_path, rb_file, capsys):
         """100 random bytes as a PCM, a table or a database: exit 2 with one line naming the file and the byte."""
         data = np.random.default_rng(5).bytes(100)
@@ -533,6 +547,29 @@ class TestAnalyze:
         true_pv = ",".join(map(repr, v.tolist()))
         assert main(["analyze", str(path), "--format", "jsonl", "--seed", "7", "--true-pv", true_pv]) == EXIT_OK
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == expected
+
+    def test_table_with_true_pv_is_pinned(self, tmp_path, capsys, monkeypatch):
+        """The n=4 PCM of the jsonl pin as a table, with the AE and RE lines that --true-pv adds."""
+        rng = np.random.default_rng(104)
+        v = rng.standard_exponential(4)
+        v /= v.sum()
+        monkeypatch.chdir(tmp_path)
+        write_pcm(round_pcm(Pcm(v[:, None] / v[None, :]).entries * rng.uniform(0.5, 2.0, (4, 4))), "pcm.csv")
+        assert main(["analyze", "pcm.csv", "--seed", "7", "--true-pv", ",".join(map(repr, v.tolist()))]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "PCM pcm.csv (n=4)\n"
+            "  lambda_max = 4.010363\n"
+            "  SI  = 0.003454\n"
+            "  CR  = 0.004056\n"
+            "  GI  = 0.013793\n"
+            "  KI  = 0.250000\n"
+            "  ATI = 0.125000\n"
+            "  (ASI = 0.8516, sample seed 7; CR is informational only)\n"
+            "  REV estimate: 0.085927, 0.159488, 0.159488, 0.595098\n"
+            "  GM  estimate: 0.085832, 0.159752, 0.159752, 0.594664\n"
+            "  errors vs true PV: AE(REV)=0.0438 RE(REV)=0.3086 (30.86%)\n"
+            "                     AE(GM)=0.0439 RE(GM)=0.3087 (30.87%)\n"
+        )
 
     def test_out_file(self, tmp_path, ra_file):
         out = tmp_path / "report.txt"

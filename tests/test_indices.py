@@ -115,6 +115,11 @@ class TestAsiAndCr:
         assert a == b
         assert a > 0
 
+    @pytest.mark.parametrize("args, message", [((2,), "need n >= 3"), ((4, 0), "need sample_size >= 1")])
+    def test_asi_rejects_bad_args(self, args, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            estimate_asi(*args)
+
     def test_asi_grows_with_order(self):
         asis = [estimate_asi(n, sample_size=300, seed=1) for n in (3, 4, 5, 6, 7)]
         assert all(x < y for x, y in zip(asis, asis[1:]))

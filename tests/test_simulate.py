@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -177,6 +178,11 @@ class TestEqualErrorSweep:
     def test_run_counts_below_one_raise(self, run, sizes):
         with pytest.raises(ValueError, match=">= 1"):
             run(4, **sizes)
+
+    @pytest.mark.parametrize("run, args", [(run_nee_sf, (3,)), (run_msobe_sf, (3, 4))], ids=["nee", "msobe"])
+    def test_order_below_four_raises(self, run, args):
+        with pytest.raises(ValueError, match="^need n >= 4$"):
+            run(*args)
 
 
 @pytest.mark.parametrize(
@@ -417,6 +423,11 @@ class TestRunStreams:
 
 
 class TestBigErrorDatabase:
+    @pytest.mark.parametrize("seed", [-1, 2**63])
+    def test_seed_outside_the_int64_column_raises(self, seed):
+        with pytest.raises(ValueError, match=re.escape(f"seed must lie in [0, 2**63), not {seed}")):
+            run_msobe_sf(4, 4, seed=seed)
+
     def test_record_fields_and_quarter_split(self):
         res = run_msobe_sf(4, 800, seed=13)
         assert isinstance(res, MsobeResult)
