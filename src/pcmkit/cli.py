@@ -2,7 +2,7 @@
 
 Exit codes: 0 success/accept, 1 usage error, 2 data error (or out of memory), 3 reject.
 For analyze, report and accept, main alone maps an OSError, a ValueError or a non-converging
-power iteration to exit 2 with one line; simulate exits 1 itself on a bad value or out of memory.
+power iteration to exit 2 with one line; simulate maps an unwritable output to 2, out of memory to 1.
 """
 from __future__ import annotations
 
@@ -219,9 +219,7 @@ def cmd_simulate(args) -> int:
                 summary = sim.run_nee_sf(args.n, n_r=args.nr, n_p=args.np, seed=seed)
             _emit(json.dumps(summary.as_dict(), indent=2), args.out)
             _write_manifest(args, config, summary.skipped, rng=sim.RUN_RNG)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # the parser has checked every value; ValueError: a path with a NUL
         raise DataError(f"cannot write output: {exc}") from exc
     except MemoryError:
         size = " ".join(f"--{key.replace('_', '-')} {value}" for key, value in config.items()

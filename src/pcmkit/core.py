@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -162,14 +161,23 @@ def round_matrix_to_scale(values: np.ndarray) -> np.ndarray:
     return np.take(SAATY_SCALE, k)
 
 
-def _component_sum(x: np.ndarray, axis: int = -1):
-    """Sum of x's n entries along axis, added left to right: one vector add per component across all other axes.
+_VECTOR_SUMS = 256  # the fewest sums _sum_in_order makes by vector adds
 
-    This is the order numpy's row sum takes below 8 terms; from 8 on numpy's
-    is pairwise, in an order that follows the memory layout.  A reduction along
-    a row of only n values would also pay numpy's per-row set-up.
+
+def _sum_in_order(x: np.ndarray, axis: int = -1):
+    """Sums of x's entries along axis, added left to right, so a record's sum does not depend on its stack.
+
+    From _VECTOR_SUMS sums on, one vector add per term across all of them;
+    below, one np.cumsum call read at its last entry: the same order and bits
+    at different costs.  256 lies just above the ~190 sums of 21-56 terms at
+    which the two cost the same (2-core Xeon, numpy 2.4.6); fewer terms favour
+    vector adds sooner, and one sum of 35 takes 3 us by np.cumsum, 39 by vector
+    adds.  (np.sum's order follows the memory layout, which fancy indexing of
+    a stack changes.)  A 1-D x gives a numpy float.
     """
     at = (slice(None),) * (axis % x.ndim)
+    if x.size < _VECTOR_SUMS * x.shape[axis]:
+        return np.cumsum(x, axis=axis)[at + (-1,)]
     total = x[at + (0,)].copy()
     for k in range(1, x.shape[axis]):
         total += x[at + (k,)]
@@ -178,10 +186,11 @@ def _component_sum(x: np.ndarray, axis: int = -1):
 
 @functools.cache
 def _upper_indices(n: int) -> tuple:
-    """Read-only index arrays iu, ju of the pairs i < j, in np.triu_indices(n, k=1) order."""
-    iuju = np.array(list(itertools.combinations(range(n), 2)), dtype=np.intp).reshape(-1, 2).T.copy()
-    iuju.setflags(write=False)
-    return tuple(iuju)
+    """Read-only index arrays iu, ju of the pairs i < j, np.triu_indices(n, k=1)."""
+    iuju = np.triu_indices(n, k=1)
+    for arr in iuju:
+        arr.setflags(write=False)
+    return iuju
 
 
 def _from_upper(upper: np.ndarray, n: int) -> np.ndarray:

@@ -9,7 +9,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import SAATY_SCALE, PriorityVector, _as_matrix, _from_upper, _upper_indices
+from .core import SAATY_SCALE, PriorityVector, _as_matrix, _from_upper, _sum_in_order, _upper_indices
 from .prioritize import ConvergenceError, RevResult, batch_rev, gm_estimate, rev_estimate
 
 __all__ = [
@@ -45,18 +45,11 @@ def batch_si(lambda_max, n: int):
     return (lambda_max - n) / (n - 1)
 
 
-def _sum_in_order(x: np.ndarray):
-    """Left-to-right sum over the last axis, so a record's value does not depend on its stack.
-
-    (numpy's own order follows the memory layout, which fancy indexing of a stack changes.)
-    """
-    return np.cumsum(x, axis=-1)[..., -1]
-
-
 def batch_gi(a: np.ndarray, w: np.ndarray):
     """Geometric consistency index over the last two axes of a, given its GM weights w.
 
-    2 / ((n-1)(n-2)) * sum_{i<j} ln^2(a_ij w_j / w_i), natural logarithm.
+    2 / ((n-1)(n-2)) * sum_{i<j} ln^2(a_ij w_j / w_i), natural logarithm, added
+    left to right (`core._sum_in_order`: vector adds from 256 matrices on, else np.cumsum).
     """
     n = a.shape[-1]
     iu, ju = _upper_indices(n)
@@ -92,7 +85,7 @@ def triad_values(pcm) -> np.ndarray:
 
 
 def batch_ki_ati(pcm):
-    """Koczkodaj's index (maximum) and ATI (mean) of the triad values, over the last two axes."""
+    """Koczkodaj's index (maximum) and ATI (mean, summed as in batch_gi) of the triad values, over the last two axes."""
     ti = triad_values(pcm)
     return ti.max(axis=-1), _sum_in_order(ti) / ti.shape[-1]
 

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import PriorityVector, _component_sum
+from .core import PriorityVector, _sum_in_order
 
 __all__ = ["batch_absolute_error", "batch_relative_error", "batch_losses", "avg_absolute_error", "avg_relative_error"]
 
@@ -11,12 +11,12 @@ __all__ = ["batch_absolute_error", "batch_relative_error", "batch_losses", "avg_
 def batch_absolute_error(v, w):
     """Mean componentwise absolute difference (1/N) sum |v_i - w_i| over the last axis.
 
-    The N terms are added left to right across all records (`core._component_sum`):
-    np.mean bit for bit up to N = 7, and a few ulp from it from N = 8, where
-    numpy's row sum turns pairwise.
+    The N terms are added left to right (`core._sum_in_order`: vector adds from
+    256 records on, else np.cumsum): np.mean bit for bit up to N = 7, and a
+    few ulp from it from N = 8, where numpy's row sum turns pairwise.
     """
     d = np.abs(v - w)
-    return _component_sum(d) / d.shape[-1]
+    return _sum_in_order(d) / d.shape[-1]
 
 
 def batch_relative_error(v, w):
@@ -25,7 +25,7 @@ def batch_relative_error(v, w):
     Its N terms are added as batch_absolute_error adds them.
     """
     r = np.abs(v - w) / v
-    return _component_sum(r) / r.shape[-1]
+    return _sum_in_order(r) / r.shape[-1]
 
 
 def batch_losses(v, w_rev, w_gm) -> dict:

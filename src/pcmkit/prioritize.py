@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PriorityVector, _as_matrix, _component_sum
+from .core import PriorityVector, _as_matrix, _sum_in_order
 
 __all__ = ["RevResult", "ConvergenceError", "batch_rev", "batch_gm", "rev_estimate", "gm_estimate"]
 
@@ -61,16 +61,14 @@ def batch_rev(a: np.ndarray):
     weights (b, n) and, per record, lambda_max, iterations, the residual
     max |A w - lambda_max w| and whether it converged.
 
-    Every per-record reduction runs across records, on component-major
-    (n, records) copies: the normaliser of each pass and lambda_max add the
-    components left to right, one vector add per component
-    (`core._component_sum`, the order numpy's row sum takes below 8 terms),
-    the convergence test ands the n component tests and the residual is the
-    maximum of the n component deviations, exact in any order.  A reduction
-    along a row of only n values would pay numpy's per-row set-up, and
-    numpy's row sum from 8 terms on is pairwise, in an order that follows
-    the memory layout; so up to n = 7 lambda_max is np.mean of the ratios
-    bit for bit, and from n = 8 it may differ from it by a few ulp.  The
+    Every per-record reduction runs on component-major (n, records) copies:
+    the normaliser of each pass and lambda_max add the components left to
+    right (`core._sum_in_order`: vector adds from 256 records on, else
+    np.cumsum), the convergence test ands the n component tests and the
+    residual is the maximum of the n component deviations, exact in any
+    order.  numpy's row sum from 8 terms on is pairwise, in an order that
+    follows the memory layout; so up to n = 7 lambda_max is np.mean of the
+    ratios bit for bit, and from n = 8 it may differ from it by a few ulp.  The
     einsums keep their C-contiguous (records, n, n) and (records, n)
     operands, because their summation order also follows the layout.
     """
@@ -90,7 +88,7 @@ def batch_rev(a: np.ndarray):
     while idx.size and it < MAX_ITER:
         it += 1
         yt = np.einsum("bij,bj->bi", p_act, w_act).T.copy()
-        total = _component_sum(yt, 0)
+        total = _sum_in_order(yt, 0)
         yt /= total
         done = np.logical_and.reduce(np.abs(yt - wt) <= TOL * yt, axis=0)
         finite = np.isfinite(total)
@@ -108,7 +106,7 @@ def batch_rev(a: np.ndarray):
         w_act = np.ascontiguousarray(wt.T)
     w[idx] = w_act
     awt, wt = np.einsum("bij,bj->bi", a, w).T.copy(), w.T.copy()
-    lam = _component_sum(awt / wt, 0) / n
+    lam = _sum_in_order(awt / wt, 0) / n
     residual = np.max(np.abs(awt - lam * wt), axis=0)
     return w, lam, iterations, residual, converged
 
@@ -117,12 +115,12 @@ def batch_gm(a: np.ndarray) -> np.ndarray:
     """Row geometric mean weights, normalized to sum 1, over the last two axes.
 
     The row means of log(a) and the normaliser add the n components left to
-    right across all rows (`core._component_sum`): numpy's row mean bit for
-    bit up to n = 7, and from n = 8 a few ulp from it, as numpy's row sum
-    turns pairwise there.
+    right (`core._sum_in_order`: vector adds from 256 sums on, else np.cumsum):
+    numpy's row mean bit for bit up to n = 7, and from n = 8 a few ulp from
+    it, as numpy's row sum turns pairwise there.
     """
-    g = np.exp(_component_sum(np.log(a)) / a.shape[-1])
-    return g / _component_sum(g)[..., None]
+    g = np.exp(_sum_in_order(np.log(a)) / a.shape[-1])
+    return g / _sum_in_order(g)[..., None]
 
 
 def rev_estimate(pcm) -> RevResult:

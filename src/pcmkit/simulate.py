@@ -32,8 +32,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import round_matrix_to_scale, _from_upper, _read_text, _upper_indices
-from .indices import _sum_in_order, batch_indices
+from .core import round_matrix_to_scale, _from_upper, _read_text, _sum_in_order, _upper_indices
+from .indices import batch_indices
 from .loss import batch_losses
 from .prioritize import batch_gm, batch_rev
 from .stats import pearson_pairs, spearman_pairs
@@ -326,7 +326,9 @@ def _correlate_blocks(framework: str, n: int, blocks) -> CorrelationSummary:
     (runs, n) and driving variable (runs, steps).  A run with any
     non-converged record is skipped whole.  Per-run coefficients are folded
     into running sums, counts and minima, so memory does not grow with the
-    number of runs.  NaN coefficients (a constant row) are left out.
+    number of runs.  NaN coefficients (a constant row) are left out.  The sums
+    add each block's runs left to right (`core._sum_in_order`: 48 sums, fewer
+    than 256, so np.cumsum), so the means do not depend on the block size.
     """
     k = len(_CORRELATION_KEYS)
     sums = np.zeros((2, k))  # row 0 Spearman, row 1 Pearson
@@ -341,7 +343,6 @@ def _correlate_blocks(framework: str, n: int, blocks) -> CorrelationSummary:
         rows = np.stack([metrics[name].reshape(b, steps) for name in TRACKED_NAMES] + [target], axis=1)[ok]
         coeffs = np.stack([spearman_pairs(rows, x, y), pearson_pairs(rows, x, y)])
         valid = ~np.isnan(coeffs)
-        # Added left to right, one run after another, so the means do not depend on the block size.
         terms = np.concatenate([sums[:, None], np.where(valid, coeffs, 0.0)], axis=1)
         sums = _sum_in_order(terms.swapaxes(1, 2))
         counts += valid.sum(axis=1)

@@ -321,11 +321,18 @@ class TestDataErrors:
             assert main(argv + ["--out", out]) == EXIT_DATA
             assert assert_one_line_error(capsys).startswith("pcmkit: cannot write output: ")
 
-    def test_out_path_with_a_null_byte(self, ra_file, database, capsys):
-        """Path.write_text rejects the path with a ValueError, which reads as an unwritable one."""
-        for argv in (["analyze", ra_file, "--seed", "1"], ["report", database]):
-            assert main(argv + ["--out", "a\0b"]) == EXIT_DATA
-            assert capsys.readouterr() == ("", "pcmkit: cannot write output: embedded null byte\n")
+    def test_out_path_with_a_null_byte(self, ra_file, database, tmp_path, capsys):
+        """Path.write_text rejects the path with a ValueError, which reads as an unwritable one.
+
+        simulate's database, summary and manifest paths included.
+        """
+        small = {"msobe": ["--total", "8"], "mse": ["--runs", "2"], "nee": ["--nr", "2", "--np", "1"]}
+        framework = {name: ["simulate", name, "--n", "4", "--seed", "1", *options] for name, options in small.items()}
+        for argv in (["analyze", ra_file, "--seed", "1", "--out", "a\0b"], ["report", database, "--out", "a\0b"],
+                     framework["msobe"] + ["--out", "a\0b"], framework["nee"] + ["--out", "x\0.json"],
+                     framework["mse"] + ["--out", str(tmp_path / "s.json"), "--manifest", "m\0.json"]):
+            assert main(argv) == EXIT_DATA, argv
+            assert capsys.readouterr() == ("", "pcmkit: cannot write output: embedded null byte\n"), argv
 
     def test_asi_that_does_not_converge(self, ra_file, capsys, monkeypatch):
         """One power-iteration pass cannot stop, so the ASI sample behind CR fails: one line, nothing on stdout."""

@@ -1,5 +1,6 @@
 """Core types, scale rounding and PCM file round-trips."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -333,10 +334,21 @@ def test_parse_token_matches_the_fraction_float():
 
 @pytest.mark.parametrize("n", range(1, 16))
 def test_upper_indices_are_read_only_triu_indices(n):
-    """The cached pair indices are np.triu_indices(n, k=1), empty below n = 3, and cannot be written."""
+    """The cached pair indices are np.triu_indices(n, k=1), empty below n = 3, and cannot be written.
+
+    Building them at n = 600 peaks below 1.5 times their own bytes, so no
+    Python object per pair is made on the way.
+    """
     got = _upper_indices(n)
     assert got is _upper_indices(n)
     for arr, want in zip(got, np.triu_indices(n, k=1), strict=True):
         assert np.array_equal(arr, want) and arr.dtype == want.dtype and arr.size == n * (n - 1) // 2
         with pytest.raises(ValueError, match="read-only"):
             arr[...] = 0
+    tracemalloc.start()
+    try:
+        iu, ju = _upper_indices.__wrapped__(600)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * (iu.nbytes + ju.nbytes)

@@ -14,13 +14,14 @@ import numpy as np
 import pytest
 
 from pcmkit import prioritize, simulate, stats
-from pcmkit.core import SAATY_SCALE, Pcm, round_matrix_to_scale
+from pcmkit.core import _VECTOR_SUMS, SAATY_SCALE, Pcm, _sum_in_order, round_matrix_to_scale
 from pcmkit.indices import batch_gi, batch_ki_ati, batch_si, compute_report, estimate_asi, triad_values
 from pcmkit.loss import batch_absolute_error, batch_losses, batch_relative_error
 from pcmkit.prioritize import SQUARINGS, batch_gm, batch_rev
 from pcmkit.stats import average_ranks, pearson_pairs
 
-STACK = 48
+STACK = 48  # below core._VECTOR_SUMS, so the left-to-right sums over a stack take np.cumsum
+BIG_STACK = _VECTOR_SUMS + STACK  # and at or above it, one vector add per term
 
 
 def random_stack(rng, n, size):
@@ -60,36 +61,38 @@ def reference_rev(a, tol=1e-12, max_iter=10_000):
 
 @pytest.mark.parametrize("n", range(3, 16))
 def test_stack_equals_each_matrix_alone(n):
+    """On a stack of STACK and one of BIG_STACK, so each left-to-right sum runs in both its forms."""
     rng = np.random.default_rng(500 + n)
-    a = random_stack(rng, n, STACK)
-    v = rng.dirichlet(np.ones(n), size=STACK)
-    rev = batch_rev(a)
-    w_rev, lam = rev[0], rev[1]
-    w_gm = batch_gm(a)
-    stacked = {
-        "gm": w_gm,
-        "ti": triad_values(a),
-        "ki_ati": np.stack(batch_ki_ati(a), axis=-1),
-        "gi": batch_gi(a, w_gm),
-        "si": batch_si(lam, n),
-        "ae": batch_absolute_error(v, w_rev),
-        "re": batch_relative_error(v, w_rev),
-    }
-    assert rev[4].all()
-    for k in range(STACK):
-        for whole, alone in zip(rev, batch_rev(a[k : k + 1])):
-            assert np.array_equal(whole[k], alone[0])
-        alone = {
-            "gm": batch_gm(a[k]),
-            "ti": triad_values(a[k]),
-            "ki_ati": np.stack(batch_ki_ati(a[k])),
-            "gi": batch_gi(a[k], w_gm[k]),
-            "si": batch_si(lam[k], n),
-            "ae": batch_absolute_error(v[k], w_rev[k]),
-            "re": batch_relative_error(v[k], w_rev[k]),
+    for size in (STACK, BIG_STACK):
+        a = random_stack(rng, n, size)
+        v = rng.dirichlet(np.ones(n), size=size)
+        rev = batch_rev(a)
+        w_rev, lam = rev[0], rev[1]
+        w_gm = batch_gm(a)
+        stacked = {
+            "gm": w_gm,
+            "ti": triad_values(a),
+            "ki_ati": np.stack(batch_ki_ati(a), axis=-1),
+            "gi": batch_gi(a, w_gm),
+            "si": batch_si(lam, n),
+            "ae": batch_absolute_error(v, w_rev),
+            "re": batch_relative_error(v, w_rev),
         }
-        for name, value in alone.items():
-            assert np.array_equal(stacked[name][k], value), name
+        assert rev[4].all()
+        for k in range(0, size, size // STACK):
+            for whole, alone in zip(rev, batch_rev(a[k : k + 1])):
+                assert np.array_equal(whole[k], alone[0])
+            alone = {
+                "gm": batch_gm(a[k]),
+                "ti": triad_values(a[k]),
+                "ki_ati": np.stack(batch_ki_ati(a[k])),
+                "gi": batch_gi(a[k], w_gm[k]),
+                "si": batch_si(lam[k], n),
+                "ae": batch_absolute_error(v[k], w_rev[k]),
+                "re": batch_relative_error(v[k], w_rev[k]),
+            }
+            for name, value in alone.items():
+                assert np.array_equal(stacked[name][k], value), (size, k, name)
 
 
 def python_sum(x):
@@ -102,6 +105,39 @@ def python_sum(x):
             total += term
         totals.append(total)
     return np.array(totals).reshape(x.shape[:-1])
+
+
+@pytest.mark.parametrize("axis", [0, -1])
+@pytest.mark.parametrize("sums", [1, _VECTOR_SUMS - 1, _VECTOR_SUMS, 1024])
+def test_sum_in_order_adds_left_to_right(sums, axis):
+    """Both forms of core._sum_in_order, along either axis, are a Python loop's sum bit for bit, NaN and inf included."""
+    rng = np.random.default_rng(sums)
+    rows = rng.standard_normal((sums, 35)) * 10.0 ** rng.integers(-6, 7, (sums, 35))
+    rows[0] = 1.0
+    rows[0, 0] = 2.0**53  # added left to right, each 1 rounds away; in any other order some do not
+    rows[3::7, 4] = np.nan
+    rows[4::7, 9] = np.inf
+    rows[5::7, 9:11] = np.inf, -np.inf
+    want = python_sum(rows)
+    x = rows if axis == -1 else np.ascontiguousarray(rows.T)
+    with np.errstate(invalid="ignore"):  # inf + -inf
+        got = _sum_in_order(x, axis)
+    assert got.shape == want.shape and np.array_equal(got, want, equal_nan=True)
+    if sums == 1:
+        alone = _sum_in_order(rows[0])
+        assert type(alone) is np.float64 and alone == want[0] == 2.0**53
+
+
+@pytest.mark.parametrize("runs", [40, _VECTOR_SUMS])
+def test_sum_in_order_on_the_tally_view(runs):
+    """The correlation tally's (2, runs + 1, 24) terms, summed along axis 1 and on their strided swapaxes view."""
+    terms = np.random.default_rng(runs).standard_normal((2, runs + 1, 24))
+    terms[0, :, 0] = 1.0
+    terms[0, 0, 0] = 2.0**53
+    want = python_sum(terms.swapaxes(1, 2))
+    assert want[0, 0] == 2.0**53
+    assert np.array_equal(_sum_in_order(terms, axis=1), want)
+    assert np.array_equal(_sum_in_order(terms.swapaxes(1, 2)), want)
 
 
 def component_order_forms(a, v, w_rev, w_gm, row_sum):
@@ -125,22 +161,24 @@ def test_component_sums_run_left_to_right(n):
     Up to n = 7 that is also numpy's row mean bit for bit; from 8 on numpy's row sum is pairwise.
     """
     rng = np.random.default_rng(300 + n)
-    a = random_stack(rng, n, STACK)
-    v = rng.dirichlet(np.ones(n), size=STACK)
-    w_rev, lam = batch_rev(a)[:2]
-    w_gm = batch_gm(a)
-    got = {"gm": w_gm, "lam": lam, **batch_losses(v, w_rev, w_gm)}
-    want = component_order_forms(a, v, w_rev, w_gm, python_sum)
-    for name in want:
-        assert np.array_equal(got[name], want[name]), name
-    for k in range(STACK):
-        alone = {"gm": batch_gm(a[k]), "lam": batch_rev(a[k : k + 1])[1][0], **batch_losses(v[k], w_rev[k], w_gm[k])}
+    for size in (STACK, BIG_STACK):
+        a = random_stack(rng, n, size)
+        v = rng.dirichlet(np.ones(n), size=size)
+        w_rev, lam = batch_rev(a)[:2]
+        w_gm = batch_gm(a)
+        got = {"gm": w_gm, "lam": lam, **batch_losses(v, w_rev, w_gm)}
+        want = component_order_forms(a, v, w_rev, w_gm, python_sum)
         for name in want:
-            assert np.array_equal(alone[name], want[name][k]), (k, name)
-    if n <= 7:
-        numpy_forms = component_order_forms(a, v, w_rev, w_gm, lambda x: np.sum(x, axis=-1))
-        for name in want:
-            assert np.array_equal(got[name], numpy_forms[name]), name
+            assert np.array_equal(got[name], want[name]), (size, name)
+        for k in range(0, size, size // STACK):
+            alone = {"gm": batch_gm(a[k]), "lam": batch_rev(a[k : k + 1])[1][0],
+                     **batch_losses(v[k], w_rev[k], w_gm[k])}
+            for name in want:
+                assert np.array_equal(alone[name], want[name][k]), (size, k, name)
+        if n <= 7:
+            numpy_forms = component_order_forms(a, v, w_rev, w_gm, lambda x: np.sum(x, axis=-1))
+            for name in want:
+                assert np.array_equal(got[name], numpy_forms[name]), (size, name)
 
 
 @pytest.mark.parametrize("n", [4, 7])
